@@ -11,10 +11,9 @@
 //! measures 96.3 % conflicting accesses).
 
 use morrigan_types::{MissContext, PrefetchDecision, TlbPrefetcher, VirtPage};
-use serde::{Deserialize, Serialize};
 
 /// ASP geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AspConfig {
     /// Prediction-table entries (direct-mapped on PC, as in the original
     /// reference-prediction-table design).

@@ -9,10 +9,9 @@
 //! chain (93.7 % conflicting accesses), so DP provides almost no benefit.
 
 use morrigan_types::{MissContext, PageDistance, PrefetchDecision, TlbPrefetcher, VirtPage};
-use serde::{Deserialize, Serialize};
 
 /// DP geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpConfig {
     /// Prediction-table entries (direct-mapped on the distance value).
     pub entries: usize,

@@ -9,10 +9,9 @@
 //! successor ones.
 
 use morrigan_types::{MissContext, PrefetchDecision, TlbPrefetcher, VirtPage};
-use serde::{Deserialize, Serialize};
 
 /// MP geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MpConfig {
     /// Prediction-table entries (fully associative with LRU, as in the
     /// original proposal).

@@ -1,9 +1,9 @@
 //! The throughput baseline: wall-clock MIPS per figure regeneration.
 //!
-//! Runs the same figure workloads as the criterion benches — each with a
-//! fresh single-threaded [`Runner`] so neither the result cache nor the
-//! worker pool skews the number — and reports simulated instructions per
-//! wall-second (MIPS). Two modes:
+//! Regenerates every figure — each with a fresh single-threaded
+//! [`Runner`] so neither the result cache nor the worker pool skews the
+//! number — and reports simulated instructions per wall-second (MIPS).
+//! Two modes:
 //!
 //! * `simbench [--out PATH]` — measure and write the JSON baseline
 //!   (default `BENCH_simloop.json` in the current directory).
@@ -44,13 +44,12 @@
 //! disengaged), and `--check` gates each figure's `sampled_ipc_rel_err`
 //! individually so one noisy figure can't hide inside the aggregate.
 //!
-//! Scale comes from [`bench_scale`]: the criterion profile unless
+//! Scale comes from [`bench_scale`]: a reduced profile unless
 //! `MORRIGAN_INSTR`/`MORRIGAN_FULL` override it.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use morrigan_bench::bench_scale;
 use morrigan_experiments as exp;
 use morrigan_experiments::{Runner, Scale};
 use morrigan_runner::json::json_f64;
@@ -138,6 +137,21 @@ impl FigureRun {
     }
 }
 
+/// The scale simbench runs at: [`Scale::from_env`] when `MORRIGAN_INSTR`
+/// or `MORRIGAN_FULL` is set, otherwise a reduced profile small enough
+/// that every figure regenerates in seconds yet large enough to exercise
+/// every code path.
+fn bench_scale() -> Scale {
+    let mut scale = Scale::from_env();
+    if std::env::var("MORRIGAN_INSTR").is_err() && std::env::var("MORRIGAN_FULL").is_err() {
+        scale.warmup = 100_000;
+        scale.measure = 250_000;
+        scale.workloads = 2;
+        scale.smt_pairs = 1;
+    }
+    scale
+}
+
 /// Relative deviation of `sampled` from `full`, `0.0` when `full` is
 /// zero (then `sampled` must be zero too for the deviation to be zero —
 /// a nonzero `sampled` against a zero `full` reads as 100 %).
@@ -188,8 +202,8 @@ struct BenchFigure {
     run: fn(&Runner, &Scale),
 }
 
-/// Every figure the criterion bench suite regenerates, in bench order,
-/// plus the 8-core scaling row. `sampling` selects the pass: `None` runs
+/// Every figure of the `figures` binary, in its run order, plus the
+/// 8-core scaling row. `sampling` selects the pass: `None` runs
 /// full detailed timing, `Some` runs the SMARTS-sampled schedule on
 /// every spec.
 fn run_figures(scale: &Scale, sampling: Option<SamplingConfig>) -> Vec<FigureRun> {

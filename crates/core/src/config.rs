@@ -1,11 +1,9 @@
 //! Configuration of the Morrigan prefetcher and its IRIP ensemble.
 
-use serde::{Deserialize, Serialize};
-
 use crate::replacement::ReplacementPolicy;
 
 /// Geometry of one prediction table (PRT).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrtConfig {
     /// Total entries; must divide into `ways` with a power-of-two set count.
     pub entries: usize,
@@ -29,7 +27,7 @@ impl PrtConfig {
 }
 
 /// Configuration of the IRIP ensemble.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IripConfig {
     /// The prediction tables, narrowest first. Slot counts must be strictly
     /// increasing: an entry that outgrows table *i* migrates to table
@@ -175,7 +173,7 @@ impl IripConfig {
 }
 
 /// Configuration of the composite Morrigan prefetcher.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MorriganConfig {
     /// The IRIP ensemble.
     pub irip: IripConfig,

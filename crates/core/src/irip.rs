@@ -19,7 +19,6 @@ use morrigan_types::{
     PageDistance, PrefetchComponent, PrefetchDecision, PrefetchOrigin, PrefetcherEvent, SatCounter,
     VirtPage,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::config::{IripConfig, PrtConfig};
 use crate::frequency::FrequencyStack;
@@ -99,7 +98,7 @@ impl Prt {
 }
 
 /// Per-ensemble statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IripStats {
     /// Lookups performed (one per iSTLB miss).
     pub lookups: u64,

@@ -4,14 +4,13 @@ use morrigan_types::{
     MissContext, PrefetchDecision, PrefetchOrigin, PrefetcherEvent, ThreadId, TlbPrefetcher,
     VirtPage,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::config::MorriganConfig;
 use crate::irip::Irip;
 use crate::sdp::Sdp;
 
 /// Composite statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorriganStats {
     /// Misses observed.
     pub misses: u64,

@@ -8,12 +8,11 @@
 
 use morrigan_types::rng::Xoshiro256StarStar;
 use morrigan_types::VirtPage;
-use serde::{Deserialize, Serialize};
 
 use crate::frequency::FrequencyStack;
 
 /// Which replacement policy a prediction table uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Evict the least recently used entry (what the prior-art Markov
     /// prefetcher uses; loses track of hot-but-not-recent pages, §3.4).

@@ -47,6 +47,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use morrigan_experiments as exp;
+use morrigan_experiments::common::{parse_cores, parse_tenants};
 use morrigan_experiments::{RunRecord, Runner, Scale};
 use morrigan_obs::{to_chrome_trace, to_jsonl, DEFAULT_TRACE_CAPACITY};
 
@@ -123,30 +124,6 @@ fn trace_format(path: &str) -> Result<TraceFormat, String> {
             "--trace path '{path}' must end in .json (Chrome trace_event, for Perfetto) \
              or .jsonl (flat JSON lines)"
         ))
-    }
-}
-
-/// Parses a `--cores` value: the largest core count Fig 21's machine
-/// sweep reaches. Must be a power of two in 1..=64 (the sweep is the
-/// powers of two up to it, matching the paper-extension's 1/2/4/8).
-fn parse_cores(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n.is_power_of_two() && n <= 64 => Ok(n),
-        _ => Err(format!(
-            "--cores requires a power of two in 1..=64 (the sweep runs 1, 2, 4, … up to it), \
-             got '{value}'"
-        )),
-    }
-}
-
-/// Parses a `--tenants` value: tenants per core in Fig 21's
-/// multi-tenant rows, a positive integer up to 8.
-fn parse_tenants(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if (1..=8).contains(&n) => Ok(n),
-        _ => Err(format!(
-            "--tenants requires an integer in 1..=8 (tenants per core), got '{value}'"
-        )),
     }
 }
 
@@ -282,13 +259,16 @@ fn parse_args() -> Result<Args, String> {
                 let value = args
                     .next()
                     .ok_or_else(|| "--cores requires a core count".to_string())?;
-                cores = Some(parse_cores(&value)?);
+                cores =
+                    Some(parse_cores(&value).map_err(|e| format!("--cores: {e}, got '{value}'"))?);
             }
             "--tenants" => {
                 let value = args
                     .next()
                     .ok_or_else(|| "--tenants requires a tenant count".to_string())?;
-                tenants = Some(parse_tenants(&value)?);
+                tenants = Some(
+                    parse_tenants(&value).map_err(|e| format!("--tenants: {e}, got '{value}'"))?,
+                );
             }
             "--machine-threads" => {
                 let value = args

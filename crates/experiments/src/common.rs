@@ -9,16 +9,16 @@
 //! baseline produce byte-identical specs and the runner simulates them
 //! once.
 
+use morrigan_runner::env_value;
 use morrigan_sim::{SimConfig, SystemConfig};
 use morrigan_workloads::ServerWorkloadConfig;
-use serde::{Deserialize, Serialize};
 
 pub use morrigan_runner::{
     morrigan_budget_bits, PrefetcherKind, PrefetcherSpec, RunRecord, RunSpec, Runner, WorkloadSpec,
 };
 
 /// How much to simulate. See the crate docs for the environment knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Warmup instructions per run.
     pub warmup: u64,
@@ -89,36 +89,39 @@ impl Scale {
     }
 
     /// Reads the profile from the environment: `MORRIGAN_FULL=1` selects
-    /// [`Scale::paper`]; `MORRIGAN_INSTR` (measured instructions) and
-    /// `MORRIGAN_WORKLOADS` override individual fields.
+    /// [`Scale::paper`]; `MORRIGAN_INSTR` (measured instructions),
+    /// `MORRIGAN_WORKLOADS`, `MORRIGAN_CORES` and `MORRIGAN_TENANTS`
+    /// override individual fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable, on a value that does not parse; the
+    /// core and tenant counts must also pass [`parse_cores`] and
+    /// [`parse_tenants`], as `--cores` and `--tenants` must.
     pub fn from_env() -> Self {
         let mut scale = if std::env::var("MORRIGAN_FULL").is_ok_and(|v| v == "1") {
             Self::paper()
         } else {
             Self::quick()
         };
-        if let Ok(n) = std::env::var("MORRIGAN_INSTR") {
-            if let Ok(n) = n.parse::<u64>() {
-                scale.measure = n.max(1);
-                scale.warmup = (n / 3).max(1);
-            }
+        if let Some(n) = env_value("MORRIGAN_INSTR", |v| {
+            v.parse::<u64>()
+                .map_err(|_| "expected a measured-instruction count".to_string())
+        }) {
+            scale.measure = n.max(1);
+            scale.warmup = (n / 3).max(1);
         }
-        if let Ok(n) = std::env::var("MORRIGAN_WORKLOADS") {
-            if let Ok(n) = n.parse::<usize>() {
-                scale.workloads = n.clamp(1, 45);
-            }
+        if let Some(n) = env_value("MORRIGAN_WORKLOADS", |v| {
+            v.parse::<usize>()
+                .map_err(|_| "expected a workload count".to_string())
+        }) {
+            scale.workloads = n.clamp(1, 45);
         }
-        if let Ok(n) = std::env::var("MORRIGAN_CORES") {
-            if let Ok(n) = n.parse::<usize>() {
-                if n.is_power_of_two() && n <= 64 {
-                    scale.cores = n;
-                }
-            }
+        if let Some(n) = env_value("MORRIGAN_CORES", parse_cores) {
+            scale.cores = n;
         }
-        if let Ok(n) = std::env::var("MORRIGAN_TENANTS") {
-            if let Ok(n) = n.parse::<usize>() {
-                scale.tenants = n.clamp(1, 8);
-            }
+        if let Some(n) = env_value("MORRIGAN_TENANTS", parse_tenants) {
+            scale.tenants = n;
         }
         scale
     }
@@ -134,6 +137,28 @@ impl Scale {
     /// The QMM-like suite at this scale.
     pub fn suite(&self) -> Vec<ServerWorkloadConfig> {
         morrigan_workloads::suites::qmm_suite_subset(self.workloads)
+    }
+}
+
+/// Parses the largest core count Fig 21's machine sweep reaches
+/// (`--cores` / `MORRIGAN_CORES`): a power of two in 1..=64, since the
+/// sweep is the powers of two up to it, matching the paper extension's
+/// 1/2/4/8. The error says what was expected.
+pub fn parse_cores(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n.is_power_of_two() && n <= 64 => Ok(n),
+        _ => Err(
+            "expected a power of two in 1..=64 (the sweep runs 1, 2, 4, … up to it)".to_string(),
+        ),
+    }
+}
+
+/// Parses Fig 21's tenants per core (`--tenants` / `MORRIGAN_TENANTS`):
+/// an integer in 1..=8. The error says what was expected.
+pub fn parse_tenants(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if (1..=8).contains(&n) => Ok(n),
+        _ => Err("expected an integer in 1..=8 (tenants per core)".to_string()),
     }
 }
 
@@ -233,6 +258,18 @@ mod tests {
             miss_stream_spec(cfg, &scale).content_key(),
             "stream-collection runs are distinct jobs"
         );
+    }
+
+    #[test]
+    fn core_and_tenant_counts_validate_like_the_flags() {
+        assert_eq!(parse_cores(" 8 "), Ok(8));
+        for bad in ["0", "3", "128", "many", ""] {
+            assert!(parse_cores(bad).is_err(), "cores {bad:?}");
+        }
+        assert_eq!(parse_tenants("3"), Ok(3));
+        for bad in ["0", "9", "two", ""] {
+            assert!(parse_tenants(bad).is_err(), "tenants {bad:?}");
+        }
     }
 
     #[test]

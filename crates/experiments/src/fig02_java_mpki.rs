@@ -10,12 +10,11 @@
 use std::fmt;
 
 use morrigan_sim::SystemConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{render_table, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// One workload's measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JavaMpkiRow {
     /// Workload name (cassandra, tomcat, ...).
     pub workload: String,
@@ -24,7 +23,7 @@ pub struct JavaMpkiRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig02Result {
     /// Per-workload rows in suite order.
     pub rows: Vec<JavaMpkiRow>,

@@ -8,12 +8,11 @@ use std::fmt;
 
 use morrigan_sim::SystemConfig;
 use morrigan_types::stats::mean;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{baseline_spec, render_table, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// Mean front-end MPKI rates of one suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteMpki {
     /// Mean demand L1I misses per kilo-instruction.
     pub l1i: f64,
@@ -24,7 +23,7 @@ pub struct SuiteMpki {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig03Result {
     /// SPEC-CPU-like suite means.
     pub spec: SuiteMpki,

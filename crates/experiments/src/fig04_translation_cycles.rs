@@ -6,12 +6,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::{baseline_spec, render_table, Runner, Scale};
 
 /// One workload's measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TranslationCycleRow {
     /// Workload name.
     pub workload: String,
@@ -20,7 +18,7 @@ pub struct TranslationCycleRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig04Result {
     /// Per-workload rows.
     pub rows: Vec<TranslationCycleRow>,

@@ -7,15 +7,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::{suite_miss_streams, Runner, Scale};
 
 /// Delta bounds the CDF is evaluated at.
 pub const BOUNDS: [u64; 8] = [1, 2, 5, 10, 50, 100, 1000, 10000];
 
 /// The figure's data: the suite-mean cumulative fraction at each bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig05Result {
     /// Mean cumulative fraction of deltas ≤ `BOUNDS[i]`.
     pub cdf: Vec<f64>,

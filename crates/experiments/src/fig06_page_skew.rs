@@ -6,12 +6,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::{suite_miss_streams, Runner, Scale};
 
 /// One workload's skew measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageSkewRow {
     /// Workload name.
     pub workload: String,
@@ -28,7 +26,7 @@ pub struct PageSkewRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig06Result {
     /// Per-workload rows.
     pub rows: Vec<PageSkewRow>,

@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::{suite_miss_streams, Runner, Scale};
 
 /// Bucket labels in figure order.
 pub const BUCKETS: [&str; 5] = ["1", "2", "3-4", "5-8", ">8"];
 
 /// The figure's data: suite-mean fraction of pages per successor bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig07Result {
     /// Fractions parallel to [`BUCKETS`]; sums to 1.
     pub fractions: [f64; 5],

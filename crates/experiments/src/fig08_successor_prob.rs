@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::{suite_miss_streams, Runner, Scale};
 
 /// How many of the hottest pages the analysis considers (the paper: 50).
 pub const TOP_PAGES: usize = 50;
 
 /// The figure's data: suite-mean probabilities for the ranked successors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig08Result {
     /// P(next miss goes to the page's most frequent successor).
     pub first: f64,

@@ -12,14 +12,13 @@ use std::fmt;
 
 use morrigan_sim::SystemConfig;
 use morrigan_types::stats::geometric_mean;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{
     baseline_spec, render_table, server_spec, PrefetcherKind, RunSpec, Runner, Scale,
 };
 
 /// One prefetcher's aggregate result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     /// Prefetcher name.
     pub prefetcher: String,
@@ -28,7 +27,7 @@ pub struct SpeedupRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig09Result {
     /// Rows for SP/ASP/DP/MP, the unbounded variants, and Perfect iSTLB.
     pub rows: Vec<SpeedupRow>,

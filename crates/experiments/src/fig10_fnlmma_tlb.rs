@@ -11,12 +11,11 @@ use std::fmt;
 
 use morrigan_sim::{IcachePrefetcherKind, SystemConfig};
 use morrigan_types::stats::{geometric_mean, mean};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{baseline_spec, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// The figure's data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig10Result {
     /// Geomean speedup of FNL+MMA on the IPC-1-style infrastructure,
     /// where instruction address translation is not modelled at all (both

@@ -9,7 +9,6 @@ use std::fmt;
 
 use morrigan::{IripConfig, MorriganConfig};
 use morrigan_types::stats::mean;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{server_spec, RunSpec, Runner, Scale};
 
@@ -17,7 +16,7 @@ use crate::common::{server_spec, RunSpec, Runner, Scale};
 pub const SCALES: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
 /// One budget point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetPoint {
     /// IRIP storage at this point, in KB.
     pub storage_kb: f64,
@@ -26,7 +25,7 @@ pub struct BudgetPoint {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig13Result {
     /// Points in increasing-budget order.
     pub points: Vec<BudgetPoint>,

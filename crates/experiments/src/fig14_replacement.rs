@@ -9,7 +9,6 @@ use std::fmt;
 
 use morrigan::{IripConfig, MorriganConfig, ReplacementPolicy};
 use morrigan_types::stats::mean;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{server_spec, RunSpec, Runner, Scale};
 
@@ -17,7 +16,7 @@ use crate::common::{server_spec, RunSpec, Runner, Scale};
 pub const SCALES: [f64; 3] = [0.5, 1.0, 4.0];
 
 /// Coverage of one policy at one budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyPoint {
     /// Policy name.
     pub policy: String,
@@ -28,7 +27,7 @@ pub struct PolicyPoint {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig14Result {
     /// All (policy × budget) points.
     pub points: Vec<PolicyPoint>,

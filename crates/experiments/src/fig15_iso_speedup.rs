@@ -8,14 +8,13 @@
 use std::fmt;
 
 use morrigan_types::stats::{geometric_mean, mean};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{
     baseline_spec, render_table, server_spec, PrefetcherKind, RunSpec, Runner, Scale,
 };
 
 /// One prefetcher's aggregate result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IsoRow {
     /// Prefetcher name.
     pub prefetcher: String,
@@ -26,7 +25,7 @@ pub struct IsoRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig15Result {
     /// Rows in comparison order (SP, DP-iso, ASP-iso, MP-iso, Morrigan).
     pub rows: Vec<IsoRow>,

@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::common::{baseline_spec, server_spec, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// One prefetcher's normalized walk-reference counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalkRefRow {
     /// Prefetcher name.
     pub prefetcher: String,
@@ -25,7 +23,7 @@ pub struct WalkRefRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig16Result {
     /// Rows per prefetcher.
     pub rows: Vec<WalkRefRow>,

@@ -8,14 +8,13 @@
 use std::fmt;
 
 use morrigan_types::stats::{geometric_mean, mean};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{
     baseline_spec, server_spec, PrefetcherKind, RunRecord, RunSpec, Runner, Scale,
 };
 
 /// The figure's data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig17Result {
     /// Geomean speedup of the ensemble design.
     pub ensemble_speedup: f64,

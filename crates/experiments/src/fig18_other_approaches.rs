@@ -18,12 +18,11 @@ use std::fmt;
 use morrigan_sim::SystemConfig;
 use morrigan_types::stats::geometric_mean;
 use morrigan_vm::{PrefetchPlacement, TlbConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{baseline_spec, render_table, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// One approach's aggregate speedup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApproachRow {
     /// Approach name.
     pub approach: String,
@@ -32,7 +31,7 @@ pub struct ApproachRow {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig18Result {
     /// Rows in figure order.
     pub rows: Vec<ApproachRow>,

@@ -10,12 +10,11 @@ use std::fmt;
 
 use morrigan_sim::{IcachePrefetcherKind, SystemConfig};
 use morrigan_types::stats::{geometric_mean, mean};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{baseline_spec, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// The figure's data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig19Result {
     /// FNL+MMA alone (translation modelled), vs next-line baseline.
     pub fnlmma_speedup: f64,

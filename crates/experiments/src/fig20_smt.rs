@@ -11,12 +11,11 @@ use std::fmt;
 use morrigan::MorriganConfig;
 use morrigan_sim::{IcachePrefetcherKind, SystemConfig};
 use morrigan_types::stats::geometric_mean;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{PrefetcherKind, PrefetcherSpec, RunSpec, Runner, Scale};
 
 /// The figure's data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig20Result {
     /// Morrigan with doubled tables (the paper's SMT configuration).
     pub morrigan_speedup: f64,

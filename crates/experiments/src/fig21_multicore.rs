@@ -17,7 +17,6 @@
 use std::fmt;
 
 use morrigan_sim::{SystemConfig, TopologyConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{PrefetcherKind, RunSpec, Runner, Scale};
 
@@ -30,7 +29,7 @@ pub const SCHEDULE_QUANTUM: u64 = 50_000;
 pub const SHOOTDOWN_INTERVAL: u64 = 100_000;
 
 /// One (core count, tenant count) point of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig21Row {
     /// Cores in the machine.
     pub cores: usize,
@@ -52,7 +51,7 @@ pub struct Fig21Row {
 }
 
 /// The figure's data: one row per swept (cores, tenants) machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig21Result {
     /// Rows in (tenants, cores) order.
     pub rows: Vec<Fig21Row>,

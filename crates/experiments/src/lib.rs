@@ -5,10 +5,12 @@
 //! declares its simulations as a batch of [`common::RunSpec`]s, hands
 //! them to the shared [`Runner`] (worker pool + content-keyed result
 //! cache, see the `morrigan-runner` crate), and folds the returned
-//! records into its result struct. Results are serde-serializable and
-//! render as aligned text tables via `Display`. The `figures` binary
-//! runs any subset by name and shares one `Runner` across figures, so
-//! common baselines are simulated exactly once per invocation.
+//! records into its result struct. Results render as aligned text
+//! tables via `Display`. The `figures` binary runs any subset by name
+//! and shares one `Runner` across figures, so common baselines are
+//! simulated exactly once per invocation; `--json` writes the records
+//! themselves (`morrigan_runner::json`). The `stlbsim` binary runs one
+//! workload through one prefetcher on the same `RunSpec` path.
 //!
 //! ## Scaling
 //!
@@ -16,7 +18,8 @@
 //! workloads. That is reproducible here (`MORRIGAN_FULL=1`) but slow; the
 //! default [`Scale`] uses 1 M + 3 M over 10 workloads, which is enough for
 //! every *shape* the paper reports (who wins, rough factors, crossovers).
-//! Override with `MORRIGAN_INSTR=<measured>` and `MORRIGAN_WORKLOADS=<n>`.
+//! Override with `MORRIGAN_INSTR=<measured>` and `MORRIGAN_WORKLOADS=<n>`;
+//! a value that does not parse aborts (see [`Scale::from_env`]).
 //!
 //! ## Fidelity notes (also in EXPERIMENTS.md)
 //!

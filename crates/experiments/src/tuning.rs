@@ -12,12 +12,11 @@ use std::fmt;
 use morrigan::{IripConfig, MorriganConfig};
 use morrigan_sim::SystemConfig;
 use morrigan_types::stats::mean;
-use serde::{Deserialize, Serialize};
 
 use crate::common::{RunSpec, Runner, Scale};
 
 /// One configuration's mean coverage (and prefetch-walk cost).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningRow {
     /// Configuration name.
     pub config: String,
@@ -29,7 +28,7 @@ pub struct TuningRow {
 }
 
 /// The study's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningResult {
     /// All measured configurations.
     pub rows: Vec<TuningRow>,

@@ -20,13 +20,12 @@
 use std::fmt;
 
 use morrigan_types::VirtPage;
-use serde::{Deserialize, Serialize};
 
 /// Number of 64-byte lines in a 4 KB page.
 pub const LINES_PER_PAGE: u64 = 64;
 
 /// One instruction-prefetch request, in virtual line space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinePrefetch {
     /// Virtual line index (virtual address >> 6).
     pub vline: u64,
@@ -94,7 +93,7 @@ impl ICachePrefetcher for NextLinePrefetcher {
 }
 
 /// Configuration for the FNL+MMA-style prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FnlMmaConfig {
     /// Footprint next-line lookahead depth (crosses pages).
     pub fnl_degree: usize,

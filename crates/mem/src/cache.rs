@@ -5,10 +5,9 @@
 
 use morrigan_types::scan;
 use morrigan_types::CacheLine;
-use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets; must be a power of two.
     pub sets: usize,

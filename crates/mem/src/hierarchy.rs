@@ -1,7 +1,6 @@
 //! The three-level cache hierarchy plus DRAM, with per-class statistics.
 
 use morrigan_types::{CacheLine, CounterSet};
-use serde::{Deserialize, Serialize};
 
 use std::sync::Arc;
 
@@ -10,7 +9,7 @@ use crate::l2_prefetch::{L2Prefetcher, L2PrefetcherConfig};
 use crate::llc::{Llc, LlcView};
 
 /// The level of the memory hierarchy that served a reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemLevel {
     /// L1 instruction cache.
     L1I,
@@ -41,7 +40,7 @@ impl MemLevel {
 /// references enter at the L1D (x86 page-table walkers read through the data
 /// cache path, which is what gives PTEs the cache locality the paper's
 /// walker model exploits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessClass {
     /// Demand instruction fetch.
     IFetch,
@@ -71,7 +70,7 @@ pub struct AccessOutcome {
 }
 
 /// Geometry of the whole hierarchy (defaults reproduce Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 instruction cache.
     pub l1i: CacheConfig,
@@ -105,7 +104,7 @@ impl Default for HierarchyConfig {
 }
 
 /// Hit/served counters for one hierarchy level, per access class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// References served by this level on the instruction-fetch path.
     pub ifetch: u64,

@@ -9,7 +9,6 @@
 //! path/throttling machinery, and document that simplification in DESIGN.md.
 
 use morrigan_types::CacheLine;
-use serde::{Deserialize, Serialize};
 
 const LINES_PER_PAGE: u64 = 64; // 4 KB page / 64 B line
 
@@ -18,7 +17,7 @@ const LINES_PER_PAGE: u64 = 64; // 4 KB page / 64 B line
 const NO_PAGE: u64 = u64::MAX;
 
 /// Configuration of the L2 prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2PrefetcherConfig {
     /// Number of page trackers (fully associative, LRU by round-robin clock).
     pub trackers: usize,

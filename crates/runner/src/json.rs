@@ -1,8 +1,9 @@
 //! A small hand-rolled JSON emitter for [`RunRecord`]s.
 //!
-//! The workspace deliberately has no JSON dependency (the simulator and
-//! experiments are dependency-free beyond `serde` derives), so the
-//! `figures --json` output is rendered by hand here. The schema is flat
+//! The workspace deliberately has no JSON dependency (the libraries and
+//! binaries link no external crate at all), so the `figures --json`
+//! output is rendered by hand here; [`jsonval`](crate::jsonval) reads
+//! it back. The schema is flat
 //! and stable: one object per record with the workload/prefetcher
 //! identity, the run lengths, the system knobs that distinguish specs,
 //! and the full measurement metrics.

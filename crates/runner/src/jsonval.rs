@@ -4,10 +4,15 @@
 //!
 //! The workspace deliberately carries no JSON dependency, so the parser
 //! lives here: full JSON syntax (objects, arrays, strings with escapes,
-//! numbers, booleans, null), no serde, no streaming — documents are a
-//! few megabytes at most.
+//! numbers, booleans, null), no streaming — documents are a few
+//! megabytes at most. Nesting is bounded by [`MAX_DEPTH`], so a damaged
+//! or hostile file is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// crate writes nest fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +93,7 @@ impl JsonValue {
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -116,11 +121,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -227,7 +237,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -236,7 +246,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -255,7 +265,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -268,7 +278,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -291,6 +301,38 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{PrefetcherKind, RunSpec};
+    use morrigan_sim::{SimConfig, SystemConfig};
+    use morrigan_workloads::ServerWorkloadConfig;
+    use std::sync::Arc;
+
+    fn depth(v: &JsonValue) -> usize {
+        match v {
+            JsonValue::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            JsonValue::Obj(map) => 1 + map.values().map(depth).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    /// What `figures --json --interval` and `figures --explain` write for
+    /// one small run.
+    fn emitted_documents() -> [String; 2] {
+        let cfg = ServerWorkloadConfig::qmm_like("jsonval-doc", 5);
+        let sim = SimConfig {
+            warmup_instructions: 5_000,
+            measure_instructions: 20_000,
+        };
+        let spec = RunSpec::server(&cfg, SystemConfig::default(), sim, PrefetcherKind::Morrigan);
+        let record = spec.execute_analyzed(Some(10_000));
+        let report = record
+            .analysis
+            .as_ref()
+            .expect("analysis attached")
+            .to_json();
+        let figures =
+            crate::json::figures_document(&[("fig02".to_string(), vec![Arc::new(record)])]);
+        [figures, report]
+    }
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -309,6 +351,28 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("123 trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(300_000)).expect_err("unbounded arrays");
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&"{\"a\": ".repeat(300_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(depth(&parse(&at_limit).expect("at the limit")), MAX_DEPTH);
+        assert!(parse(&format!("[{at_limit}]")).is_err());
+    }
+
+    #[test]
+    fn emitted_documents_parse_and_their_prefixes_do_not() {
+        for doc in emitted_documents() {
+            let doc = doc.trim_end();
+            let nesting = depth(&parse(doc).expect("emitted document parses"));
+            assert!(nesting * 4 <= MAX_DEPTH, "nests {nesting} levels");
+            for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+                assert!(parse(&doc[..cut]).is_err(), "{cut}-byte prefix parsed");
+            }
+        }
     }
 
     #[test]

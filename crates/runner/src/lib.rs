@@ -47,7 +47,7 @@ pub use analysis::{
     HistReport, IripSnapshot, LawCheck, MachineReport, MissAnatomy, RecordDigest, ANALYSIS_SCHEMA,
 };
 pub use pin::{single_core_pin_document, single_core_pin_specs};
-pub use runner::Runner;
+pub use runner::{env_value, Runner};
 pub use spec::{
     morrigan_budget_bits, PrefetcherKind, PrefetcherSpec, RunRecord, RunSpec, WorkloadSpec,
 };

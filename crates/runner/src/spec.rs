@@ -2,9 +2,10 @@
 //!
 //! A [`RunSpec`] is a pure value: workload configuration(s), system
 //! configuration, run length, and a prefetcher *description* (never a
-//! built prefetcher). Everything is serializable and deterministically
-//! buildable, which is what lets the [`Runner`](crate::Runner) execute
-//! specs on any worker thread and memoize results by content.
+//! built prefetcher). Everything has a lossless `Debug` rendering and is
+//! deterministically buildable, which is what lets the
+//! [`Runner`](crate::Runner) execute specs on any worker thread and
+//! memoize results by content.
 
 use morrigan::{Morrigan, MorriganConfig};
 use morrigan_baselines::{
@@ -23,7 +24,6 @@ use morrigan_workloads::{
     AsidStream, InstructionStream, ScheduledStream, ServerWorkload, ServerWorkloadConfig,
     SpecWorkload, SpecWorkloadConfig,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{AnalysisReport, CumulativeStats, IripSnapshot};
 use crate::workload_cache::WorkloadCache;
@@ -35,7 +35,7 @@ pub fn morrigan_budget_bits() -> u64 {
 }
 
 /// Every STLB prefetcher the experiments instantiate by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetcherKind {
     /// No prefetching (the baseline).
     None,
@@ -115,7 +115,7 @@ impl PrefetcherKind {
 /// A prefetcher *description*: either a named configuration or a fully
 /// custom Morrigan config (budget sweeps, replacement-policy studies,
 /// ablations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PrefetcherSpec {
     /// One of the named configurations.
     Kind(PrefetcherKind),
@@ -154,7 +154,7 @@ impl From<MorriganConfig> for PrefetcherSpec {
 }
 
 /// Which instruction stream(s) a job simulates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// One QMM-class synthetic server workload on a single-threaded core.
     Server(ServerWorkloadConfig),
@@ -329,7 +329,7 @@ impl WorkloadSpec {
 /// (the simulator is deterministic), which is what makes the result
 /// cache sound: the [`Runner`](crate::Runner) memoizes on the spec's
 /// [content key](RunSpec::content_key), never on execution order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Instruction stream(s) to simulate.
     pub workload: WorkloadSpec,
@@ -345,7 +345,6 @@ pub struct RunSpec {
     /// and full runs of the same job produce different cycle metrics, so
     /// the [content key](RunSpec::content_key) — derived from the spec's
     /// `Debug` rendering — keeps their cached records apart.
-    #[serde(default)]
     pub sampling: Option<SamplingConfig>,
 }
 

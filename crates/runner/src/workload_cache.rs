@@ -148,6 +148,11 @@ impl WorkloadCache {
     /// * `MORRIGAN_WORKLOAD_CACHE=<dir>` → on-disk persistence;
     /// * `MORRIGAN_WORKLOAD_CACHE_MB=<n>` → resident budget override;
     /// * otherwise the in-memory default.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `MORRIGAN_WORKLOAD_CACHE_MB` is not a whole number of
+    /// MiB (see [`env_value`](crate::env_value)).
     pub fn from_env() -> Self {
         if std::env::var("MORRIGAN_NO_WORKLOAD_CACHE").is_ok_and(|v| v == "1") {
             return Self::disabled();
@@ -156,10 +161,10 @@ impl WorkloadCache {
             Ok(dir) if !dir.trim().is_empty() => Self::with_disk(dir.trim()),
             _ => Self::in_memory(),
         };
-        if let Some(mb) = std::env::var("MORRIGAN_WORKLOAD_CACHE_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
+        if let Some(mb) = crate::env_value("MORRIGAN_WORKLOAD_CACHE_MB", |v| {
+            v.parse::<u64>()
+                .map_err(|_| "expected a resident budget in MiB".to_string())
+        }) {
             cache.max_resident_bytes = mb << 20;
         }
         cache

@@ -2,10 +2,9 @@
 
 use morrigan_mem::HierarchyConfig;
 use morrigan_vm::MmuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Core pipeline parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instructions fetched per cycle (Table 1: 4-wide).
     pub fetch_width: u64,
@@ -34,7 +33,7 @@ impl Default for CoreConfig {
 }
 
 /// Which I-cache prefetcher runs in the front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IcachePrefetcherKind {
     /// No instruction prefetching at all.
     None,
@@ -58,7 +57,7 @@ pub enum IcachePrefetcherKind {
 /// The default (`cores: 1`, everything private, no shootdown traffic)
 /// describes exactly the pre-multicore simulator, so a default-topology
 /// [`SystemConfig`] reproduces earlier results byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyConfig {
     /// Number of cores the machine instantiates (each with private L1/L2,
     /// I-TLB/D-TLB, PB, PSCs, walker, and prefetcher instance).
@@ -88,7 +87,7 @@ impl Default for TopologyConfig {
 }
 
 /// The full simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Cache hierarchy + DRAM.
     pub mem: HierarchyConfig,
@@ -123,7 +122,7 @@ impl Default for SystemConfig {
 }
 
 /// How long to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Instructions executed before measurement begins (the paper: 50 M).
     pub warmup_instructions: u64,

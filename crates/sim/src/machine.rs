@@ -88,7 +88,7 @@ const SHOOTDOWN_VICTIM_STRIDE: u64 = 7;
 
 /// Per-core and shared-structure results of a completed machine run,
 /// attached to multi-core `RunRecord`s.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSummary {
     /// Number of cores that ran.
     pub cores: usize,
@@ -104,7 +104,6 @@ pub struct MachineSummary {
     pub shootdown_hits: u64,
     /// Per-core interval time-series (core-id order); empty unless
     /// [`Machine::set_interval`] enabled the sampler.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub per_core_intervals: Vec<Vec<IntervalSample>>,
 }
 

@@ -3,10 +3,9 @@
 use morrigan_mem::LevelStats;
 use morrigan_types::stats::mpki;
 use morrigan_vm::{MmuStats, PbStats, WalkerStats};
-use serde::{Deserialize, Serialize};
 
 /// Everything measured over the measurement window of one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Metrics {
     /// Instructions retired in the window.
     pub instructions: u64,
@@ -143,7 +142,7 @@ impl std::ops::Add for Metrics {
 /// snapshots taken `interval` retired instructions apart inside the
 /// measurement window, plus where the epoch sits in instructions and
 /// cycles. Attached to `RunRecord` and rendered into `--json` output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalSample {
     /// First instruction of the epoch, relative to the window start.
     pub start_instruction: u64,

@@ -32,14 +32,12 @@
 //! can drive each core's schedule independently from its own retirement
 //! counter.
 
-use serde::{Deserialize, Serialize};
-
 /// A sampled-simulation schedule: `detail` instructions of full timing
 /// followed by `skip` instructions of functional fast-forward, repeated.
 ///
 /// The canonical notation is `detail:skip` (e.g. `10000:40000` runs
 /// detailed timing on 20 % of the stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingConfig {
     /// Instructions per detailed-timing window (≥ 1).
     pub detail: u64,

@@ -1933,38 +1933,4 @@ mod extension_tests {
             "engaging on hits can only add prefetch activity"
         );
     }
-
-    #[test]
-    fn trace_replay_matches_live_generation() {
-        use morrigan_types::prefetcher::NullPrefetcher;
-        use morrigan_workloads::{InstructionStream, TraceReader, TraceWriter};
-
-        let cfg = ServerWorkloadConfig::qmm_like("replayed", 33);
-        let mut live = ServerWorkload::new(cfg.clone());
-        let total = quick().warmup_instructions + quick().measure_instructions;
-        let mut writer =
-            TraceWriter::new(Vec::new(), live.code_region(), live.data_region()).expect("header");
-        writer.record_from(&mut live, total).expect("record");
-        let bytes = writer.finish().expect("flush");
-        let reader = TraceReader::read(&bytes[..], "replayed".into()).expect("parse");
-
-        let mut from_trace = Simulator::new(
-            SystemConfig::default(),
-            Box::new(reader),
-            Box::new(NullPrefetcher),
-        );
-        let trace_metrics = from_trace.run(quick());
-
-        let mut from_live = Simulator::new(
-            SystemConfig::default(),
-            Box::new(ServerWorkload::new(cfg)),
-            Box::new(NullPrefetcher),
-        );
-        let live_metrics = from_live.run(quick());
-
-        assert_eq!(
-            trace_metrics, live_metrics,
-            "replay must be indistinguishable"
-        );
-    }
 }

@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// log2 of the base page size (4 KB pages).
 pub const PAGE_SHIFT: u32 = 12;
 /// Base page size in bytes.
@@ -45,7 +43,7 @@ macro_rules! address_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
         pub struct $name(u64);
 

@@ -13,10 +13,8 @@
 //! `morrigan_sim::audit`); this crate only defines the reporting types so
 //! every layer — `vm`, `mem`, `sim`, `runner` — can speak them.
 
-use serde::{Deserialize, Serialize};
-
 /// One violated conservation law: the law's name and the offending values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The law that failed, stated as the equation or inequality it
     /// encodes (e.g. `"istlb_covered + demand_instr_walks == istlb_misses"`).
@@ -34,7 +32,7 @@ impl std::fmt::Display for Violation {
 
 /// The outcome of running an invariant set: how many laws were checked
 /// and which of them failed, with offending values.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditReport {
     /// What was audited (e.g. the run description).
     pub context: String,

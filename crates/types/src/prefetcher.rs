@@ -6,15 +6,11 @@
 //! prefetch it issued later eliminates a demand page walk (a PB hit), which
 //! is how IRIP's confidence counters are trained.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{VirtAddr, VirtPage};
 
 /// Identifies a hardware thread on an SMT core (§4.3: the IRIP tables are
 /// shared between threads, but the previous-miss register is per thread).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ThreadId(pub u8);
 
 impl ThreadId {
@@ -28,9 +24,7 @@ impl ThreadId {
 /// The paper stores 15-bit distances instead of full 36-bit VPNs (§4.1.1,
 /// §6.1); [`PageDistance::fits_bits`] checks representability for a given
 /// slot width.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageDistance(pub i64);
 
 impl PageDistance {
@@ -86,7 +80,7 @@ pub struct MissContext {
 
 /// Identifies the prediction-table slot that produced a prefetch so a later
 /// PB hit can credit the right confidence counter (§4.2 step 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefetchOrigin {
     /// The miss page whose prediction-table entry produced the prefetch.
     pub source: VirtPage,
@@ -97,7 +91,7 @@ pub struct PrefetchOrigin {
 /// The engine inside a composite prefetcher that produced a decision, so
 /// the observability layer can attribute every prefetch's fate (fill, PB
 /// hit, unused eviction) back to the component that asked for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetchComponent {
     /// One of IRIP's prediction tables, by table index (0 = 1-slot table).
     IripTable(u8),

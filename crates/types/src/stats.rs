@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A saturating up-counter with a configurable ceiling, e.g. the 2-bit
 /// confidence counters attached to IRIP prediction slots (§6.1).
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// for _ in 0..10 { c.increment(); }
 /// assert_eq!(c.value(), 3); // saturates at 2^2 - 1
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SatCounter {
     value: u32,
     max: u32,
@@ -87,7 +85,7 @@ impl Default for SatCounter {
 }
 
 /// A hit/total ratio that formats as a percentage and never divides by zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Ratio {
     /// Numerator (e.g. hits, covered misses).
     pub part: u64,

@@ -29,7 +29,6 @@ use morrigan_types::{
     CounterSet, MissContext, PhysPage, PrefetchComponent, PrefetchDecision, PrefetcherEvent,
     ThreadId, TlbPrefetcher, VirtAddr, VirtPage,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::miss_stream::MissStreamStats;
 use crate::page_table::PageTable;
@@ -39,7 +38,7 @@ use crate::tlb::{Tlb, TlbConfig};
 use crate::walker::{WalkKind, WalkResult, Walker, WalkerConfig, WalkerStats};
 
 /// Where prefetched PTEs are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchPlacement {
     /// Into the prefetch buffer (the paper's design and default).
     Buffer,
@@ -49,7 +48,7 @@ pub enum PrefetchPlacement {
 }
 
 /// MMU configuration (defaults reproduce Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MmuConfig {
     /// L1 instruction TLB geometry.
     pub itlb: TlbConfig,
@@ -101,7 +100,7 @@ impl Default for MmuConfig {
 }
 
 /// Counters exposed by the MMU.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MmuStats {
     /// Instruction translations requested.
     pub instr_translations: u64,

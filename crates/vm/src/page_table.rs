@@ -18,14 +18,13 @@ use std::collections::HashSet;
 
 use morrigan_types::rng::SplitMix64;
 use morrigan_types::{PhysAddr, PhysPage, VirtPage};
-use serde::{Deserialize, Serialize};
 
 /// Radix bits per page-table level (x86-64: 9 bits, 512 entries per node).
 const LEVEL_BITS: u32 = 9;
 const LEVEL_MASK: u64 = (1 << LEVEL_BITS) - 1;
 
 /// The four levels of the x86-64 radix page table, root first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PtLevel {
     /// Page Map Level 4 (root).
     Pml4,

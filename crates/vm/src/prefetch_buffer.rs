@@ -13,7 +13,6 @@
 //! naive page-crossing I-cache prefetchers in Fig 10).
 
 use morrigan_types::{CounterSet, PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
-use serde::{Deserialize, Serialize};
 
 /// One prefetched translation staged in the PB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +50,7 @@ pub struct PbHit {
 /// a shootdown (`invalidations`), or is still resident (occupancy) —
 /// `inserts == hits + evicted_unused + invalidations + len()` at every
 /// instant, which the audit layer checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PbStats {
     /// Demand lookups that hit a ready entry.
     pub hits_ready: u64,

@@ -10,12 +10,11 @@
 
 use morrigan_types::scan;
 use morrigan_types::VirtPage;
-use serde::{Deserialize, Serialize};
 
 use crate::page_table::PtLevel;
 
 /// Geometry of the three split PSCs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PscConfig {
     /// PML4-cache entries (fully associative).
     pub pml4_entries: usize,
@@ -44,7 +43,7 @@ impl Default for PscConfig {
 
 /// Outcome of a PSC lookup: the deepest level whose translation prefix was
 /// cached, which determines how many page-table references remain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PscHit {
     /// PD cache hit: only the leaf PTE reference remains (1 reference).
     Pd,

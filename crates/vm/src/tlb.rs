@@ -2,10 +2,9 @@
 
 use morrigan_types::scan;
 use morrigan_types::{PhysPage, VirtPage};
-use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one TLB level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total entries; must be divisible by `ways` into a power-of-two set
     /// count.

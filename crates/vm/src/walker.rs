@@ -10,13 +10,12 @@
 
 use morrigan_mem::{AccessClass, MemoryHierarchy};
 use morrigan_types::{CounterSet, PhysPage, VirtPage};
-use serde::{Deserialize, Serialize};
 
 use crate::page_table::PageTable;
 use crate::psc::{PagingStructureCaches, PscConfig, PscHit};
 
 /// Who requested a walk; selects accounting buckets and access class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WalkKind {
     /// A demand walk triggered by an instruction STLB miss (critical path).
     DemandInstruction,
@@ -36,7 +35,7 @@ impl WalkKind {
 }
 
 /// Walker configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkerConfig {
     /// Concurrent walks in flight (Table 1: 4-entry TLB MSHR).
     pub concurrent_walks: usize,
@@ -79,7 +78,7 @@ pub struct WalkResult {
 }
 
 /// Walk and reference counters, split by [`WalkKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkerStats {
     /// Demand walks for instruction misses.
     pub demand_instr_walks: u64,

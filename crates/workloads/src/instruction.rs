@@ -2,10 +2,9 @@
 //! consumes.
 
 use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
-use serde::{Deserialize, Serialize};
 
 /// One data memory access attached to an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Virtual address of the access.
     pub addr: VirtAddr,
@@ -15,7 +14,7 @@ pub struct MemAccess {
 }
 
 /// One traced instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceInstruction {
     /// Fetch address.
     pub pc: VirtAddr,

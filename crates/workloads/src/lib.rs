@@ -30,7 +30,6 @@ mod packed;
 mod server;
 mod spec;
 pub mod suites;
-mod trace_file;
 mod zipf;
 
 pub use instruction::{scan_page_runs, InstructionStream, MemAccess, TraceInstruction};
@@ -38,5 +37,4 @@ pub use multi::{AsidStream, ScheduledStream};
 pub use packed::{fnv1a, PackedReplay, PackedTrace, REPLAY_SLACK};
 pub use server::{ServerWorkload, ServerWorkloadConfig};
 pub use spec::{SpecWorkload, SpecWorkloadConfig};
-pub use trace_file::{TraceReader, TraceWriter};
 pub use zipf::PowerLawSampler;

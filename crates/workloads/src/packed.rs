@@ -363,7 +363,15 @@ impl PackedTrace {
     /// all of which callers treat as "rebuild, non-fatal".
     pub fn read_from(path: impl AsRef<Path>, key_hash: u64) -> io::Result<(Self, f64)> {
         let file = std::fs::File::open(path)?;
-        let mut input = Hashing::new(BufReader::new(file));
+        let file_bytes = file.metadata()?.len();
+        Self::decode(BufReader::new(file), file_bytes, key_hash)
+    }
+
+    /// [`read_from`](Self::read_from) over any reader of a
+    /// `file_bytes`-byte encoding. The header's trace length is checked
+    /// against `file_bytes` before anything is sized from it.
+    fn decode(input: impl Read, file_bytes: u64, key_hash: u64) -> io::Result<(Self, f64)> {
+        let mut input = Hashing::new(input);
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic)?;
         if &magic == MAGIC_V1 {
@@ -378,7 +386,14 @@ impl PackedTrace {
         if stored_key != key_hash {
             return Err(bad("packed trace was built for a different cache key"));
         }
-        let len = read_u64(&mut input)? as usize;
+        let len = read_u64(&mut input)?;
+        // Each instruction costs at least one PC-varint byte, so a longer
+        // trace than the file is corruption (e.g. a flipped high bit),
+        // not an allocation to attempt.
+        if len > file_bytes {
+            return Err(bad("trace length exceeds the file size"));
+        }
+        let len = len as usize;
         let code_base = read_u64(&mut input)?;
         let code_pages = read_u64(&mut input)?;
         let data_base = read_u64(&mut input)?;
@@ -431,10 +446,10 @@ impl PackedTrace {
             ends.reserve_exact(count);
             let mut prev = 0u64;
             for _ in 0..count {
-                prev += read_varint(&mut input)?;
-                if prev > len as u64 {
-                    return Err(bad("page-run end position past the end of the trace"));
-                }
+                prev = prev
+                    .checked_add(read_varint(&mut input)?)
+                    .filter(|&end| end <= len as u64)
+                    .ok_or_else(|| bad("page-run end position past the end of the trace"))?;
                 ends.push(prev as u32);
             }
             if ends.last().is_some_and(|&last| last as usize != len) || (len > 0 && ends.is_empty())
@@ -975,6 +990,36 @@ mod tests {
         let index = (trace.irun_ends.len() * 4 + trace.drun_ends.len() * 4) as u64;
         assert!(index > 0);
         assert_eq!(trace.resident_bytes(), arrays + index);
+    }
+
+    #[test]
+    fn damaged_encodings_are_errors_not_panics() {
+        let trace = capture(31, 300);
+        let key = fnv1a(b"damage-key");
+        let path = std::env::temp_dir().join(format!("morrigan-pk-dm-{}.mpt", std::process::id()));
+        trace.write_to(&path, key, 0.5).expect("write");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        let decode = |b: &[u8]| PackedTrace::decode(b, b.len() as u64, key);
+        assert_eq!(decode(&bytes).expect("intact").0, trace);
+
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "truncated to {cut} bytes");
+        }
+        // Magic plus the eight u64 header fields; byte 23 is the top
+        // byte of the length.
+        let header = 8 + 8 * 8;
+        let flipped = |bit: usize| {
+            let mut b = bytes.clone();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        };
+        for bit in 0..header * 8 {
+            assert!(decode(&flipped(bit)).is_err(), "header bit {bit} flipped");
+        }
+        for bit in (header * 8..bytes.len() * 8).step_by(13) {
+            assert!(decode(&flipped(bit)).is_err(), "body bit {bit} flipped");
+        }
     }
 
     #[test]

@@ -16,13 +16,12 @@
 
 use morrigan_types::rng::{SplitMix64, Xoshiro256StarStar};
 use morrigan_types::{VirtAddr, VirtPage};
-use serde::{Deserialize, Serialize};
 
 use crate::instruction::{InstructionStream, MemAccess, TraceInstruction};
 use crate::zipf::PowerLawSampler;
 
 /// Configuration of one synthetic server workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerWorkloadConfig {
     /// Workload name for reports.
     pub name: String,

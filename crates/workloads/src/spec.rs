@@ -9,12 +9,11 @@
 
 use morrigan_types::rng::Xoshiro256StarStar;
 use morrigan_types::{VirtAddr, VirtPage};
-use serde::{Deserialize, Serialize};
 
 use crate::instruction::{InstructionStream, MemAccess, TraceInstruction};
 
 /// Configuration of a SPEC-like workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecWorkloadConfig {
     /// Workload name.
     pub name: String,
