@@ -56,11 +56,15 @@ const NO_LINE: u64 = u64::MAX;
 
 /// A set-associative, LRU-replacement cache of line numbers.
 ///
-/// Tags and LRU stamps live in separate packed vectors
-/// (structure-of-arrays), so a set probe scans one contiguous run of
-/// tags. An empty way holds the [`NO_LINE`] tag and stamp 0; live stamps
-/// are always ≥ 1, so victim selection is a single min-stamp pass that
-/// prefers free ways in index order, then the LRU way.
+/// Each set is one contiguous run of `ways` tags kept in recency order:
+/// the MRU line first, the LRU line last, and empty ways (the
+/// [`NO_LINE`] tag) after every live line. Position is recency, so the
+/// cache keeps no stamps and no clock. A hit moves its tag to the
+/// front; a fill shifts the set back one slot and writes the front, and
+/// the victim is whatever falls off the end — an empty way while the
+/// set has one, the LRU line otherwise. That is the "first free way,
+/// else least recently used" policy of a stamp-LRU cache, answered in
+/// one tag pass per reference with no min-stamp pass.
 ///
 /// # Examples
 ///
@@ -79,16 +83,8 @@ pub struct Cache {
     cfg: CacheConfig,
     /// `sets - 1`; the constructor asserts a power-of-two set count.
     set_mask: usize,
+    /// `sets × ways` tags, each set's run in recency order.
     lines: Vec<u64>,
-    /// Monotonic timestamps for LRU ordering; smaller is older, 0 is empty.
-    stamps: Vec<u64>,
-    tick: u64,
-    /// Index of the most recently hit/filled way, as a one-entry memo.
-    /// Sound without invalidation hooks: a line only ever resides in its
-    /// own set, so `lines[last_idx] == key` proves `last_idx` is the live
-    /// way for `key`, and the memo path writes the same stamp the scan
-    /// would.
-    last_idx: usize,
 }
 
 impl Cache {
@@ -107,9 +103,6 @@ impl Cache {
             cfg,
             set_mask: cfg.sets - 1,
             lines: vec![NO_LINE; cfg.sets * cfg.ways],
-            stamps: vec![0; cfg.sets * cfg.ways],
-            tick: 0,
-            last_idx: 0,
         }
     }
 
@@ -124,29 +117,17 @@ impl Cache {
         start..start + self.cfg.ways
     }
 
+    /// The recency-ordered tags of the set `line` maps to.
+    #[inline]
+    fn set_mut(&mut self, line: CacheLine) -> &mut [u64] {
+        debug_assert_ne!(line.raw(), NO_LINE);
+        let range = self.set_range(line);
+        &mut self.lines[range]
+    }
+
     /// Looks up `line`, promoting it to MRU on a hit. Returns whether it hit.
     pub fn probe(&mut self, line: CacheLine) -> bool {
-        self.tick += 1;
-        let key = line.raw();
-        debug_assert_ne!(key, NO_LINE);
-        // Fast path: instruction fetch probes the same line for runs of
-        // consecutive instructions, so the previous hit's way usually
-        // answers with a single compare.
-        let li = self.last_idx;
-        if self.lines[li] == key {
-            self.stamps[li] = self.tick;
-            return true;
-        }
-        let range = self.set_range(line);
-        // One slice per probe: the branch-free kernel scans the set's
-        // contiguous tags as one or two vector compares.
-        let start = range.start;
-        if let Some(w) = scan::find_tag(&self.lines[range], key) {
-            self.stamps[start + w] = self.tick;
-            self.last_idx = start + w;
-            return true;
-        }
-        false
+        promote(self.set_mut(line), line.raw())
     }
 
     /// Whether `line` is resident, without disturbing LRU state.
@@ -156,28 +137,10 @@ impl Cache {
     }
 
     /// Software-prefetches the tag array of the set `line` maps to — a
-    /// scheduling hint for batched probes; never required for
-    /// correctness.
+    /// host-side scheduling hint; never required for correctness.
     #[inline]
     pub fn prefetch_set(&self, line: CacheLine) {
         scan::prefetch_tags(&self.lines[self.set_range(line)]);
-    }
-
-    /// Batched residency probe over up to [`scan::BATCH`] lines: bit `i`
-    /// of the result is set iff `lines[i]` is resident. Each scan
-    /// prefetches the following key's set; LRU state is untouched, so
-    /// the batch equals calling [`contains`](Self::contains) per key.
-    pub fn probe_batch(&self, batch: &[CacheLine]) -> u32 {
-        debug_assert!(batch.len() <= scan::BATCH);
-        let mut mask = 0u32;
-        for (i, &line) in batch.iter().enumerate() {
-            if let Some(&next) = batch.get(i + 1) {
-                self.prefetch_set(next);
-            }
-            let resident = scan::find_tag(&self.lines[self.set_range(line)], line.raw()).is_some();
-            mask |= (resident as u32) << i;
-        }
-        mask
     }
 
     /// Installs `line` as MRU, returning the evicted victim line, if any.
@@ -185,87 +148,98 @@ impl Cache {
     /// Filling a line that is already resident only refreshes its LRU
     /// position (no duplicate is created).
     pub fn fill(&mut self, line: CacheLine) -> Option<CacheLine> {
-        self.tick += 1;
-        let tick = self.tick;
         let key = line.raw();
-        debug_assert_ne!(key, NO_LINE);
-        let range = self.set_range(line);
-        let start = range.start;
-        let lines = &mut self.lines[range.clone()];
-        let stamps = &mut self.stamps[range];
-        // Refresh a resident line, else replace the min-stamp way: empty
-        // ways carry stamp 0 (below every live stamp ≥ 1) and ties pick
-        // the lowest index, so the min-stamp way is the first free way
-        // if one exists, the LRU way otherwise (pinned against the
-        // fused scalar scan by the kernel's tests).
-        let (way, hit) = scan::find_hit_or_victim(lines, stamps, key);
-        if hit {
-            stamps[way] = tick;
-            self.last_idx = start + way;
+        let set = self.set_mut(line);
+        if promote(set, key) {
             return None;
         }
-        let victim = way;
-        let victim_stamp = stamps[victim];
-        let evicted = (victim_stamp != 0).then(|| CacheLine::new(lines[victim]));
-        lines[victim] = key;
-        stamps[victim] = tick;
-        self.last_idx = start + victim;
-        evicted
+        push_front(set, key)
+    }
+
+    /// Installs `line`, which must not be resident, as MRU without
+    /// searching the set; returns the evicted victim line, if any.
+    ///
+    /// The state afterwards is exactly [`fill`](Self::fill)'s. A caller
+    /// that has just seen [`probe`](Self::probe) miss, and installed
+    /// nothing equal to `line` since, uses this to skip the tag pass.
+    /// Debug builds assert that `line` is absent.
+    pub fn insert_absent(&mut self, line: CacheLine) -> Option<CacheLine> {
+        let key = line.raw();
+        let set = self.set_mut(line);
+        debug_assert!(!set.contains(&key), "insert_absent of a resident line");
+        push_front(set, key)
     }
 
     /// Probes for `line`, promoting it to MRU on a hit; on a miss,
     /// installs it as MRU over the LRU way. Returns whether it hit.
     ///
-    /// The final resident/MRU state is exactly a probe-then-fill pair's,
-    /// but in one set scan — the fast-forward warming kernel
-    /// (`MemoryHierarchy::warm` in `morrigan-mem`) runs this on every
-    /// demand line of a skip stretch, where the halved scan cost is the
-    /// difference between warming paying for itself and not.
+    /// The final state is exactly a probe-then-fill pair's, in one tag
+    /// pass — the fast-forward warming kernel (`MemoryHierarchy::warm`)
+    /// runs this on every demand line of a skip stretch.
     pub fn warm_fill(&mut self, line: CacheLine) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
         let key = line.raw();
-        debug_assert_ne!(key, NO_LINE);
-        let li = self.last_idx;
-        if self.lines[li] == key {
-            self.stamps[li] = tick;
-            return true;
+        let set = self.set_mut(line);
+        let hit = promote(set, key);
+        if !hit {
+            push_front(set, key);
         }
-        let range = self.set_range(line);
-        let start = range.start;
-        let lines = &mut self.lines[range.clone()];
-        let stamps = &mut self.stamps[range];
-        let (way, hit) = scan::find_hit_or_victim(lines, stamps, key);
-        lines[way] = key;
-        stamps[way] = tick;
-        self.last_idx = start + way;
         hit
     }
 
-    /// Removes `line` if resident; returns whether it was present.
+    /// Removes `line` if resident; returns whether it was present. The
+    /// less recent lines move up one slot, so empty ways stay last.
     pub fn invalidate(&mut self, line: CacheLine) -> bool {
         let key = line.raw();
-        let range = self.set_range(line);
-        for i in range {
-            if self.lines[i] == key {
-                self.lines[i] = NO_LINE;
-                self.stamps[i] = 0;
-                return true;
+        let set = self.set_mut(line);
+        match scan::find_tag(set, key) {
+            Some(way) => {
+                set.copy_within(way + 1.., way);
+                set[set.len() - 1] = NO_LINE;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Empties the cache.
     pub fn clear(&mut self) {
         self.lines.fill(NO_LINE);
-        self.stamps.fill(0);
     }
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
         self.lines.iter().filter(|&&l| l != NO_LINE).count()
     }
+}
+
+/// Moves `key` to the MRU slot if `set` holds it, shifting the more
+/// recent tags back one slot; returns whether it was there.
+#[inline]
+fn promote(set: &mut [u64], key: u64) -> bool {
+    // Instruction fetch probes the same line for runs of consecutive
+    // instructions, so the MRU slot answers most hits in one compare.
+    if set[0] == key {
+        return true;
+    }
+    match scan::find_tag(set, key) {
+        Some(way) => {
+            set.copy_within(..way, 1);
+            set[0] = key;
+            true
+        }
+        None => false,
+    }
+}
+
+/// Installs `key` in the MRU slot, shifting every tag back one slot, and
+/// returns the line that fell off the end, if that way was live.
+#[inline]
+fn push_front(set: &mut [u64], key: u64) -> Option<CacheLine> {
+    let last = set.len() - 1;
+    let out = set[last];
+    set.copy_within(..last, 1);
+    set[0] = key;
+    (out != NO_LINE).then(|| CacheLine::new(out))
 }
 
 #[cfg(test)]
@@ -363,20 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_matches_contains() {
-        let mut c = Cache::new(CacheConfig {
-            sets: 4,
-            ways: 2,
-            latency: 1,
-        });
-        for i in 0..5u64 {
-            c.fill(CacheLine::new(i * 3));
-        }
-        let keys: Vec<CacheLine> = (0..8u64).map(CacheLine::new).collect();
-        let mask = c.probe_batch(&keys);
-        for (i, &line) in keys.iter().enumerate() {
-            assert_eq!(mask & (1 << i) != 0, c.contains(line), "key {i}");
-        }
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "insert_absent of a resident line")]
+    fn insert_absent_of_resident_line_panics_in_debug() {
+        let mut c = tiny();
+        c.fill(set0_line(1));
+        c.insert_absent(set0_line(1));
     }
 
     #[test]

@@ -234,6 +234,12 @@ impl MemoryHierarchy {
     /// Probes level by level starting at the class's entry point, charges
     /// each probed level's latency, and fills the line into every probed
     /// level on the way back (inclusive allocation).
+    ///
+    /// Each level that missed is filled with [`Cache::insert_absent`],
+    /// without a second search. That is sound because between a level's
+    /// miss and its fill the only other lines installed in it are the SPP
+    /// prefetches `page·64 + offset + k·delta` (k ≥ 1, delta ≠ 0), never
+    /// the demand line itself.
     pub fn access(&mut self, line: CacheLine, class: AccessClass) -> AccessOutcome {
         let mut latency = 0;
         let instruction_side = class.is_instruction_side();
@@ -279,7 +285,7 @@ impl MemoryHierarchy {
             }
         }
         if l2_hit {
-            self.fill_l1(line, instruction_side);
+            self.insert_l1(line, instruction_side);
             self.record(MemLevel::L2, class);
             return AccessOutcome {
                 latency,
@@ -290,8 +296,8 @@ impl MemoryHierarchy {
         // LLC.
         latency += self.cfg.llc.latency;
         if self.llc_probe(line) {
-            self.l2.fill(line);
-            self.fill_l1(line, instruction_side);
+            self.l2.insert_absent(line);
+            self.insert_l1(line, instruction_side);
             self.record(MemLevel::Llc, class);
             return AccessOutcome {
                 latency,
@@ -301,9 +307,9 @@ impl MemoryHierarchy {
 
         // DRAM.
         latency += self.cfg.dram_latency;
-        self.llc_fill(line);
-        self.l2.fill(line);
-        self.fill_l1(line, instruction_side);
+        self.llc_insert_absent(line);
+        self.l2.insert_absent(line);
+        self.insert_l1(line, instruction_side);
         self.record(MemLevel::Dram, class);
         AccessOutcome {
             latency,
@@ -330,10 +336,11 @@ impl MemoryHierarchy {
     /// whole stretch, and instruction-side-only warming biased *every*
     /// figure by +3–12 % — unrefreshed data lines age out under
     /// one-sided fill pressure. Full warming brings the worst per-figure
-    /// deviation to ≈2.7 % and the SPEC figure to +0.03 %, at the cost
-    /// of roughly a third of the sampled run (the L2/LLC tag+stamp
-    /// arrays are host-cache-cold on every scan); EXPERIMENTS.md tracks
-    /// the resulting sampled-speedup floor. The served/miss counters
+    /// deviation to ≈2.7 % and the SPEC figure to +0.03 %, at a cost
+    /// measured at roughly a third of the sampled run when every level
+    /// scanned its set several times per reference (each level now makes
+    /// one tag pass, DESIGN.md §8); EXPERIMENTS.md tracks the resulting
+    /// sampled-speedup floor. The served/miss counters
     /// stay detail-window samples for the extrapolation layer, and the
     /// L2 prefetcher is neither trained nor credited. The fast-forward
     /// warms unconditionally; the pre-warming sampled numbers (about 2×
@@ -352,7 +359,7 @@ impl MemoryHierarchy {
             return;
         }
         if !self.llc_probe(line) {
-            self.llc_fill(line);
+            self.llc_insert_absent(line);
         }
     }
 
@@ -374,11 +381,22 @@ impl MemoryHierarchy {
         }
     }
 
-    fn fill_l1(&mut self, line: CacheLine, instruction_side: bool) {
+    /// LLC fill of a line the LLC just missed; the epoch view logs it as
+    /// an ordinary fill.
+    #[inline]
+    fn llc_insert_absent(&mut self, line: CacheLine) {
+        match &mut self.llc_view {
+            Some(view) => view.fill(line),
+            None => self.llc.insert_absent(line),
+        }
+    }
+
+    /// L1 fill of a line the L1 just missed.
+    fn insert_l1(&mut self, line: CacheLine, instruction_side: bool) {
         if instruction_side {
-            self.l1i.fill(line);
+            self.l1i.insert_absent(line);
         } else {
-            self.l1d.fill(line);
+            self.l1d.insert_absent(line);
         }
     }
 
@@ -395,7 +413,7 @@ impl MemoryHierarchy {
     /// Software-prefetches the L1I tag array of the set the *next*
     /// sequential line maps to. The fast-forward front end nearly always
     /// probes `line + 1` next (straight-line fetch), so pulling that
-    /// set's tags into the host cache hides the SoA scan's memory
+    /// set's tags into the host cache hides the set scan's memory
     /// latency; it is a host-side hint with no architectural effect.
     #[inline]
     pub fn prefetch_next_ifetch_set(&self, line: CacheLine) {

@@ -12,14 +12,13 @@ use morrigan_types::CacheLine;
 
 const LINES_PER_PAGE: u64 = 64; // 4 KB page / 64 B line
 
-/// Page sentinel marking an unused tracker. Tracked pages are physical
-/// line numbers shifted right by 6, so they can never reach it.
-const NO_PAGE: u64 = u64::MAX;
+/// Slot sentinel: an empty index bucket, or the end of the recency list.
+const NIL: u32 = u32::MAX;
 
 /// Configuration of the L2 prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2PrefetcherConfig {
-    /// Number of page trackers (fully associative, LRU by round-robin clock).
+    /// Number of page trackers (fully associative, LRU replacement).
     pub trackers: usize,
     /// Maximum lookahead depth per trained access.
     pub degree: usize,
@@ -47,35 +46,63 @@ impl L2PrefetcherConfig {
     }
 }
 
+/// One page-index bucket: a tracked page and its slot ([`NIL`] when the
+/// bucket is empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    page: u64,
+    slot: u32,
+}
+
+/// One page tracker and its links in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Tracker {
+    page: u64,
+    /// Neighbour towards the MRU end ([`NIL`] at the head).
+    newer: u32,
+    /// Neighbour towards the LRU end ([`NIL`] at the tail).
+    older: u32,
+    last_offset: u8,
+    last_delta: i8,
+}
+
 /// SPP-style stride/signature prefetcher trained on L2 data accesses.
 ///
-/// Tracker state lives in parallel packed arrays (structure-of-arrays):
-/// `train` runs on every L2 data access, and the page-match scan over a
-/// contiguous `u64` run is what makes that affordable. An unused tracker
-/// holds the [`NO_PAGE`] page and LRU stamp 0; live stamps are ≥ 1, so
-/// victim selection is a single min-stamp pass preferring free slots in
-/// index order, then the least-recently-used page.
+/// `train` runs on every L2 data access, so both of its searches are
+/// O(1). An open-addressed page index (linear probing, backward-shift
+/// deletion, at most half full) maps a page to its tracker slot, and an
+/// intrusive doubly linked list threads the live slots from most to
+/// least recently trained. Slots are handed out in index order until
+/// every tracker is live; after that a new page takes the list's tail.
+/// That is the "first free slot, else least recently used" policy of a
+/// scan over per-slot LRU stamps.
 #[derive(Debug, Clone)]
 pub struct L2Prefetcher {
     cfg: L2PrefetcherConfig,
-    pages: Vec<u64>,
-    lru: Vec<u64>,
-    last_offset: Vec<u8>,
-    last_delta: Vec<i8>,
-    tick: u64,
+    /// Live trackers, in slot order; at most `cfg.trackers`.
+    trackers: Vec<Tracker>,
+    /// Open-addressed page → slot index; its length is a power of two
+    /// at least twice `cfg.trackers`.
+    index: Vec<Bucket>,
+    /// `64 - log2(index.len())`: the Fibonacci-hash shift.
+    index_shift: u32,
+    /// Most and least recently trained slots ([`NIL`] while empty).
+    mru: u32,
+    lru: u32,
     issued: u64,
 }
 
 impl L2Prefetcher {
     /// Creates an idle prefetcher.
     pub fn new(cfg: L2PrefetcherConfig) -> Self {
+        let buckets = (2 * cfg.trackers).next_power_of_two().max(2);
         Self {
             cfg,
-            pages: vec![NO_PAGE; cfg.trackers],
-            lru: vec![0; cfg.trackers],
-            last_offset: vec![0; cfg.trackers],
-            last_delta: vec![0; cfg.trackers],
-            tick: 0,
+            trackers: Vec::with_capacity(cfg.trackers),
+            index: vec![Bucket { page: 0, slot: NIL }; buckets],
+            index_shift: 64 - buckets.trailing_zeros(),
+            mru: NIL,
+            lru: NIL,
             issued: 0,
         }
     }
@@ -96,37 +123,25 @@ impl L2Prefetcher {
         if !self.cfg.enabled {
             return;
         }
-        self.tick += 1;
         let page = line.raw() / LINES_PER_PAGE;
         let offset = line.raw() % LINES_PER_PAGE;
 
-        let slot = match self.pages.iter().position(|&p| p == page) {
-            Some(i) => i,
-            None => {
-                // Free slots hold stamp 0, below every live stamp, and
-                // min-by returns the first minimum — the same "first free
-                // slot, else LRU" order as the per-tracker valid flag.
-                let mut victim = 0;
-                let mut victim_lru = self.lru[0];
-                for (i, &l) in self.lru.iter().enumerate() {
-                    if l < victim_lru {
-                        victim_lru = l;
-                        victim = i;
-                    }
-                }
-                self.pages[victim] = page;
-                self.lru[victim] = self.tick;
-                self.last_offset[victim] = offset as u8;
-                self.last_delta[victim] = 0;
+        let slot = match self.find(page) {
+            Ok(b) => self.index[b].slot,
+            Err(_) => {
+                self.allocate(page, offset as u8);
                 return;
             }
         };
-
-        self.lru[slot] = self.tick;
-        let delta = offset as i64 - self.last_offset[slot] as i64;
-        let confident = delta != 0 && delta == self.last_delta[slot] as i64;
-        self.last_delta[slot] = delta as i8;
-        self.last_offset[slot] = offset as u8;
+        if slot != self.mru {
+            self.unlink(slot);
+            self.push_mru(slot);
+        }
+        let t = &mut self.trackers[slot as usize];
+        let delta = offset as i64 - t.last_offset as i64;
+        let confident = delta != 0 && delta == t.last_delta as i64;
+        t.last_delta = delta as i8;
+        t.last_offset = offset as u8;
 
         if !confident {
             return;
@@ -140,6 +155,103 @@ impl L2Prefetcher {
             out.push(CacheLine::new(page * LINES_PER_PAGE + next as u64));
             self.issued += 1;
         }
+    }
+
+    /// The bucket `page` hashes to.
+    #[inline]
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.index_shift) as usize
+    }
+
+    /// Walks `page`'s probe run: `Ok(bucket)` holding `page`, else
+    /// `Err(bucket)`, the empty bucket that ends the run.
+    #[inline]
+    fn find(&self, page: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(page);
+        loop {
+            let bucket = self.index[b];
+            if bucket.slot == NIL {
+                return Err(b);
+            }
+            if bucket.page == page {
+                return Ok(b);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Starts tracking `page` in the next unused slot, or in the least
+    /// recently trained one once every slot is live.
+    fn allocate(&mut self, page: u64, offset: u8) {
+        let fresh = Tracker {
+            page,
+            newer: NIL,
+            older: NIL,
+            last_offset: offset,
+            last_delta: 0,
+        };
+        let slot = if self.trackers.len() < self.cfg.trackers {
+            self.trackers.push(fresh);
+            (self.trackers.len() - 1) as u32
+        } else {
+            let slot = self.lru;
+            self.unindex(self.trackers[slot as usize].page);
+            self.unlink(slot);
+            self.trackers[slot as usize] = fresh;
+            slot
+        };
+        let b = self.find(page).expect_err("a new page is not indexed");
+        self.index[b] = Bucket { page, slot };
+        self.push_mru(slot);
+    }
+
+    /// Drops `page` from the page index, shifting later entries of its
+    /// probe run back so every run stays unbroken.
+    fn unindex(&mut self, page: u64) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.find(page).expect("an evicted page is indexed");
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let bucket = self.index[b];
+            if bucket.slot == NIL {
+                break;
+            }
+            // The entry may fill the hole unless its home lies
+            // (cyclically) after the hole, up to `b`.
+            let home = self.home(bucket.page);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.index[hole] = bucket;
+                hole = b;
+            }
+        }
+        self.index[hole].slot = NIL;
+    }
+
+    /// Unlinks `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Tracker { newer, older, .. } = self.trackers[slot as usize];
+        match newer {
+            NIL => self.mru = older,
+            n => self.trackers[n as usize].older = older,
+        }
+        match older {
+            NIL => self.lru = newer,
+            o => self.trackers[o as usize].newer = newer,
+        }
+    }
+
+    /// Links `slot` in as the most recently trained.
+    fn push_mru(&mut self, slot: u32) {
+        let t = &mut self.trackers[slot as usize];
+        t.newer = NIL;
+        t.older = self.mru;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.trackers[m as usize].newer = slot,
+        }
+        self.mru = slot;
     }
 }
 

@@ -151,29 +151,6 @@ impl Llc {
             .contains(key)
     }
 
-    /// Software-prefetches the tag array of the set `line` maps to in
-    /// its owning shard — a scheduling hint for batched probes.
-    #[inline]
-    pub fn prefetch_set(&self, line: CacheLine) {
-        let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .read()
-            .expect("llc shard lock")
-            .prefetch_set(key);
-    }
-
-    /// Batched residency probe: bit `i` is set iff `batch[i]` is
-    /// resident in its owning shard. LRU state is untouched; equals
-    /// calling [`contains`](Self::contains) per key.
-    pub fn probe_batch(&self, batch: &[CacheLine]) -> u32 {
-        let mut mask = 0u32;
-        for (i, &line) in batch.iter().enumerate() {
-            mask |= (self.contains(line) as u32) << i;
-        }
-        mask
-    }
-
     /// Installs `line` as MRU in its owning shard.
     #[inline]
     pub fn fill(&mut self, line: CacheLine) {
@@ -183,6 +160,18 @@ impl Llc {
             .get_mut()
             .expect("llc shard lock")
             .fill(key);
+    }
+
+    /// Installs `line`, which must not be resident, as MRU in its owning
+    /// shard without searching the set (see [`Cache::insert_absent`]).
+    #[inline]
+    pub fn insert_absent(&mut self, line: CacheLine) {
+        let (shard, key) = self.split(line);
+        self.shards[shard]
+            .0
+            .get_mut()
+            .expect("llc shard lock")
+            .insert_absent(key);
     }
 
     /// Replays one epoch's buffered operations against shard `shard`,
@@ -340,6 +329,24 @@ mod tests {
             }
         }
         assert_eq!(llc.occupancy(), cache.occupancy());
+    }
+
+    #[test]
+    fn insert_absent_after_a_miss_matches_fill() {
+        let mut filled = Llc::new(cfg(), 4);
+        let mut inserted = Llc::new(cfg(), 4);
+        for i in 0..4096u64 {
+            let line = CacheLine::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54);
+            let hit = filled.probe(line);
+            assert_eq!(inserted.probe(line), hit, "probe #{i}");
+            if !hit {
+                filled.fill(line);
+                inserted.insert_absent(line);
+            }
+        }
+        for s in 0..4 {
+            assert_eq!(inserted.shard_occupancy(s), filled.shard_occupancy(s));
+        }
     }
 
     #[test]

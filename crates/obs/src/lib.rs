@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn null_recorder_is_disabled() {
-        assert!(!NullRecorder::ENABLED);
+        const { assert!(!NullRecorder::ENABLED) };
         let mut r = NullRecorder;
         r.record(ev(1, EventKind::IstlbMiss));
     }

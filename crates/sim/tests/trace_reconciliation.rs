@@ -15,14 +15,16 @@ use morrigan_sim::{IcachePrefetcherKind, Metrics, SimConfig, Simulator, SystemCo
 use morrigan_workloads::{InstructionStream, ServerWorkload, ServerWorkloadConfig};
 
 fn stressful_system() -> SystemConfig {
-    let mut system = SystemConfig::default();
     // Exercise every emission site: i-cache prefetch page crossings with
     // a real translation cost, periodic context-switch flushes (PbEvict
     // from `context_switch_at`), and correcting walks on PB evictions.
-    system.icache_prefetcher = IcachePrefetcherKind::FnlMma {
-        translation_cost: true,
+    let mut system = SystemConfig {
+        icache_prefetcher: IcachePrefetcherKind::FnlMma {
+            translation_cost: true,
+        },
+        context_switch_interval: Some(15_000),
+        ..SystemConfig::default()
     };
-    system.context_switch_interval = Some(15_000);
     system.mmu.correcting_walks = true;
     system
 }

@@ -2,11 +2,12 @@
 //! set-associative structures (TLB sets, PSC sets, cache sets).
 //!
 //! Every lookup hot path in the simulator reduces to "find the first
-//! slot in a short `u64` tag array equal to a key" and every fill path
-//! to "find the hit slot, else the LRU victim". The naive
-//! `iter().position(..)` form compiles to a compare-and-branch per way;
-//! the kernels here accumulate a branch-free equality bitmask over the
-//! whole set instead, which LLVM lowers to one or two `u64x8`-style
+//! slot in a short `u64` tag array equal to a key", and every fill path
+//! of the stamp-LRU structures (TLB, PSC) to "find the hit slot, else
+//! the LRU victim"; recency-ordered cache sets need only the first.
+//! The naive `iter().position(..)` form compiles to a compare-and-branch
+//! per way; the kernels here accumulate a branch-free equality bitmask
+//! over the whole set instead, which LLVM lowers to one or two `u64x8`-style
 //! vector compares plus a movemask for the 4/6/8/16-way geometries the
 //! simulator configures. Semantics are pinned to the scalar forms by
 //! the equality tests at the bottom of this module — callers may treat
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn prefetch_is_a_safe_hint() {
         prefetch_tags(&[1, 2, 3, 4]);
-        prefetch_tags(&vec![0u64; 16]);
+        prefetch_tags(&[0u64; 16]);
     }
 
     proptest! {

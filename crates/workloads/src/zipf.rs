@@ -156,14 +156,13 @@ mod tests {
             mass[k] += s.threshold[k];
             mass[s.alias[k] as usize] += 1.0 - s.threshold[k];
         }
-        for k in 0..n as usize {
+        for (k, &got) in mass.iter().enumerate() {
             let lo = (k as f64 / n as f64).powf(1.0 / alpha);
             let hi = ((k + 1) as f64 / n as f64).powf(1.0 / alpha);
             let want = (hi - lo) * n as f64;
             assert!(
-                (mass[k] - want).abs() < 1e-9,
-                "rank {k}: alias mass {} vs analytic {want}",
-                mass[k]
+                (got - want).abs() < 1e-9,
+                "rank {k}: alias mass {got} vs analytic {want}"
             );
         }
     }
