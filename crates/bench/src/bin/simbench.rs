@@ -45,15 +45,17 @@
 //! individually so one noisy figure can't hide inside the aggregate.
 //!
 //! Scale comes from [`bench_scale`]: a reduced profile unless
-//! `MORRIGAN_INSTR`/`MORRIGAN_FULL` override it.
+//! `MORRIGAN_INSTR`/`MORRIGAN_FULL` override it. Of the other run
+//! options only the workload-cache ones apply: every figure gets a fresh
+//! `Runner::new(1)`.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use morrigan_experiments as exp;
-use morrigan_experiments::{Runner, Scale};
+use morrigan_experiments::{RunOptions, Runner, Scale};
 use morrigan_runner::json::json_f64;
-use morrigan_sim::SamplingConfig;
+use morrigan_sim::{machine_width, SamplingConfig};
 
 /// One measured figure regeneration.
 struct FigureRun {
@@ -137,13 +139,13 @@ impl FigureRun {
     }
 }
 
-/// The scale simbench runs at: [`Scale::from_env`] when `MORRIGAN_INSTR`
-/// or `MORRIGAN_FULL` is set, otherwise a reduced profile small enough
-/// that every figure regenerates in seconds yet large enough to exercise
-/// every code path.
-fn bench_scale() -> Scale {
-    let mut scale = Scale::from_env();
-    if std::env::var("MORRIGAN_INSTR").is_err() && std::env::var("MORRIGAN_FULL").is_err() {
+/// The scale simbench runs at: the options' [`RunOptions::scale`] when
+/// `MORRIGAN_INSTR` or `MORRIGAN_FULL` is set, otherwise a reduced
+/// profile small enough that every figure regenerates in seconds yet
+/// large enough to exercise every code path.
+fn bench_scale(options: &RunOptions) -> Scale {
+    let mut scale = options.scale();
+    if options.instr.is_none() && !options.full {
         scale.warmup = 100_000;
         scale.measure = 250_000;
         scale.workloads = 2;
@@ -182,16 +184,6 @@ fn subset_mips<'a>(runs: impl Iterator<Item = &'a FigureRun>) -> f64 {
     }
 }
 
-/// The epoch-driver width a `cores`-wide machine auto-sizes to on this
-/// host (mirrors the machine's own auto-sizing rule).
-fn effective_machine_threads(cores: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(cores)
-        .max(1)
-}
-
 /// One bench figure: journal label, the largest machine it steps, the
 /// scale it runs at (the 8-core scaling row raises the sweep ceiling),
 /// and the regeneration entry point.
@@ -206,7 +198,11 @@ struct BenchFigure {
 /// 8-core scaling row. `sampling` selects the pass: `None` runs
 /// full detailed timing, `Some` runs the SMARTS-sampled schedule on
 /// every spec.
-fn run_figures(scale: &Scale, sampling: Option<SamplingConfig>) -> Vec<FigureRun> {
+fn run_figures(
+    scale: &Scale,
+    sampling: Option<SamplingConfig>,
+    options: &RunOptions,
+) -> Vec<FigureRun> {
     macro_rules! figs {
         ($($name:literal => $module:ident),+ $(,)?) => {
             vec![$(($name, (|runner: &Runner, scale: &Scale| {
@@ -278,11 +274,11 @@ fn run_figures(scale: &Scale, sampling: Option<SamplingConfig>) -> Vec<FigureRun
         let scale = &scale;
         // Fresh per figure so neither the record cache nor the workload
         // cache amortizes *across* figures; the workload cache comes
-        // from the environment so `MORRIGAN_NO_WORKLOAD_CACHE=1` gives
+        // from the run options so `MORRIGAN_NO_WORKLOAD_CACHE=1` gives
         // an honest live-generation A/B against the same binary.
         let runner = Runner::new(1)
             .with_sampling(sampling)
-            .with_workload_cache(morrigan_runner::WorkloadCache::from_env());
+            .with_workload_cache(options.workload_cache());
         let start = Instant::now();
         run(&runner, scale);
         let seconds = start.elapsed().as_secs_f64();
@@ -299,7 +295,7 @@ fn run_figures(scale: &Scale, sampling: Option<SamplingConfig>) -> Vec<FigureRun
         }
         let elision = runner.elision_totals();
         let machine_threads = if cores > 1 {
-            effective_machine_threads(cores)
+            machine_width(None, cores)
         } else {
             1
         };
@@ -312,7 +308,7 @@ fn run_figures(scale: &Scale, sampling: Option<SamplingConfig>) -> Vec<FigureRun
         let parallel_speedup = if cores > 1 && machine_threads > 1 && sampling.is_none() {
             let serial = Runner::new(1)
                 .with_machine_threads(Some(1))
-                .with_workload_cache(morrigan_runner::WorkloadCache::from_env());
+                .with_workload_cache(options.workload_cache());
             run(&serial, scale);
             let serial_simulate = serial.phase_totals().simulate();
             let threaded_simulate = phases.simulate();
@@ -571,14 +567,15 @@ fn main() -> ExitCode {
         }
     }
 
-    let scale = bench_scale();
+    let options = RunOptions::from_env();
+    let scale = bench_scale(&options);
     eprintln!(
         "[simbench] scale: {} warmup + {} measure instructions, {} workloads, {} SMT pairs, \
          {} cores x {} tenants",
         scale.warmup, scale.measure, scale.workloads, scale.smt_pairs, scale.cores, scale.tenants
     );
-    let runs = run_figures(&scale, None);
-    let sampled = run_figures(&scale, Some(SamplingConfig::default_schedule()));
+    let runs = run_figures(&scale, None, &options);
+    let sampled = run_figures(&scale, Some(SamplingConfig::default_schedule()), &options);
     let (instructions, seconds) = totals(&runs);
     let mips = instructions as f64 / seconds / 1e6;
     let single_core_mips = subset_mips(runs.iter().filter(|f| f.cores == 1));

@@ -3,11 +3,11 @@
 //!
 //! Usage: cargo run --release -p morrigan-experiments --example fig03_probe
 
-use morrigan_experiments::common::{baseline_spec, PrefetcherKind, RunSpec, Runner, Scale};
+use morrigan_experiments::common::{baseline_spec, PrefetcherKind, RunOptions, RunSpec, Runner};
 use morrigan_sim::{SamplingConfig, SystemConfig};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = RunOptions::from_env().scale();
     let spec_suite = morrigan_workloads::suites::spec_suite();
     let qmm_suite = scale.suite();
     let mut specs: Vec<RunSpec> = spec_suite

@@ -9,20 +9,22 @@
 //! figures --trace t.json fig02    # also write an event trace (Perfetto)
 //! figures --explain why.json fig02  # per-run "why" report (+ .md sibling)
 //! figures explain a.json b.json   # differential between two --json dumps
-//! MORRIGAN_DIGEST=1 figures       # one-line top-insight digest per figure
 //! figures --interval 10000 ...    # per-epoch time-series in the JSON
 //! figures --sample 10000:40000 .. # SMARTS sampled simulation (or --sample 1)
+//! figures --cores 8 --tenants 3 fig21  # widen the multicore sweep
+//! figures --machine-threads 4     # host threads per multi-core machine
+//! figures --no-workload-cache     # force live workload generation
 //! MORRIGAN_FULL=1 figures         # paper-scale run lengths (slow)
 //! MORRIGAN_THREADS=4 figures      # worker-pool size override
-//! figures --machine-threads 4     # host threads per multi-core machine
-//! MORRIGAN_MACHINE_THREADS=4 figures  # --machine-threads via the environment
-//! MORRIGAN_VERBOSE=1 figures      # per-simulation progress on stderr
-//! MORRIGAN_TRACE=t.json figures   # --trace via the environment
-//! MORRIGAN_INTERVAL=10000 figures # --interval via the environment
-//! MORRIGAN_SAMPLE=10000:40000 figures  # --sample via the environment
-//! figures --no-workload-cache     # force live workload generation
-//! MORRIGAN_WORKLOAD_CACHE=dir figures  # persist workload traces on disk
+//! MORRIGAN_DIGEST=1 figures       # one-line top-insight digest per figure
 //! ```
+//!
+//! Every flag above except `--json` is a run option with a `MORRIGAN_*`
+//! twin (`--trace` is `MORRIGAN_TRACE`, `--sample` is `MORRIGAN_SAMPLE`,
+//! …; `--explain` has none). [`RunOptions`] reads the variables, lays
+//! the flags over them with the same parsers, and rejects sampled
+//! simulation combined with `--interval`, `--trace` or `--explain`,
+//! whichever spelling set them. EXPERIMENTS.md tabulates every option.
 //!
 //! All figures share one [`Runner`], so simulations they have in common
 //! (notably the no-prefetch baselines and the Fig 5–8 miss-stream runs)
@@ -47,8 +49,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use morrigan_experiments as exp;
-use morrigan_experiments::common::{parse_cores, parse_tenants};
-use morrigan_experiments::{RunRecord, Runner, Scale};
+use morrigan_experiments::{RunOptions, RunRecord, Runner};
 use morrigan_obs::{to_chrome_trace, to_jsonl, DEFAULT_TRACE_CAPACITY};
 
 /// Every figure name the binary accepts, in run order.
@@ -105,90 +106,14 @@ fn closest_flag(arg: &str) -> &'static str {
         .expect("FLAGS is non-empty")
 }
 
-/// The export format `--trace` selects, by file extension.
-enum TraceFormat {
-    /// `.json`: Chrome `trace_event` — loads in Perfetto.
-    Chrome,
-    /// `.jsonl`: one flat JSON object per event.
-    Jsonl,
-}
-
-/// Resolves the trace format from the requested path's extension.
-fn trace_format(path: &str) -> Result<TraceFormat, String> {
-    if path.ends_with(".jsonl") {
-        Ok(TraceFormat::Jsonl)
-    } else if path.ends_with(".json") {
-        Ok(TraceFormat::Chrome)
-    } else {
-        Err(format!(
-            "--trace path '{path}' must end in .json (Chrome trace_event, for Perfetto) \
-             or .jsonl (flat JSON lines)"
-        ))
-    }
-}
-
-/// Parses a `--machine-threads` value: the host-thread budget each
-/// multi-core machine's epoch driver may use, a positive integer.
-fn parse_machine_threads(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!(
-            "--machine-threads requires a positive thread count, got '{value}'"
-        )),
-        Ok(n) => Ok(n),
-    }
-}
-
-/// Parses an `--interval` value: a positive integer epoch length.
-fn parse_interval(value: &str) -> Result<u64, String> {
-    match value.trim().parse::<u64>() {
-        Ok(0) | Err(_) => Err(format!(
-            "--interval requires a positive integer (retired instructions per epoch), \
-             got '{value}'"
-        )),
-        Ok(n) => Ok(n),
-    }
-}
-
-/// Parses a `--sample` value: `1` for the default schedule, otherwise
-/// the `detail:skip` notation.
-fn parse_sample(value: &str) -> Result<morrigan_sim::SamplingConfig, String> {
-    let value = value.trim();
-    if value == "1" {
-        return Ok(morrigan_sim::SamplingConfig::default_schedule());
-    }
-    morrigan_sim::SamplingConfig::parse(value).map_err(|e| format!("--sample: {e}"))
-}
-
 struct Args {
     /// Figure names to run (empty = all).
     selected: Vec<String>,
     /// Where to write the per-figure JSON document, if requested.
     json_path: Option<String>,
-    /// Where to write the event trace of the first record, if requested
-    /// (`--trace`, or `MORRIGAN_TRACE` when the flag is absent).
-    trace_path: Option<String>,
-    /// Where to write the analysis report of the first record
-    /// (`--explain`; a markdown sibling is written next to it).
-    explain_path: Option<String>,
-    /// Interval-sampler epoch length (`--interval`; `MORRIGAN_INTERVAL`
-    /// is handled by [`Runner::from_env`] when the flag is absent).
-    interval: Option<u64>,
-    /// SMARTS sampled-simulation schedule (`--sample`; `MORRIGAN_SAMPLE`
-    /// is handled by [`Runner::from_env`] when the flag is absent).
-    sample: Option<morrigan_sim::SamplingConfig>,
-    /// Fig 21 sweep ceiling (`--cores`; `MORRIGAN_CORES` when absent).
-    cores: Option<usize>,
-    /// Fig 21 tenants per core (`--tenants`; `MORRIGAN_TENANTS` when
-    /// absent).
-    tenants: Option<usize>,
-    /// Per-machine host-thread budget (`--machine-threads`;
-    /// `MORRIGAN_MACHINE_THREADS` is handled by [`Runner::from_env`]
-    /// when the flag is absent). Never changes results, only wall time.
-    machine_threads: Option<usize>,
-    /// `--no-workload-cache`: force live workload generation, bypassing
-    /// the materialized-trace cache (`MORRIGAN_NO_WORKLOAD_CACHE=1` is
-    /// the env equivalent, handled by [`Runner::from_env`]).
-    no_workload_cache: bool,
+    /// The `MORRIGAN_*` variables with the run-option flags laid over
+    /// them, validated.
+    options: RunOptions,
     /// `--help` was requested: print usage and exit successfully.
     help: bool,
 }
@@ -206,17 +131,13 @@ fn usage() -> String {
 fn parse_args() -> Result<Args, String> {
     let mut selected = Vec::new();
     let mut json_path = None;
-    let mut trace_path = None;
-    let mut explain_path = None;
-    let mut interval = None;
-    let mut sample = None;
-    let mut cores = None;
-    let mut tenants = None;
-    let mut machine_threads = None;
-    let mut no_workload_cache = false;
+    let mut options = RunOptions::from_env();
     let mut help = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if options.parse_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
             "--json" => {
                 json_path = Some(
@@ -224,59 +145,6 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or_else(|| "--json requires a file path".to_string())?,
                 );
             }
-            "--trace" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| "--trace requires a file path".to_string())?;
-                trace_format(&path)?;
-                trace_path = Some(path);
-            }
-            "--explain" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| "--explain requires a file path".to_string())?;
-                if !path.ends_with(".json") {
-                    return Err(format!(
-                        "--explain path '{path}' must end in .json (the report is JSON; \
-                         a markdown sibling is written next to it)"
-                    ));
-                }
-                explain_path = Some(path);
-            }
-            "--interval" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--interval requires an epoch length".to_string())?;
-                interval = Some(parse_interval(&value)?);
-            }
-            "--sample" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--sample requires a detail:skip schedule".to_string())?;
-                sample = Some(parse_sample(&value)?);
-            }
-            "--cores" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--cores requires a core count".to_string())?;
-                cores =
-                    Some(parse_cores(&value).map_err(|e| format!("--cores: {e}, got '{value}'"))?);
-            }
-            "--tenants" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--tenants requires a tenant count".to_string())?;
-                tenants = Some(
-                    parse_tenants(&value).map_err(|e| format!("--tenants: {e}, got '{value}'"))?,
-                );
-            }
-            "--machine-threads" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--machine-threads requires a thread count".to_string())?;
-                machine_threads = Some(parse_machine_threads(&value)?);
-            }
-            "--no-workload-cache" => no_workload_cache = true,
             "--help" | "-h" => help = true,
             name if FIGURES.contains(&name) => selected.push(arg),
             unknown if unknown.starts_with('-') => {
@@ -295,49 +163,11 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    if trace_path.is_none() {
-        if let Ok(path) = std::env::var("MORRIGAN_TRACE") {
-            if !path.is_empty() {
-                trace_format(&path)?;
-                trace_path = Some(path);
-            }
-        }
-    }
-    // Sampling is incompatible with the other telemetry modes: the
-    // interval time-series would mix estimated and measured epochs, and
-    // a sampled trace would silently omit the fast-forwarded stretches.
-    if sample.is_some() && interval.is_some() {
-        return Err(
-            "--sample and --interval are mutually exclusive: interval epochs assume full \
-             detailed timing"
-                .to_string(),
-        );
-    }
-    if sample.is_some() && trace_path.is_some() {
-        return Err(
-            "--sample and --trace are mutually exclusive: an event trace of a sampled run \
-             would omit the fast-forwarded stretches"
-                .to_string(),
-        );
-    }
-    if sample.is_some() && explain_path.is_some() {
-        return Err(
-            "--sample and --explain are mutually exclusive: an analysis of a sampled run \
-             would omit the fast-forwarded stretches"
-                .to_string(),
-        );
-    }
+    options.validate()?;
     Ok(Args {
         selected,
         json_path,
-        trace_path,
-        explain_path,
-        interval,
-        sample,
-        cores,
-        tenants,
-        machine_threads,
-        no_workload_cache,
+        options,
         help,
     })
 }
@@ -366,39 +196,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut scale = Scale::from_env();
-    if let Some(cores) = args.cores {
-        scale.cores = cores;
-    }
-    if let Some(tenants) = args.tenants {
-        scale.tenants = tenants;
-    }
-    let mut runner = Runner::from_env();
-    if args.interval.is_some() {
-        // An explicit --interval overrides any MORRIGAN_SAMPLE default
-        // (the two modes are mutually exclusive at the runner).
-        runner = runner.with_sampling(None).with_interval(args.interval);
-    }
-    if args.sample.is_some() {
-        runner = runner.with_interval(None).with_sampling(args.sample);
-    }
-    if args.machine_threads.is_some() {
-        runner = runner.with_machine_threads(args.machine_threads);
-    }
-    if args.no_workload_cache {
-        runner = runner.with_workload_cache(morrigan_runner::WorkloadCache::disabled());
-    }
-    // --sample may also arrive via MORRIGAN_SAMPLE, which parse_args
-    // cannot see; re-check the trace/explain exclusions against the
-    // runner.
-    if (args.trace_path.is_some() || args.explain_path.is_some()) && runner.sampling().is_some() {
-        eprintln!(
-            "--trace/--explain and sampled simulation (--sample / MORRIGAN_SAMPLE) are mutually \
-             exclusive: telemetry of a sampled run would omit the fast-forwarded stretches"
-        );
-        return ExitCode::FAILURE;
-    }
-    let digest = std::env::var("MORRIGAN_DIGEST").is_ok_and(|v| v == "1");
+    let options = &args.options;
+    let scale = options.scale();
+    let runner = options.runner();
     let want = |name: &str| args.selected.is_empty() || args.selected.iter().any(|a| a == name);
     eprintln!(
         "scale: {} warmup + {} measured instructions, {} workloads, {} SMT pairs ({} worker threads)",
@@ -420,7 +220,7 @@ fn main() -> ExitCode {
                 eprintln!("running {}...", $name);
                 let watermark = runner.journal_len();
                 println!("{}\n", exp::$module::run(&runner, &scale));
-                if digest {
+                if options.digest {
                     eprintln!("digest {}: {}", $name, figure_digest(&runner, watermark));
                 }
                 if args.json_path.is_some() {
@@ -472,14 +272,14 @@ fn main() -> ExitCode {
         eprintln!("wrote {path}");
     }
 
-    if let Some(path) = &args.trace_path {
+    if let Some(path) = &options.trace {
         if let Err(message) = write_trace(&runner, path) {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     }
 
-    if let Some(path) = &args.explain_path {
+    if let Some(path) = &options.explain {
         if let Err(message) = write_explain(&runner, path) {
             eprintln!("{message}");
             return ExitCode::FAILURE;
@@ -687,9 +487,11 @@ fn write_trace(runner: &Runner, path: &str) -> Result<(), String> {
         record.metrics, first.metrics,
         "tracing must not perturb the simulation"
     );
-    let rendered = match trace_format(path)? {
-        TraceFormat::Chrome => to_chrome_trace(&trace),
-        TraceFormat::Jsonl => to_jsonl(&trace),
+    // The path's extension was checked when the option was parsed.
+    let rendered = if path.ends_with(".jsonl") {
+        to_jsonl(&trace)
+    } else {
+        to_chrome_trace(&trace)
     };
     std::fs::write(path, rendered).map_err(|error| format!("failed to write {path}: {error}"))?;
     eprintln!(

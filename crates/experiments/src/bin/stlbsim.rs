@@ -25,8 +25,7 @@
 
 use std::process::ExitCode;
 
-use morrigan_experiments::{PrefetcherKind, RunSpec};
-use morrigan_runner::WorkloadCache;
+use morrigan_experiments::{PrefetcherKind, RunOptions, RunSpec};
 use morrigan_sim::{IcachePrefetcherKind, Metrics, SimConfig, SystemConfig};
 use morrigan_types::VirtPage;
 use morrigan_workloads::ServerWorkloadConfig;
@@ -170,7 +169,7 @@ fn run() -> Result<(), String> {
     }
 
     let first = ServerWorkloadConfig::qmm_like(format!("cli-{seed}"), seed);
-    let cache = WorkloadCache::from_env();
+    let cache = RunOptions::from_env().workload_cache();
     let execute = |prefetcher: PrefetcherKind| {
         let spec = match opts.smt {
             None => RunSpec::server(&first, system, sim, prefetcher),

@@ -19,7 +19,8 @@
 //! default [`Scale`] uses 1 M + 3 M over 10 workloads, which is enough for
 //! every *shape* the paper reports (who wins, rough factors, crossovers).
 //! Override with `MORRIGAN_INSTR=<measured>` and `MORRIGAN_WORKLOADS=<n>`;
-//! a value that does not parse aborts (see [`Scale::from_env`]).
+//! a value that does not parse aborts (see [`RunOptions`], which reads
+//! every run-level variable and flag).
 //!
 //! ## Fidelity notes (also in EXPERIMENTS.md)
 //!
@@ -50,4 +51,4 @@ pub mod fig20_smt;
 pub mod fig21_multicore;
 pub mod tuning;
 
-pub use common::{PrefetcherKind, RunRecord, RunSpec, Runner, Scale};
+pub use common::{PrefetcherKind, RunOptions, RunRecord, RunSpec, Runner, Scale};

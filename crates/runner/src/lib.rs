@@ -28,8 +28,9 @@
 //!
 //! Results are bitwise-identical regardless of worker count: every job
 //! owns its simulator, and batch output is keyed by spec, never by
-//! completion order. `MORRIGAN_THREADS` (see [`Runner::from_env`]) only
-//! changes wall-clock time.
+//! completion order. The worker count ([`Runner::new`];
+//! `MORRIGAN_THREADS` through the experiments crate's `RunOptions`,
+//! which reads every run-level variable) only changes wall-clock time.
 //!
 //! [`SystemConfig`]: morrigan_sim::SystemConfig
 //! [`SimConfig`]: morrigan_sim::SimConfig
@@ -47,7 +48,7 @@ pub use analysis::{
     HistReport, IripSnapshot, LawCheck, MachineReport, MissAnatomy, RecordDigest, ANALYSIS_SCHEMA,
 };
 pub use pin::{single_core_pin_document, single_core_pin_specs};
-pub use runner::{env_value, Runner};
+pub use runner::Runner;
 pub use spec::{
     morrigan_budget_bits, PrefetcherKind, PrefetcherSpec, RunRecord, RunSpec, WorkloadSpec,
 };

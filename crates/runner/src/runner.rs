@@ -63,8 +63,8 @@ pub struct Runner {
     /// Materialized workload traces shared across worker threads: each
     /// distinct workload is generated once per invocation and replayed
     /// by every spec that uses it. Defaults to in-memory; see
-    /// [`Runner::with_workload_cache`] and [`WorkloadCache::from_env`]
-    /// for the disk-backed and disabled variants.
+    /// [`Runner::with_workload_cache`] for the disk-backed and disabled
+    /// variants.
     workloads: WorkloadCache,
 }
 
@@ -86,39 +86,6 @@ impl Runner {
             elision_totals: Mutex::new(ElisionCounters::default()),
             workloads: WorkloadCache::in_memory(),
         }
-    }
-
-    /// A runner configured from the environment: worker count from
-    /// `MORRIGAN_THREADS` if set (falling back to
-    /// [`std::thread::available_parallelism`]; `0` means 1), per-job
-    /// narration when `MORRIGAN_VERBOSE=1`, interval sampling from
-    /// `MORRIGAN_INTERVAL` (an epoch length in retired instructions; `0`
-    /// is off), SMARTS sampled simulation from `MORRIGAN_SAMPLE` (`1` for
-    /// the default `detail:skip` schedule, or an explicit one; see
-    /// [`SamplingConfig::from_env`]), the per-machine host-thread budget
-    /// from `MORRIGAN_MACHINE_THREADS` (a positive thread count), and the
-    /// workload cache from [`WorkloadCache::from_env`].
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the variable, on a value that does not parse (see
-    /// [`env_value`]).
-    pub fn from_env() -> Self {
-        let fallback = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let threads =
-            threads_from_env_value(std::env::var("MORRIGAN_THREADS").ok().as_deref(), fallback);
-        let interval = interval_from_env_value(std::env::var("MORRIGAN_INTERVAL").ok().as_deref());
-        let machine_threads = machine_threads_from_env_value(
-            std::env::var("MORRIGAN_MACHINE_THREADS").ok().as_deref(),
-        );
-        Runner::new(threads)
-            .verbose(std::env::var("MORRIGAN_VERBOSE").is_ok_and(|v| v == "1"))
-            .with_interval(interval)
-            .with_sampling(SamplingConfig::from_env())
-            .with_machine_threads(machine_threads)
-            .with_workload_cache(WorkloadCache::from_env())
     }
 
     /// Enables or disables per-job progress narration on stderr.
@@ -371,65 +338,6 @@ impl Runner {
     }
 }
 
-/// Reads environment variable `name` through `parse`: `None` when it is
-/// unset or blank, the parsed value otherwise.
-///
-/// # Panics
-///
-/// Panics with the variable's name and `parse`'s message when `parse`
-/// rejects the value, the way `MORRIGAN_SAMPLE` does: a typo silently
-/// falling back to a default would run a different experiment than the
-/// one asked for.
-pub fn env_value<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
-    parse_env_value(name, std::env::var(name).ok().as_deref(), parse)
-}
-
-/// [`env_value`] over an already-read value.
-fn parse_env_value<T>(
-    name: &str,
-    value: Option<&str>,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Option<T> {
-    let value = value?.trim();
-    if value.is_empty() {
-        return None;
-    }
-    match parse(value) {
-        Ok(parsed) => Some(parsed),
-        Err(expected) => panic!("{name}: {expected}, got {value:?}"),
-    }
-}
-
-/// Resolves the worker count from a `MORRIGAN_THREADS` value, falling
-/// back to `fallback` when the variable is unset; `0` is clamped to 1.
-fn threads_from_env_value(value: Option<&str>, fallback: usize) -> usize {
-    parse_env_value("MORRIGAN_THREADS", value, |v| {
-        v.parse()
-            .map_err(|_| "expected a worker-thread count".to_string())
-    })
-    .unwrap_or(fallback)
-    .max(1)
-}
-
-/// Resolves the sampling interval from a `MORRIGAN_INTERVAL` value:
-/// unset or zero disables sampling.
-fn interval_from_env_value(value: Option<&str>) -> Option<u64> {
-    parse_env_value("MORRIGAN_INTERVAL", value, |v| {
-        v.parse()
-            .map_err(|_| "expected an epoch length in retired instructions (0 = off)".to_string())
-    })
-    .filter(|&n| n > 0)
-}
-
-/// Resolves the per-machine thread budget from a
-/// `MORRIGAN_MACHINE_THREADS` value: unset means auto, zero aborts.
-fn machine_threads_from_env_value(value: Option<&str>) -> Option<usize> {
-    parse_env_value("MORRIGAN_MACHINE_THREADS", value, |v| match v.parse() {
-        Ok(0) | Err(_) => Err("expected a positive thread count".to_string()),
-        Ok(n) => Ok(n),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,55 +439,6 @@ mod tests {
             since[1].spec, a,
             "cached records still appear in the journal"
         );
-    }
-
-    #[test]
-    fn thread_env_parsing() {
-        assert_eq!(threads_from_env_value(None, 6), 6);
-        assert_eq!(threads_from_env_value(Some("3"), 6), 3);
-        assert_eq!(threads_from_env_value(Some(" 12 "), 6), 12);
-        assert_eq!(threads_from_env_value(Some("0"), 6), 1);
-        assert_eq!(threads_from_env_value(Some(""), 6), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "MORRIGAN_THREADS")]
-    fn malformed_thread_env_aborts() {
-        threads_from_env_value(Some("lots"), 6);
-    }
-
-    #[test]
-    fn interval_env_parsing() {
-        assert_eq!(interval_from_env_value(None), None);
-        assert_eq!(interval_from_env_value(Some("")), None);
-        assert_eq!(interval_from_env_value(Some("0")), None);
-        assert_eq!(interval_from_env_value(Some(" 10000 ")), Some(10_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "MORRIGAN_INTERVAL")]
-    fn malformed_interval_env_aborts() {
-        interval_from_env_value(Some("10k"));
-    }
-
-    #[test]
-    fn machine_thread_env_parsing() {
-        assert_eq!(machine_threads_from_env_value(None), None);
-        assert_eq!(machine_threads_from_env_value(Some("")), None);
-        assert_eq!(machine_threads_from_env_value(Some(" 4 ")), Some(4));
-        assert_eq!(machine_threads_from_env_value(Some("1")), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "MORRIGAN_MACHINE_THREADS")]
-    fn malformed_machine_thread_env_aborts() {
-        machine_threads_from_env_value(Some("fast"));
-    }
-
-    #[test]
-    #[should_panic(expected = "MORRIGAN_MACHINE_THREADS")]
-    fn zero_machine_thread_env_aborts() {
-        machine_threads_from_env_value(Some("0"));
     }
 
     #[test]

@@ -439,20 +439,16 @@ impl RunSpec {
 
     /// Host threads this spec's execution occupies inside one worker:
     /// `1` for single-core specs (the simulator is single-threaded), the
-    /// effective epoch-driver width for multi-core machines —
-    /// `machine_threads` when set, else min(cores, available
-    /// parallelism). The [`Runner`](crate::Runner) divides its thread
-    /// budget by the widest pending spec so pool width × machine width
-    /// never oversubscribes the budget.
+    /// effective epoch-driver width for multi-core machines
+    /// ([`morrigan_sim::machine_width`]). The [`Runner`](crate::Runner)
+    /// divides its thread budget by the widest pending spec so pool
+    /// width × machine width never oversubscribes the budget.
     pub fn host_threads(&self, machine_threads: Option<usize>) -> usize {
         let cores = self.workload.cores();
         if cores <= 1 || !matches!(self.workload, WorkloadSpec::Multi { .. }) {
             return 1;
         }
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        machine_threads.unwrap_or(available).min(cores).max(1)
+        morrigan_sim::machine_width(machine_threads, cores)
     }
 
     /// The content key the result cache memoizes on.

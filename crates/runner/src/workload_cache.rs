@@ -13,14 +13,14 @@
 //!
 //! Three layers, each optional:
 //!
-//! * **off** — [`WorkloadCache::disabled`] (or
-//!   `MORRIGAN_NO_WORKLOAD_CACHE=1` / `figures --no-workload-cache`):
-//!   every consumer generates live, exactly as before the cache existed;
+//! * **off** — [`WorkloadCache::disabled`] (`figures
+//!   --no-workload-cache` / `MORRIGAN_NO_WORKLOAD_CACHE=1`): every
+//!   consumer generates live, exactly as before the cache existed;
 //! * **in-memory** — the default for a [`Runner`](crate::Runner):
 //!   traces live for the invocation, shared across worker threads;
-//! * **on-disk** — opt-in via `MORRIGAN_WORKLOAD_CACHE=<dir>`: traces
-//!   are also persisted in the versioned, hash-verified `.mpt` format
-//!   for cross-invocation reuse. A corrupted or stale file is detected
+//! * **on-disk** — [`WorkloadCache::with_disk`], opt-in via
+//!   `MORRIGAN_WORKLOAD_CACHE=<dir>`: traces are also persisted in the
+//!   versioned, hash-verified `.mpt` format for cross-invocation reuse. A corrupted or stale file is detected
 //!   (magic/key/content hash), logged, and rebuilt — never fatal, never
 //!   silently replayed.
 //!
@@ -140,34 +140,6 @@ impl WorkloadCache {
     pub fn with_max_resident_bytes(mut self, bytes: u64) -> Self {
         self.max_resident_bytes = bytes;
         self
-    }
-
-    /// A cache configured from the environment:
-    ///
-    /// * `MORRIGAN_NO_WORKLOAD_CACHE=1` → disabled (live generation);
-    /// * `MORRIGAN_WORKLOAD_CACHE=<dir>` → on-disk persistence;
-    /// * `MORRIGAN_WORKLOAD_CACHE_MB=<n>` → resident budget override;
-    /// * otherwise the in-memory default.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MORRIGAN_WORKLOAD_CACHE_MB` is not a whole number of
-    /// MiB (see [`env_value`](crate::env_value)).
-    pub fn from_env() -> Self {
-        if std::env::var("MORRIGAN_NO_WORKLOAD_CACHE").is_ok_and(|v| v == "1") {
-            return Self::disabled();
-        }
-        let mut cache = match std::env::var("MORRIGAN_WORKLOAD_CACHE") {
-            Ok(dir) if !dir.trim().is_empty() => Self::with_disk(dir.trim()),
-            _ => Self::in_memory(),
-        };
-        if let Some(mb) = crate::env_value("MORRIGAN_WORKLOAD_CACHE_MB", |v| {
-            v.parse::<u64>()
-                .map_err(|_| "expected a resident budget in MiB".to_string())
-        }) {
-            cache.max_resident_bytes = mb << 20;
-        }
-        cache
     }
 
     /// Whether materialization is on at all.

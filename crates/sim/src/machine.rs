@@ -86,6 +86,19 @@ pub const INTERLEAVE_QUANTUM: u64 = 64;
 /// rotation visits distinct pages.
 const SHOOTDOWN_VICTIM_STRIDE: u64 = 7;
 
+/// The host-thread width an epoch driver runs a `cores`-core machine
+/// at: `requested` when set, else the host's available parallelism,
+/// capped at `cores` and at least 1. [`Machine::used_threads`], the
+/// runner's worker-budget split and simbench all size by this rule.
+pub fn machine_width(requested: Option<usize>, cores: usize) -> usize {
+    requested
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+        .min(cores)
+        .max(1)
+}
+
 /// Per-core and shared-structure results of a completed machine run,
 /// attached to multi-core `RunRecord`s.
 #[derive(Debug, Clone, PartialEq)]
@@ -344,13 +357,7 @@ impl Machine {
 
     /// The host-thread count the epoch driver will actually use.
     pub fn used_threads(&self) -> usize {
-        let available = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.machine_threads
-            .unwrap_or(available)
-            .min(self.cores.len())
-            .max(1)
+        machine_width(self.machine_threads, self.cores.len())
     }
 
     /// Enables the per-core interval sampler: each core's measurement

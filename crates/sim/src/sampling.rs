@@ -88,23 +88,6 @@ impl SamplingConfig {
         }
         Ok(Self { detail, skip })
     }
-
-    /// Reads `MORRIGAN_SAMPLE` from the environment: unset or empty
-    /// disables sampling, `1` selects [`Self::default_schedule`], and
-    /// anything else must parse as `detail:skip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed value — a typo silently falling back to a
-    /// full run would invalidate any timing comparison built on it.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("MORRIGAN_SAMPLE") {
-            Err(_) => None,
-            Ok(v) if v.is_empty() || v == "0" => None,
-            Ok(v) if v == "1" => Some(Self::default_schedule()),
-            Ok(v) => Some(Self::parse(&v).unwrap_or_else(|e| panic!("MORRIGAN_SAMPLE: {e}"))),
-        }
-    }
 }
 
 impl std::fmt::Display for SamplingConfig {

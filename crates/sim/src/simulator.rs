@@ -382,8 +382,22 @@ pub struct Simulator<R: Recorder = NullRecorder> {
 /// `MORRIGAN_AUDIT=1` is exported (the checks cost one pass over the
 /// counters per checkpoint, negligible, but the policy keeps release
 /// figure runs byte-identical to earlier revisions unless asked).
+///
+/// The only run-level variable read outside the experiments crate's
+/// `RunOptions`: hostbench and the tests build simulators and machines
+/// directly, so this is the one layer every entry point shares.
+///
+/// # Panics
+///
+/// Panics naming the variable unless it is unset, blank, `1` or `0` —
+/// in debug builds too, so a typo never passes unnoticed.
 pub(crate) fn audit_default() -> bool {
-    cfg!(debug_assertions) || std::env::var("MORRIGAN_AUDIT").is_ok_and(|v| v == "1")
+    let requested = match std::env::var("MORRIGAN_AUDIT").as_deref().map(str::trim) {
+        Err(_) | Ok("" | "0") => false,
+        Ok("1") => true,
+        Ok(other) => panic!("MORRIGAN_AUDIT: expected 1 or 0, got {other:?}"),
+    };
+    cfg!(debug_assertions) || requested
 }
 
 impl<R: Recorder> std::fmt::Debug for Simulator<R> {

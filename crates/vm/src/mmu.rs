@@ -485,18 +485,6 @@ impl<R: Recorder> Mmu<R> {
         }
     }
 
-    /// Drops every translation belonging to `asid` from all four
-    /// translation structures (address-space teardown); returns the
-    /// total number of entries removed. Unlike [`Self::shootdown`] this
-    /// does not count toward `stats.shootdowns`, which tracks
-    /// page-granular shootdown IPIs that found a cached translation.
-    pub fn invalidate_asid(&mut self, asid: u16) -> usize {
-        self.itlb.invalidate_asid(asid)
-            + self.dtlb.invalidate_asid(asid)
-            + self.stlb.invalidate_asid(asid)
-            + self.pb.invalidate_asid(asid)
-    }
-
     /// Name of the attached prefetcher.
     pub fn prefetcher_name(&self) -> &'static str {
         self.prefetcher.name()

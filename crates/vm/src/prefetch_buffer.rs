@@ -269,18 +269,6 @@ impl PrefetchBuffer {
         }
     }
 
-    /// Removes every staged translation belonging to `asid`
-    /// (address-space teardown); returns how many entries were dropped.
-    /// Each removal counts as an invalidation so the PB ledger stays
-    /// closed.
-    pub fn invalidate_asid(&mut self, asid: u16) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.vpn.asid() != asid);
-        let dropped = before - self.entries.len();
-        self.stats.invalidations += dropped as u64;
-        dropped
-    }
-
     /// Number of staged entries tagged with `asid`.
     pub fn occupancy_for_asid(&self, asid: u16) -> usize {
         self.entries.iter().filter(|e| e.vpn.asid() == asid).count()
@@ -437,42 +425,6 @@ mod tests {
             s.inserts,
             s.hits() + s.evicted_unused + s.invalidations + pb.len() as u64,
             "every inserted entry is accounted for exactly once"
-        );
-    }
-
-    #[test]
-    fn asid_invalidate_keeps_ledger_closed() {
-        let mut pb = PrefetchBuffer::new(8, 2);
-        pb.insert(
-            VirtPage::new(1).with_asid(1),
-            pfn(1),
-            0,
-            None,
-            PrefetchComponent::Other,
-        );
-        pb.insert(
-            VirtPage::new(2).with_asid(1),
-            pfn(2),
-            0,
-            None,
-            PrefetchComponent::Other,
-        );
-        pb.insert(
-            VirtPage::new(1).with_asid(2),
-            pfn(3),
-            0,
-            None,
-            PrefetchComponent::Other,
-        );
-        assert_eq!(pb.occupancy_for_asid(1), 2);
-        assert_eq!(pb.invalidate_asid(1), 2);
-        assert_eq!(pb.occupancy_for_asid(1), 0);
-        assert_eq!(pb.occupancy_for_asid(2), 1);
-        let s = pb.stats;
-        assert_eq!(s.invalidations, 2);
-        assert_eq!(
-            s.inserts,
-            s.hits() + s.evicted_unused + s.invalidations + pb.len() as u64
         );
     }
 

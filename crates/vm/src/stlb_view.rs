@@ -28,8 +28,6 @@ pub enum StlbOp {
     Touch(VirtPage),
     /// An insert (the `bool` is the instruction-class tag).
     Insert(VirtPage, PhysPage, bool),
-    /// Address-space teardown for one ASID.
-    InvalidateAsid(u16),
     /// A context-switch flush.
     Flush,
 }
@@ -40,15 +38,13 @@ pub struct StlbView {
     shared: Arc<RwLock<Tlb>>,
     /// Operation log for barrier replay, program order.
     ops: Vec<StlbOp>,
-    /// Inserts this core performed this epoch: `(vpn, pfn, live)`.
-    /// Scanned newest-first so re-inserts shadow older entries.
-    overlay: Vec<(u64, u64, bool)>,
+    /// Inserts this core performed since the epoch start or its last
+    /// flush: `(vpn, pfn)`. Scanned newest-first so re-inserts shadow
+    /// older entries.
+    overlay: Vec<(u64, u64)>,
     /// This core flushed the shared STLB this epoch: the frozen image
     /// is invisible for the remainder of the epoch.
     frozen_hidden: bool,
-    /// ASIDs this core tore down this epoch (frozen entries of these
-    /// ASIDs are invisible for the remainder of the epoch).
-    hidden_asids: Vec<u16>,
 }
 
 impl StlbView {
@@ -59,32 +55,24 @@ impl StlbView {
             ops: Vec::new(),
             overlay: Vec::new(),
             frozen_hidden: false,
-            hidden_asids: Vec::new(),
         }
     }
 
-    fn frozen_visible(&self, vpn: VirtPage) -> bool {
-        !self.frozen_hidden && !self.hidden_asids.contains(&vpn.asid())
-    }
-
-    fn overlay_get(&self, vpn: VirtPage) -> Option<Option<PhysPage>> {
+    fn overlay_get(&self, vpn: VirtPage) -> Option<PhysPage> {
         let key = vpn.raw();
         self.overlay
             .iter()
             .rev()
-            .find(|&&(v, _, _)| v == key)
-            .map(|&(_, pfn, live)| live.then(|| PhysPage::new(pfn)))
+            .find(|&&(v, _)| v == key)
+            .map(|&(_, pfn)| PhysPage::new(pfn))
     }
 
     /// Epoch-frozen lookup. Hits log a [`StlbOp::Touch`] so the LRU
     /// promotion replays at the barrier.
     pub fn lookup(&mut self, vpn: VirtPage) -> Option<PhysPage> {
         let hit = match self.overlay_get(vpn) {
-            Some(resolved) => resolved,
-            None if self.frozen_visible(vpn) => {
-                self.shared.read().expect("shared stlb lock").peek(vpn)
-            }
-            None => None,
+            None if !self.frozen_hidden => self.shared.read().expect("shared stlb lock").peek(vpn),
+            resolved => resolved,
         };
         if hit.is_some() {
             self.ops.push(StlbOp::Touch(vpn));
@@ -94,43 +82,24 @@ impl StlbView {
 
     /// Epoch-frozen residency check (non-promoting, nothing logged).
     pub fn contains(&self, vpn: VirtPage) -> bool {
-        match self.overlay_get(vpn) {
-            Some(resolved) => resolved.is_some(),
-            None if self.frozen_visible(vpn) => {
-                self.shared.read().expect("shared stlb lock").contains(vpn)
-            }
-            None => false,
-        }
+        self.overlay_get(vpn).is_some()
+            || (!self.frozen_hidden && self.shared.read().expect("shared stlb lock").contains(vpn))
     }
 
     /// Buffers an insert: visible to this core immediately, to everyone
     /// after the barrier replay.
     pub fn insert(&mut self, vpn: VirtPage, pfn: PhysPage, instruction: bool) {
         self.ops.push(StlbOp::Insert(vpn, pfn, instruction));
-        self.overlay.push((vpn.raw(), pfn.raw(), true));
-    }
-
-    /// Buffers an ASID teardown: entries of `asid` become invisible to
-    /// this core immediately and are dropped at the barrier replay.
-    pub fn invalidate_asid(&mut self, asid: u16) {
-        self.ops.push(StlbOp::InvalidateAsid(asid));
-        for entry in &mut self.overlay {
-            if VirtPage::new(entry.0).asid() == asid {
-                entry.2 = false;
-            }
-        }
-        if !self.hidden_asids.contains(&asid) {
-            self.hidden_asids.push(asid);
-        }
+        self.overlay.push((vpn.raw(), pfn.raw()));
     }
 
     /// Buffers a context-switch flush: the shared STLB becomes invisible
     /// to this core immediately and is emptied at the barrier replay.
+    /// Dropping the overlay is enough: `frozen_hidden` hides the frozen
+    /// image, so only later inserts remain visible.
     pub fn flush(&mut self) {
         self.ops.push(StlbOp::Flush);
-        for entry in &mut self.overlay {
-            entry.2 = false;
-        }
+        self.overlay.clear();
         self.frozen_hidden = true;
     }
 
@@ -141,7 +110,6 @@ impl StlbView {
         std::mem::swap(&mut self.ops, into);
         self.overlay.clear();
         self.frozen_hidden = false;
-        self.hidden_asids.clear();
     }
 }
 
@@ -155,9 +123,6 @@ pub fn replay_stlb_ops(stlb: &mut Tlb, ops: &[StlbOp]) {
             }
             StlbOp::Insert(vpn, pfn, instruction) => {
                 stlb.insert(vpn, pfn, instruction);
-            }
-            StlbOp::InvalidateAsid(asid) => {
-                stlb.invalidate_asid(asid);
             }
             StlbOp::Flush => stlb.flush(),
         }
@@ -226,24 +191,6 @@ mod tests {
         let guard = stlb.read().unwrap();
         assert_eq!(guard.peek(vp(7)), None, "flush replayed");
         assert_eq!(guard.peek(vp(8)), Some(pp(8)));
-    }
-
-    #[test]
-    fn asid_teardown_hides_only_that_asid() {
-        let tagged = |page: u64, asid: u16| {
-            VirtPage::new(page | (u64::from(asid) << morrigan_types::ASID_SHIFT))
-        };
-        let stlb = shared();
-        stlb.write().unwrap().insert(tagged(0x10, 1), pp(1), true);
-        stlb.write().unwrap().insert(tagged(0x11, 2), pp(2), true);
-        let mut view = StlbView::new(Arc::clone(&stlb));
-        view.invalidate_asid(1);
-        assert!(!view.contains(tagged(0x10, 1)));
-        assert!(view.contains(tagged(0x11, 2)));
-        let mut ops = Vec::new();
-        view.take_epoch(&mut ops);
-        replay_stlb_ops(&mut stlb.write().unwrap(), &ops);
-        assert_eq!(stlb.read().unwrap().occupancy(), 1);
     }
 
     #[test]

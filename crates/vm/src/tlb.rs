@@ -314,25 +314,6 @@ impl Tlb {
         self.vpns.iter().filter(|&&v| v != NO_VPN).count()
     }
 
-    /// Removes every entry belonging to `asid` (address-space teardown /
-    /// full-space shootdown); returns how many entries were dropped.
-    ///
-    /// ASIDs live in the VPN's high bits (see
-    /// `morrigan_types::addr::ASID_SHIFT`), so membership is a shift
-    /// compare per way. ASID 0 selects all untagged entries, which in a
-    /// single-process run is the whole TLB.
-    pub fn invalidate_asid(&mut self, asid: u16) -> usize {
-        let mut dropped = 0;
-        for (v, s) in self.vpns.iter_mut().zip(self.stamps.iter_mut()) {
-            if *v != NO_VPN && VirtPage::new(*v).asid() == asid {
-                *v = NO_VPN;
-                *s = 0;
-                dropped += 1;
-            }
-        }
-        dropped
-    }
-
     /// Number of valid entries tagged with `asid`.
     ///
     /// The audit layer checks that these per-ASID occupancies telescope
@@ -435,29 +416,6 @@ mod tests {
         let _ = Tlb::new(TlbConfig::itlb());
         let _ = Tlb::new(TlbConfig::dtlb());
         let _ = Tlb::new(TlbConfig::stlb());
-    }
-
-    #[test]
-    fn asid_invalidate_removes_exactly_victim_entries() {
-        let mut tlb = Tlb::new(TlbConfig {
-            entries: 16,
-            ways: 4,
-            latency: 1,
-        });
-        for i in 0..3u64 {
-            tlb.insert(VirtPage::new(i).with_asid(1), pfn(i), true);
-        }
-        for i in 0..2u64 {
-            tlb.insert(VirtPage::new(i).with_asid(2), pfn(10 + i), false);
-        }
-        assert_eq!(tlb.occupancy_for_asid(1), 3);
-        assert_eq!(tlb.occupancy_for_asid(2), 2);
-        assert_eq!(tlb.occupancy(), 5);
-        assert_eq!(tlb.invalidate_asid(1), 3);
-        assert_eq!(tlb.occupancy_for_asid(1), 0);
-        assert_eq!(tlb.occupancy_for_asid(2), 2);
-        assert_eq!(tlb.occupancy(), 2);
-        assert_eq!(tlb.lookup(VirtPage::new(0).with_asid(2)), Some(pfn(10)));
     }
 
     #[test]

@@ -249,12 +249,11 @@ proptest! {
     /// ASID-tagged TLB invariants under arbitrary insertion sequences:
     /// per-ASID occupancies telescope to the total occupancy, lookups
     /// never cross address spaces (the same page number under a
-    /// different ASID is a distinct fused VPN), and invalidating an ASID
-    /// removes exactly that address space's entries.
+    /// different ASID is a distinct fused VPN), and a page shootdown
+    /// removes exactly that address space's entry for the page.
     #[test]
     fn asid_occupancy_telescopes_and_shootdown_is_exact(
         inserts in prop::collection::vec((1u16..=4, 0u64..256), 1..300),
-        victim in 1u16..=4,
     ) {
         let mut tlb = Tlb::new(TlbConfig { entries: 64, ways: 4, latency: 1 });
         for &(asid, page) in &inserts {
@@ -270,36 +269,30 @@ proptest! {
 
         // No cross-ASID leaks: a resident page under ASID a must miss
         // when probed under any other ASID that never inserted it.
-        if let Some(&(asid, page)) = inserts.last() {
-            let other = if asid == 1 { 2 } else { 1 };
-            let foreign = VirtPage::new(page).with_asid(other);
-            if !inserts.contains(&(other, page)) {
-                prop_assert!(!tlb.contains(foreign), "ASID {} leaked into ASID {}", asid, other);
-            }
+        let &(asid, page) = inserts.last().expect("at least one insert");
+        let other = if asid == 1 { 2 } else { 1 };
+        let foreign = VirtPage::new(page).with_asid(other);
+        if !inserts.contains(&(other, page)) {
+            prop_assert!(!tlb.contains(foreign), "ASID {} leaked into ASID {}", asid, other);
         }
 
-        // Shootdown of one address space removes exactly its entries and
-        // leaves every other address space untouched.
+        // Shooting down the last-inserted (hence resident) page drops
+        // exactly that entry and leaves every other address space as it
+        // was.
         let before: Vec<usize> = (0u16..=4).map(|a| tlb.occupancy_for_asid(a)).collect();
-        let dropped = tlb.invalidate_asid(victim);
-        prop_assert_eq!(dropped, before[victim as usize]);
-        prop_assert_eq!(tlb.occupancy_for_asid(victim), 0);
+        prop_assert!(tlb.invalidate(VirtPage::new(page).with_asid(asid)));
         for a in 0u16..=4 {
-            if a != victim {
-                prop_assert_eq!(tlb.occupancy_for_asid(a), before[a as usize],
-                    "ASID {} was collateral damage", a);
-            }
+            let expected = before[a as usize] - usize::from(a == asid);
+            prop_assert_eq!(tlb.occupancy_for_asid(a), expected, "ASID {}", a);
         }
-        prop_assert_eq!(tlb.occupancy(), before.iter().sum::<usize>() - dropped);
     }
 
     /// The same laws for the fully-associative prefetch buffer, whose
     /// ledger (inserts == hits + evicted + invalidations + resident)
-    /// must stay closed across per-ASID invalidation.
+    /// must stay closed across a per-ASID page invalidation.
     #[test]
     fn pb_asid_invalidation_keeps_the_ledger_closed(
         inserts in prop::collection::vec((1u16..=3, 0u64..64), 1..150),
-        victim in 1u16..=3,
     ) {
         let mut pb = PrefetchBuffer::new(16, 1);
         for &(asid, page) in &inserts {
@@ -309,20 +302,18 @@ proptest! {
         let total: usize = (1u16..=3).map(|a| pb.occupancy_for_asid(a)).sum();
         prop_assert_eq!(total, pb.len());
 
+        let &(asid, page) = inserts.last().expect("at least one insert");
         let before: Vec<usize> = (0u16..=3).map(|a| pb.occupancy_for_asid(a)).collect();
-        let dropped = pb.invalidate_asid(victim);
-        prop_assert_eq!(dropped, before[victim as usize]);
-        prop_assert_eq!(pb.occupancy_for_asid(victim), 0);
+        prop_assert!(pb.invalidate(VirtPage::new(page).with_asid(asid)));
         for a in 0u16..=3 {
-            if a != victim {
-                prop_assert_eq!(pb.occupancy_for_asid(a), before[a as usize]);
-            }
+            let expected = before[a as usize] - usize::from(a == asid);
+            prop_assert_eq!(pb.occupancy_for_asid(a), expected, "ASID {}", a);
         }
         let s = pb.stats;
         prop_assert_eq!(
             s.inserts,
             s.hits() + s.evicted_unused + s.invalidations + pb.len() as u64,
-            "the PB ledger must close after ASID invalidation"
+            "the PB ledger must close after the invalidation"
         );
     }
 }

@@ -6,8 +6,9 @@
 //! cargo run --release --example budget_sweep [seed]
 //! ```
 
+use morrigan_suite::experiments::RunOptions;
 use morrigan_suite::prefetcher::{IripConfig, MorriganConfig};
-use morrigan_suite::runner::{PrefetcherKind, RunSpec, Runner};
+use morrigan_suite::runner::{PrefetcherKind, RunSpec};
 use morrigan_suite::sim::{SimConfig, SystemConfig};
 use morrigan_suite::workloads::ServerWorkloadConfig;
 
@@ -42,7 +43,7 @@ fn main() {
         specs.push(RunSpec::server(&cfg, SystemConfig::default(), run, mcfg));
     }
 
-    let runner = Runner::from_env();
+    let runner = RunOptions::from_env().runner();
     let records = runner.run_batch(&specs);
     let base = &records[0].metrics;
     println!(

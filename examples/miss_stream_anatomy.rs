@@ -5,7 +5,8 @@
 //! cargo run --release --example miss_stream_anatomy [seed]
 //! ```
 
-use morrigan_suite::runner::{PrefetcherKind, RunSpec, Runner};
+use morrigan_suite::experiments::RunOptions;
+use morrigan_suite::runner::{PrefetcherKind, RunSpec};
 use morrigan_suite::sim::{SimConfig, SystemConfig};
 use morrigan_suite::workloads::ServerWorkloadConfig;
 
@@ -27,7 +28,7 @@ fn main() {
         },
         PrefetcherKind::None,
     );
-    let record = Runner::from_env().run_one(&spec);
+    let record = RunOptions::from_env().runner().run_one(&spec);
     let metrics = &record.metrics;
     let stream = record
         .miss_stream

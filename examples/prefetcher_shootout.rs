@@ -6,8 +6,8 @@
 //! cargo run --release --example prefetcher_shootout
 //! ```
 
-use morrigan_suite::experiments::common::{baseline_spec, server_spec, Scale};
-use morrigan_suite::runner::{PrefetcherKind, RunSpec, Runner};
+use morrigan_suite::experiments::common::{baseline_spec, server_spec, RunOptions, Scale};
+use morrigan_suite::runner::{PrefetcherKind, RunSpec};
 use morrigan_suite::sim::SystemConfig;
 use morrigan_suite::types::stats::geometric_mean;
 
@@ -52,7 +52,7 @@ fn main() {
         suite.len(),
         KINDS.len()
     );
-    let runner = Runner::from_env();
+    let runner = RunOptions::from_env().runner();
     let records = runner.run_batch(&specs);
     let baselines = &records[..n];
 

@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use morrigan_suite::experiments::RunOptions;
 use morrigan_suite::prefetcher::{Morrigan, MorriganConfig};
-use morrigan_suite::runner::{PrefetcherKind, RunSpec, Runner};
+use morrigan_suite::runner::{PrefetcherKind, RunSpec};
 use morrigan_suite::sim::{SimConfig, SystemConfig};
 use morrigan_suite::types::TlbPrefetcher;
 use morrigan_suite::workloads::ServerWorkloadConfig;
@@ -27,7 +28,7 @@ fn main() {
 
     // Declare both jobs and let the runner execute them (in parallel when
     // more than one worker thread is available — see MORRIGAN_THREADS).
-    let runner = Runner::from_env();
+    let runner = RunOptions::from_env().runner();
     let specs = [
         RunSpec::server(
             &workload,

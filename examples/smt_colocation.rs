@@ -6,8 +6,9 @@
 //! cargo run --release --example smt_colocation
 //! ```
 
+use morrigan_suite::experiments::RunOptions;
 use morrigan_suite::prefetcher::{Morrigan, MorriganConfig};
-use morrigan_suite::runner::{PrefetcherKind, RunSpec, Runner};
+use morrigan_suite::runner::{PrefetcherKind, RunSpec};
 use morrigan_suite::sim::{SimConfig, SystemConfig};
 use morrigan_suite::types::TlbPrefetcher;
 use morrigan_suite::workloads::suites::smt_pairs;
@@ -40,7 +41,7 @@ fn main() {
             },
         ),
     ];
-    let records = Runner::from_env().run_batch(&specs);
+    let records = RunOptions::from_env().runner().run_batch(&specs);
     let base = &records[0].metrics;
     println!(
         "\nbaseline:  aggregate IPC {:.3}, iSTLB MPKI {:.2}",
