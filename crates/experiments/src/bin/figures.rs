@@ -51,6 +51,7 @@ use std::sync::Arc;
 use morrigan_experiments as exp;
 use morrigan_experiments::{RunOptions, RunRecord, Runner};
 use morrigan_obs::{to_chrome_trace, to_jsonl, DEFAULT_TRACE_CAPACITY};
+use morrigan_runner::Observer;
 
 /// Every figure name the binary accepts, in run order.
 const FIGURES: [&str; 19] = [
@@ -346,7 +347,8 @@ fn figure_digest(runner: &Runner, watermark: usize) -> String {
     }
 }
 
-/// Re-executes the first journaled record's spec with the streaming
+/// Re-executes the first journaled record's spec under the runner's
+/// execution settings (replaying its workload cache) with the streaming
 /// analysis engine attached and writes the diagnosis to `path` (JSON)
 /// plus a markdown sibling. The analyzed run is asserted bitwise-equal
 /// to the journaled one, and the report must reconcile: every law ties
@@ -362,7 +364,9 @@ fn write_explain(runner: &Runner, path: &str) -> Result<(), String> {
         first.spec.workload.name(),
         first.spec.prefetcher.name()
     );
-    let record = first.spec.execute_analyzed(runner.interval());
+    let (record, _) = first
+        .spec
+        .execute_with(&runner.execution(Observer::Analysis));
     assert_eq!(
         record.metrics, first.metrics,
         "analysis must not perturb the simulation"
@@ -370,7 +374,7 @@ fn write_explain(runner: &Runner, path: &str) -> Result<(), String> {
     let report = record
         .analysis
         .as_ref()
-        .expect("execute_analyzed always attaches a report");
+        .expect("the analysis observer always attaches a report");
     if !report.complete {
         eprintln!(
             "--explain: WARNING: {} events were dropped upstream; the report refuses to \
@@ -455,10 +459,11 @@ fn run_explain(argv: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-executes the first journaled record's spec with a trace recorder
-/// attached and writes the capture to `path` in the extension-selected
-/// format. Tracing must not perturb the simulation: the traced metrics
-/// are asserted identical to the journaled ones.
+/// Re-executes the first journaled record's spec under the runner's
+/// execution settings (replaying its workload cache) with a trace
+/// recorder attached and writes the capture to `path` in the
+/// extension-selected format. Tracing must not perturb the simulation:
+/// the traced metrics are asserted identical to the journaled ones.
 fn write_trace(runner: &Runner, path: &str) -> Result<(), String> {
     let first = runner
         .journal_since(0)
@@ -480,9 +485,10 @@ fn write_trace(runner: &Runner, path: &str) -> Result<(), String> {
         first.spec.workload.name(),
         first.spec.prefetcher.name()
     );
-    let (record, trace) = first
-        .spec
-        .execute_traced(runner.interval(), DEFAULT_TRACE_CAPACITY);
+    let (record, trace) = first.spec.execute_with(&runner.execution(Observer::Trace {
+        capacity: DEFAULT_TRACE_CAPACITY,
+    }));
+    let trace = trace.expect("the trace observer always returns its recorder");
     assert_eq!(
         record.metrics, first.metrics,
         "tracing must not perturb the simulation"

@@ -16,9 +16,10 @@ pub enum Phase {
     WorkloadGen,
     /// Materializing a packed workload trace (generation + packing),
     /// paid once per distinct workload when the runner's workload cache
-    /// is on. Timed around `build_streams` in the runner's cached
-    /// execution path, not inside the simulator — near-zero on a cache
-    /// hit, the full generation cost on a miss.
+    /// is on. Timed around the stream construction in the runner's one
+    /// execution path (`RunSpec::execute_with`), not inside the
+    /// simulator — near-zero on a cache hit or with the cache off, the
+    /// full generation cost on a miss.
     TraceBuild,
 }
 

@@ -342,8 +342,9 @@ pub fn record_json(record: &RunRecord) -> String {
     ];
     // Single-core records keep their exact historical field set; the
     // machine section exists only on multi-core records, and the
-    // analysis section only on records from `execute_analyzed` — absent
-    // keys keep non-analyzed dumps byte-identical to the old format.
+    // analysis section only on records run under `Observer::Analysis` —
+    // absent keys keep non-analyzed dumps byte-identical to the old
+    // format.
     if let Some(m) = &record.machine {
         fields.push(kv("machine", machine_json(record, m)));
     }

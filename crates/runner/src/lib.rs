@@ -50,6 +50,7 @@ pub use analysis::{
 pub use pin::{single_core_pin_document, single_core_pin_specs};
 pub use runner::Runner;
 pub use spec::{
-    morrigan_budget_bits, PrefetcherKind, PrefetcherSpec, RunRecord, RunSpec, WorkloadSpec,
+    morrigan_budget_bits, Execution, Observer, PrefetcherKind, PrefetcherSpec, RunRecord, RunSpec,
+    WorkloadSpec,
 };
 pub use workload_cache::{WorkloadCache, WorkloadCacheStats};

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use morrigan_obs::PhaseProfile;
 use morrigan_sim::{ElisionCounters, SamplingConfig};
 
-use crate::spec::{RunRecord, RunSpec};
+use crate::spec::{Execution, Observer, RunRecord, RunSpec};
 use crate::workload_cache::{WorkloadCache, WorkloadCacheStats};
 
 /// Executes [`RunSpec`] batches on a pool of worker threads, memoizing
@@ -186,6 +186,21 @@ impl Runner {
         &self.workloads
     }
 
+    /// How this runner executes a spec — its interval, default sampling
+    /// schedule, machine threads and workload cache — with `observer`
+    /// attached. An observed re-run of a journaled spec under this
+    /// replays the traces the runner already built and reproduces the
+    /// journaled record.
+    pub fn execution(&self, observer: Observer) -> Execution<'_> {
+        Execution {
+            interval: self.interval,
+            sampling: self.sampling,
+            machine_threads: self.machine_threads,
+            cache: &self.workloads,
+            observer,
+        }
+    }
+
     /// The workload cache's counters: distinct traces materialized,
     /// replay streams served, estimated generation seconds saved.
     pub fn workload_cache_stats(&self) -> WorkloadCacheStats {
@@ -297,12 +312,7 @@ impl Runner {
                         spec.prefetcher.name()
                     );
                 }
-                let record = spec.execute_cached(
-                    self.interval,
-                    self.sampling,
-                    self.machine_threads,
-                    &self.workloads,
-                );
+                let (record, _) = spec.execute_with(&self.execution(Observer::None));
                 self.sims_executed.fetch_add(1, Ordering::Relaxed);
                 self.instructions_simulated
                     .fetch_add(spec.instructions_cost(), Ordering::Relaxed);

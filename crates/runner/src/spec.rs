@@ -7,12 +7,16 @@
 //! [`Runner`](crate::Runner) execute specs on any worker thread and
 //! memoize results by content.
 
+use std::time::Instant;
+
 use morrigan::{Morrigan, MorriganConfig};
 use morrigan_baselines::{
     ArbitraryStridePrefetcher, AspConfig, DistancePrefetcher, DpConfig, MarkovPrefetcher,
     MorriganMono, MpConfig, SequentialPrefetcher, UnboundedMarkov,
 };
-use morrigan_obs::{PhaseProfile, TraceRecorder};
+use morrigan_obs::{
+    AnalysisConfig, AnalysisRecorder, NullRecorder, Phase, PhaseProfile, Recorder, TraceRecorder,
+};
 use morrigan_sim::{
     ElisionCounters, IntervalSample, Machine, MachineSummary, Metrics, SamplingConfig, SimConfig,
     Simulator, SystemConfig,
@@ -212,113 +216,149 @@ impl WorkloadSpec {
         }
     }
 
-    fn build_streams(&self) -> Vec<Box<dyn InstructionStream>> {
-        match self {
-            WorkloadSpec::Server(cfg) => {
-                vec![Box::new(ServerWorkload::new(cfg.clone())) as Box<dyn InstructionStream>]
-            }
-            WorkloadSpec::Spec(cfg) => {
-                vec![Box::new(SpecWorkload::new(cfg.clone())) as Box<dyn InstructionStream>]
-            }
-            WorkloadSpec::Smt(cfgs) => cfgs
-                .iter()
-                .map(|c| Box::new(ServerWorkload::new(c.clone())) as Box<dyn InstructionStream>)
-                .collect(),
-            WorkloadSpec::Multi { .. } => {
-                unreachable!("multi-core workloads run on the Machine, not the Simulator")
-            }
-        }
-    }
-
-    /// The per-core streams of a [`WorkloadSpec::Multi`] machine: each
-    /// core gets a [`ScheduledStream`] rotating through its tenants,
-    /// every tenant wrapped in an [`AsidStream`] so distinct processes
-    /// occupy disjoint ASID-fused address spaces.
+    /// The instruction streams this workload runs on: one per hardware
+    /// thread for the single-core shapes, one per core for
+    /// [`WorkloadSpec::Multi`]. Every member stream is served through
+    /// `cache`: a replay cursor over a materialized trace when the cache
+    /// can provide one, the live generator otherwise (a
+    /// [`WorkloadCache::disabled`] cache always generates live).
     ///
-    /// When `cache` is given, each *tenant* stream is served through it
-    /// individually: the cached trace carries the ASID-tagged content,
-    /// so its key must (and does) include the ASID and the schedule
-    /// quantum alongside the workload config — two machines differing
-    /// only in schedule never share a cache slot.
-    fn build_machine_streams(
-        &self,
-        trace_len: u64,
-        cache: Option<&WorkloadCache>,
-    ) -> Vec<Box<dyn InstructionStream>> {
-        let WorkloadSpec::Multi { mixes, quantum } = self else {
-            unreachable!("machine streams exist only for multi-core workloads")
-        };
-        let mut next_asid: u16 = 1;
-        mixes
-            .iter()
-            .map(|mix| {
-                let tenants: Vec<Box<dyn InstructionStream>> = mix
-                    .iter()
-                    .map(|cfg| {
-                        let asid = next_asid;
-                        next_asid += 1;
-                        match cache {
-                            Some(c) => c.stream_for(
-                                &format!("{cfg:?}#asid={asid}#quantum={quantum}"),
-                                trace_len,
-                                || {
-                                    Box::new(AsidStream::new(
-                                        ServerWorkload::new(cfg.clone()),
-                                        asid,
-                                    ))
-                                },
-                            ),
-                            None => {
-                                Box::new(AsidStream::new(ServerWorkload::new(cfg.clone()), asid))
-                            }
-                        }
-                    })
-                    .collect();
-                Box::new(ScheduledStream::new(tenants, *quantum)) as Box<dyn InstructionStream>
-            })
-            .collect()
-    }
-
-    /// [`build_streams`](Self::build_streams) through the workload
-    /// cache: each member stream is a replay cursor over a materialized
-    /// trace when the cache can serve one (live generation otherwise).
+    /// A member's key is its own config's `Debug` rendering (lossless,
+    /// the same convention as [`RunSpec::content_key`]; the struct name
+    /// in that rendering keeps server and SPEC configs from colliding),
+    /// so SMT pairs share traces with each other *and* with solo runs of
+    /// the same config at the same scale. `trace_len` is the capture
+    /// length (warmup + measure + replay slack); an SMT member can
+    /// consume up to the whole run if the round-robin degenerates, so
+    /// each member's trace carries the full length.
     ///
-    /// Per-member keying means SMT pairs share traces with each other
-    /// *and* with solo runs of the same config at the same scale: a
-    /// member's key is its own config's `Debug` rendering (lossless, the
-    /// same convention as [`RunSpec::content_key`]) — the struct name
-    /// in that rendering keeps server and SPEC configs from colliding.
-    /// `trace_len` is the capture length (warmup + measure + replay
-    /// slack); an SMT member can consume up to the whole run if the
-    /// round-robin degenerates, so each member's trace carries the full
-    /// length.
-    fn build_streams_cached(
+    /// A machine core gets a [`ScheduledStream`] rotating through its
+    /// tenants, every tenant wrapped in an [`AsidStream`] so distinct
+    /// processes occupy disjoint ASID-fused address spaces. The cached
+    /// tenant trace carries the ASID-tagged content, so its key must
+    /// (and does) include the ASID and the schedule quantum: two
+    /// machines differing only in schedule never share a cache slot.
+    fn build_streams(
         &self,
         trace_len: u64,
         cache: &WorkloadCache,
     ) -> Vec<Box<dyn InstructionStream>> {
+        let server = |cfg: &ServerWorkloadConfig| {
+            cache.stream_for(&format!("{cfg:?}"), trace_len, || {
+                Box::new(ServerWorkload::new(cfg.clone()))
+            })
+        };
         match self {
-            WorkloadSpec::Server(cfg) => {
-                vec![cache.stream_for(&format!("{cfg:?}"), trace_len, || {
-                    Box::new(ServerWorkload::new(cfg.clone()))
-                })]
-            }
+            WorkloadSpec::Server(cfg) => vec![server(cfg)],
             WorkloadSpec::Spec(cfg) => {
                 vec![cache.stream_for(&format!("{cfg:?}"), trace_len, || {
                     Box::new(SpecWorkload::new(cfg.clone()))
                 })]
             }
-            WorkloadSpec::Smt(cfgs) => cfgs
-                .iter()
-                .map(|c| {
-                    cache.stream_for(&format!("{c:?}"), trace_len, || {
-                        Box::new(ServerWorkload::new(c.clone()))
+            WorkloadSpec::Smt(cfgs) => cfgs.iter().map(server).collect(),
+            WorkloadSpec::Multi { mixes, quantum } => {
+                let mut next_asid: u16 = 1;
+                mixes
+                    .iter()
+                    .map(|mix| {
+                        let tenants = mix
+                            .iter()
+                            .map(|cfg| {
+                                let asid = next_asid;
+                                next_asid += 1;
+                                cache.stream_for(
+                                    &format!("{cfg:?}#asid={asid}#quantum={quantum}"),
+                                    trace_len,
+                                    || {
+                                        Box::new(AsidStream::new(
+                                            ServerWorkload::new(cfg.clone()),
+                                            asid,
+                                        ))
+                                    },
+                                )
+                            })
+                            .collect();
+                        Box::new(ScheduledStream::new(tenants, *quantum))
+                            as Box<dyn InstructionStream>
                     })
-                })
-                .collect(),
-            WorkloadSpec::Multi { .. } => {
-                unreachable!("multi-core workloads run on the Machine, not the Simulator")
+                    .collect()
             }
+        }
+    }
+}
+
+/// What observes a run besides its always-on counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Observer {
+    /// Nothing: the simulator carries the no-op recorder.
+    None,
+    /// A ring-buffer [`TraceRecorder`] of `capacity` events, returned
+    /// next to the record (ready for `morrigan_obs::to_chrome_trace` /
+    /// `to_jsonl`). Single-core specs only: the machine has no event
+    /// recorder.
+    Trace {
+        /// Events the ring retains before it overwrites the oldest.
+        capacity: usize,
+    },
+    /// The analysis engine; its [`AnalysisReport`] rides the record's
+    /// `analysis`. Single-core specs stream every event through an
+    /// [`AnalysisRecorder`](morrigan_obs::AnalysisRecorder) (it never
+    /// drops, so the diagnosis is always complete) and reconcile it
+    /// against the run's *cumulative* structure counters: the trace
+    /// covers warmup and measurement alike, so the laws target the
+    /// whole-run `MmuStats`/`WalkerStats`/`PbStats`, not the
+    /// measurement-window deltas. When the prefetcher is a Morrigan, its
+    /// IRIP/SDP counters join the laws via the `as_any` downcast.
+    /// Multi-core reports are counter-based, built from the
+    /// width-invariant [`MachineSummary`] (per-core interference
+    /// attribution), so they are byte-identical at any machine width.
+    Analysis,
+}
+
+/// How [`RunSpec::execute_with`] runs a spec: the run-level settings a
+/// [`Runner`](crate::Runner) applies to every spec it executes, and the
+/// observer.
+pub struct Execution<'a> {
+    /// Interval-sampler epoch length. `Some(n)` gives a single-core
+    /// record one [`IntervalSample`] per `n` retired instructions of the
+    /// window; a multi-core record keeps `intervals` empty and carries
+    /// each core's series in its [`MachineSummary`]'s
+    /// `per_core_intervals`.
+    pub interval: Option<u64>,
+    /// Default SMARTS sampled-simulation schedule (e.g. the runner's
+    /// `MORRIGAN_SAMPLE`-configured one): a spec whose own
+    /// [`sampling`](RunSpec::sampling) field is set keeps its pinned
+    /// schedule; only unset specs inherit this one.
+    pub sampling: Option<SamplingConfig>,
+    /// Host-thread budget of a multi-core machine's epoch driver
+    /// (`None` auto-sizes); single-core specs ignore it. The epoch
+    /// protocol makes records bitwise-identical at any width, so it is
+    /// not part of the cache key.
+    pub machine_threads: Option<usize>,
+    /// Where workload streams come from; [`WorkloadCache::disabled`]
+    /// generates every stream live. Replay is sequence-exact (pinned by
+    /// the workloads proptests and `runner/tests/workload_cache.rs`), so
+    /// the cache changes no deterministic field of the record — metrics,
+    /// miss stream, audit, intervals, trace, analysis. Only `phases`
+    /// moves: stream construction is booked to [`Phase::TraceBuild`]
+    /// (the whole generation cost when a trace is materialized), and
+    /// replay shrinks the `workload_gen` bucket. `phases` is wall-clock
+    /// and excluded from the record's JSON rendering.
+    pub cache: &'a WorkloadCache,
+    /// What observes the run.
+    pub observer: Observer,
+}
+
+impl<'a> Execution<'a> {
+    /// No interval time series, no default sampling schedule, an
+    /// auto-sized machine, no observer; streams through `cache`.
+    pub fn new(cache: &'a WorkloadCache) -> Self {
+        Execution {
+            interval: None,
+            sampling: None,
+            machine_threads: None,
+            cache,
+            observer: Observer::None,
         }
     }
 }
@@ -438,17 +478,13 @@ impl RunSpec {
     }
 
     /// Host threads this spec's execution occupies inside one worker:
-    /// `1` for single-core specs (the simulator is single-threaded), the
-    /// effective epoch-driver width for multi-core machines
-    /// ([`morrigan_sim::machine_width`]). The [`Runner`](crate::Runner)
-    /// divides its thread budget by the widest pending spec so pool
-    /// width × machine width never oversubscribes the budget.
+    /// the effective epoch-driver width ([`morrigan_sim::machine_width`]),
+    /// which is `1` for every single-core spec. The
+    /// [`Runner`](crate::Runner) divides its thread budget by the widest
+    /// pending spec so pool width × machine width never oversubscribes
+    /// the budget.
     pub fn host_threads(&self, machine_threads: Option<usize>) -> usize {
-        let cores = self.workload.cores();
-        if cores <= 1 || !matches!(self.workload, WorkloadSpec::Multi { .. }) {
-            return 1;
-        }
-        morrigan_sim::machine_width(machine_threads, cores)
+        morrigan_sim::machine_width(machine_threads, self.workload.cores())
     }
 
     /// The content key the result cache memoizes on.
@@ -463,58 +499,16 @@ impl RunSpec {
         format!("{self:?}")
     }
 
-    /// Builds the simulator and executes this spec to completion.
-    ///
-    /// Used by the [`Runner`](crate::Runner)'s workers; callable directly
-    /// when no pooling or caching is wanted.
+    /// Executes this spec to completion with live workload generation,
+    /// its own sampling schedule and no observer. Callable directly when
+    /// no pooling or caching is wanted.
     pub fn execute(&self) -> RunRecord {
-        self.execute_observed(None)
+        self.execute_with(&Execution::new(&WorkloadCache::disabled()))
+            .0
     }
 
-    /// [`RunSpec::execute`] with the interval sampler enabled when
-    /// `interval` is `Some(n)`: the record's `intervals` carries one
-    /// [`IntervalSample`] per `n` retired instructions of the window.
-    ///
-    /// Multi-core specs run on the [`Machine`]: the record-level
-    /// `intervals` stays empty, and each core's epoch series rides the
-    /// [`MachineSummary`]'s `per_core_intervals` instead.
-    pub fn execute_observed(&self, interval: Option<u64>) -> RunRecord {
-        if matches!(self.workload, WorkloadSpec::Multi { .. }) {
-            return self.execute_machine(interval, None, None, None);
-        }
-        let prefetcher = self.prefetcher.build();
-        let streams = self.workload.build_streams();
-        let mut simulator = Simulator::new_smt(self.system, streams, prefetcher);
-        simulator.set_interval(interval);
-        simulator.set_sampling(self.sampling);
-        let metrics = simulator.run(self.sim);
-        self.finish(&simulator, metrics)
-    }
-
-    /// [`RunSpec::execute_observed`] with workload streams served
-    /// through `cache`: replay cursors over materialized traces instead
-    /// of live generators whenever the cache can provide them.
-    ///
-    /// Replay is sequence-exact (pinned by the workloads proptests and
-    /// `runner/tests/workload_cache.rs`), so the returned record equals
-    /// the uncached one in every deterministic field — metrics, miss
-    /// stream, audit, intervals. Only `phases` differs: time spent
-    /// materializing is booked to [`Phase::TraceBuild`], and replay
-    /// shrinks the `workload_gen` bucket. `phases` is wall-clock and
-    /// excluded from the record's JSON rendering, so `figures --json`
-    /// output stays byte-identical cache-on vs. cache-off.
-    ///
-    /// `sampling` is a *default* schedule (e.g. the
-    /// [`Runner`](crate::Runner)'s `MORRIGAN_SAMPLE`-configured one): a
-    /// spec whose own [`sampling`](RunSpec::sampling) field is set keeps
-    /// its pinned schedule; only unset specs inherit the default.
-    ///
-    /// `machine_threads` is the host-thread budget for multi-core
-    /// machines (`None` auto-sizes); single-core specs ignore it. The
-    /// epoch-barrier protocol makes records bitwise-identical at any
-    /// width, so it is not part of the cache key.
-    ///
-    /// [`Phase::TraceBuild`]: morrigan_obs::Phase::TraceBuild
+    /// Executes this spec with no observer and the given run-level
+    /// settings (see [`Execution`]'s fields).
     pub fn execute_cached(
         &self,
         interval: Option<u64>,
@@ -522,196 +516,169 @@ impl RunSpec {
         machine_threads: Option<usize>,
         cache: &WorkloadCache,
     ) -> RunRecord {
-        let sampling = self.sampling.or(sampling);
-        if matches!(self.workload, WorkloadSpec::Multi { .. }) {
-            return self.execute_machine(interval, sampling, machine_threads, Some(cache));
-        }
-        let prefetcher = self.prefetcher.build();
-        let trace_len =
-            WorkloadCache::trace_len(self.sim.warmup_instructions, self.sim.measure_instructions);
-        let build_start = std::time::Instant::now();
-        let streams = self.workload.build_streams_cached(trace_len, cache);
-        let trace_build = build_start.elapsed().as_secs_f64();
-        let mut simulator = Simulator::new_smt(self.system, streams, prefetcher);
-        simulator.set_interval(interval);
-        simulator.set_sampling(sampling);
-        let metrics = simulator.run(self.sim);
-        let mut record = self.finish(&simulator, metrics);
-        record
-            .phases
-            .add(morrigan_obs::Phase::TraceBuild, trace_build);
-        record.phases.add_total(trace_build);
-        record
+        self.execute_with(&Execution {
+            interval,
+            sampling,
+            machine_threads,
+            cache,
+            observer: Observer::None,
+        })
+        .0
     }
 
-    /// Executes this spec with a ring-buffer [`TraceRecorder`] of
-    /// `capacity` events attached, returning the record together with the
-    /// captured trace (ready for `morrigan_obs::to_chrome_trace` /
-    /// `to_jsonl`). Tracing runs through the same deterministic step
-    /// sequence, so the record's metrics equal `execute`'s exactly.
-    pub fn execute_traced(
-        &self,
-        interval: Option<u64>,
-        capacity: usize,
-    ) -> (RunRecord, TraceRecorder) {
-        assert!(
-            !matches!(self.workload, WorkloadSpec::Multi { .. }),
-            "event tracing is a single-core feature; multi-core specs have no recorder"
-        );
-        let prefetcher = self.prefetcher.build();
-        let streams = self.workload.build_streams();
-        let mut simulator = Simulator::with_recorder(
-            self.system,
-            streams,
-            prefetcher,
-            TraceRecorder::with_capacity(capacity),
-        );
-        simulator.set_interval(interval);
-        simulator.set_sampling(self.sampling);
-        let metrics = simulator.run(self.sim);
-        let record = self.finish(&simulator, metrics);
-        (record, simulator.into_recorder())
-    }
-
-    /// Executes this spec with a streaming [`AnalysisRecorder`] attached
-    /// and attaches the resulting [`AnalysisReport`] to the record.
-    ///
-    /// Single-core specs stream every event through the analysis (never
-    /// drops, so the diagnosis is always complete) and reconcile it
-    /// against the run's *cumulative* structure counters — the trace
-    /// covers warmup and measurement alike, so the laws must target the
-    /// whole-run `MmuStats`/`WalkerStats`/`PbStats`, not the
-    /// measurement-window deltas. When the prefetcher is a Morrigan,
-    /// its internal IRIP/SDP counters join the laws via the `as_any`
-    /// downcast. Analysis observes through the same deterministic step
-    /// sequence, so the record's metrics equal `execute`'s exactly.
-    ///
-    /// Multi-core specs have no event recorder; their report is built
-    /// counter-based from the width-invariant [`MachineSummary`]
-    /// (per-core interference attribution), so it is byte-identical at
-    /// any `machine_threads` width.
-    ///
-    /// [`AnalysisRecorder`]: morrigan_obs::AnalysisRecorder
+    /// Executes this spec with live workload generation and the
+    /// [`Observer::Analysis`] observer, so the record carries its
+    /// [`AnalysisReport`].
     pub fn execute_analyzed(&self, interval: Option<u64>) -> RunRecord {
-        if matches!(self.workload, WorkloadSpec::Multi { .. }) {
-            let mut record = self.execute_machine(interval, None, None, None);
-            record.analysis = Some(AnalysisReport::from_machine(&record));
-            return record;
-        }
-        let prefetcher = self.prefetcher.build();
-        let streams = self.workload.build_streams();
-        let stlb = self.system.mmu.stlb;
-        let cfg = morrigan_obs::AnalysisConfig {
-            stlb_sets: (stlb.entries / stlb.ways).max(1),
-            ..morrigan_obs::AnalysisConfig::default()
-        };
-        let mut simulator = Simulator::with_recorder(
-            self.system,
-            streams,
-            prefetcher,
-            morrigan_obs::AnalysisRecorder::new(cfg),
-        );
-        simulator.set_interval(interval);
-        simulator.set_sampling(self.sampling);
-        let metrics = simulator.run(self.sim);
-        let irip = simulator
-            .mmu()
-            .prefetcher()
-            .as_any()
-            .and_then(|any| any.downcast_ref::<Morrigan>())
-            .map(|m| IripSnapshot {
-                predictions: m.irip().stats.predictions,
-                evictions: m.irip().stats.evictions,
-                sdp_issued: m.sdp().issued,
-            });
-        let cumulative = CumulativeStats {
-            mmu: simulator.mmu().stats,
-            walker: *simulator.mmu().walker_stats(),
-            pb: simulator.mmu().prefetch_buffer().stats,
-            irip,
-        };
-        let mut record = self.finish(&simulator, metrics);
-        let analysis = simulator.into_recorder().into_analysis();
-        record.analysis = Some(AnalysisReport::from_traced(&analysis, &record, &cumulative));
-        record
+        self.execute_with(&Execution {
+            interval,
+            observer: Observer::Analysis,
+            ..Execution::new(&WorkloadCache::disabled())
+        })
+        .0
     }
 
-    /// Builds and runs the [`Machine`] of a [`WorkloadSpec::Multi`] spec;
-    /// tenant streams go through the workload cache when one is given.
+    /// Executes this spec under `exec`: the one execution path behind
+    /// every entry point. Returns the record, plus the captured trace
+    /// when `exec.observer` is [`Observer::Trace`].
     ///
-    /// The record's `phases` is the machine's own wall-attributed profile
-    /// (total = machine wall time, buckets = summed per-core fine phases;
-    /// see the machine's module docs), plus a [`Phase::TraceBuild`]
-    /// bucket when tenant streams were materialized through the cache —
-    /// so multi-core rows in the throughput bench report real
+    /// Observers watch through the same deterministic step sequence, so
+    /// the record's metrics equal an unobserved run's exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Observer::Trace`] for a [`WorkloadSpec::Multi`] spec,
+    /// and when the interval sampler meets a sampling schedule (the two
+    /// are mutually exclusive).
+    pub fn execute_with(&self, exec: &Execution<'_>) -> (RunRecord, Option<TraceRecorder>) {
+        match exec.observer {
+            Observer::None => (self.run(exec, NullRecorder).0, None),
+            Observer::Trace { capacity } => {
+                assert!(
+                    !matches!(self.workload, WorkloadSpec::Multi { .. }),
+                    "event tracing is a single-core feature; multi-core specs have no recorder"
+                );
+                let (record, simulator) = self.run(exec, TraceRecorder::with_capacity(capacity));
+                (record, simulator.map(Simulator::into_recorder))
+            }
+            Observer::Analysis => {
+                let stlb = self.system.mmu.stlb;
+                let cfg = AnalysisConfig {
+                    stlb_sets: (stlb.entries / stlb.ways).max(1),
+                    ..AnalysisConfig::default()
+                };
+                let (mut record, simulator) = self.run(exec, AnalysisRecorder::new(cfg));
+                let report = match simulator {
+                    None => AnalysisReport::from_machine(&record),
+                    Some(simulator) => {
+                        let irip = simulator
+                            .mmu()
+                            .prefetcher()
+                            .as_any()
+                            .and_then(|any| any.downcast_ref::<Morrigan>())
+                            .map(|m| IripSnapshot {
+                                predictions: m.irip().stats.predictions,
+                                evictions: m.irip().stats.evictions,
+                                sdp_issued: m.sdp().issued,
+                            });
+                        let cumulative = CumulativeStats {
+                            mmu: simulator.mmu().stats,
+                            walker: *simulator.mmu().walker_stats(),
+                            pb: simulator.mmu().prefetch_buffer().stats,
+                            irip,
+                        };
+                        let analysis = simulator.into_recorder().into_analysis();
+                        AnalysisReport::from_traced(&analysis, &record, &cumulative)
+                    }
+                };
+                record.analysis = Some(report);
+                (record, None)
+            }
+        }
+    }
+
+    /// Builds the streams through `exec.cache`, runs a [`Simulator`]
+    /// carrying `recorder` (single-core shapes) or a [`Machine`]
+    /// (multi-core) and assembles the record. Returns the finished
+    /// simulator for the observer, `None` for a machine.
+    ///
+    /// The record's `phases` is the engine's own profile plus a
+    /// [`Phase::TraceBuild`] bucket for the stream construction. A
+    /// machine's profile is wall-attributed (total = machine wall time,
+    /// buckets = summed per-core fine phases; see the machine's module
+    /// docs), so multi-core rows in the throughput bench report real
     /// `workload_gen` / `simulate` splits, not zeros.
-    ///
-    /// [`Phase::TraceBuild`]: morrigan_obs::Phase::TraceBuild
-    fn execute_machine(
+    fn run<R: Recorder>(
         &self,
-        interval: Option<u64>,
-        sampling: Option<SamplingConfig>,
-        machine_threads: Option<usize>,
-        cache: Option<&WorkloadCache>,
-    ) -> RunRecord {
-        assert_eq!(
-            self.system.topology.cores,
-            self.workload.cores(),
-            "topology.cores must match the number of per-core mixes \
-             (RunSpec::multi keeps them consistent)"
-        );
+        exec: &Execution<'_>,
+        recorder: R,
+    ) -> (RunRecord, Option<Simulator<R>>) {
         let trace_len =
             WorkloadCache::trace_len(self.sim.warmup_instructions, self.sim.measure_instructions);
-        let build_start = std::time::Instant::now();
-        let streams = self.workload.build_machine_streams(trace_len, cache);
+        let build_start = Instant::now();
+        let streams = self.workload.build_streams(trace_len, exec.cache);
         let trace_build = build_start.elapsed().as_secs_f64();
-        let prefetchers = (0..streams.len())
-            .map(|_| self.prefetcher.build())
-            .collect();
-        let mut machine = Machine::new(self.system, streams, prefetchers);
-        machine.set_interval(interval);
-        machine.set_sampling(sampling);
-        machine.set_threads(machine_threads);
-        let metrics = machine.run(self.sim);
-        let mut phases = *machine.phase_profile();
-        if cache.is_some() {
-            phases.add(morrigan_obs::Phase::TraceBuild, trace_build);
-            phases.add_total(trace_build);
-        }
-        RunRecord {
+        let sampling = self.sampling.or(exec.sampling);
+        let (metrics, mut phases, audit, elision, machine, simulator) =
+            if let WorkloadSpec::Multi { .. } = self.workload {
+                assert_eq!(
+                    self.system.topology.cores,
+                    streams.len(),
+                    "topology.cores must match the number of per-core mixes \
+                     (RunSpec::multi keeps them consistent)"
+                );
+                let prefetchers = streams.iter().map(|_| self.prefetcher.build()).collect();
+                let mut machine = Machine::new(self.system, streams, prefetchers);
+                machine.set_interval(exec.interval);
+                machine.set_sampling(sampling);
+                machine.set_threads(exec.machine_threads);
+                let metrics = machine.run(self.sim);
+                (
+                    metrics,
+                    *machine.phase_profile(),
+                    machine.audit_report().cloned(),
+                    machine.elision_counters(),
+                    Some(machine.summary().clone()),
+                    None,
+                )
+            } else {
+                let mut simulator = Simulator::with_recorder(
+                    self.system,
+                    streams,
+                    self.prefetcher.build(),
+                    recorder,
+                );
+                simulator.set_interval(exec.interval);
+                simulator.set_sampling(sampling);
+                let metrics = simulator.run(self.sim);
+                (
+                    metrics,
+                    *simulator.phase_profile(),
+                    simulator.audit_report().cloned(),
+                    simulator.elision_counters(),
+                    None,
+                    Some(simulator),
+                )
+            };
+        phases.add(Phase::TraceBuild, trace_build);
+        phases.add_total(trace_build);
+        let record = RunRecord {
             spec: self.clone(),
             metrics,
-            miss_stream: None,
-            audit: machine.audit_report().cloned(),
-            intervals: Vec::new(),
+            miss_stream: simulator
+                .as_ref()
+                .filter(|_| self.system.mmu.collect_stream_stats)
+                .map(|s| s.mmu().miss_stream.clone()),
+            audit,
+            intervals: simulator
+                .as_ref()
+                .map_or_else(Vec::new, |s| s.interval_samples().to_vec()),
             phases,
-            elision: machine.elision_counters(),
-            machine: Some(machine.summary().clone()),
+            elision,
+            machine,
             analysis: None,
-        }
-    }
-
-    fn finish<R: morrigan_obs::Recorder>(
-        &self,
-        simulator: &Simulator<R>,
-        metrics: Metrics,
-    ) -> RunRecord {
-        let miss_stream = self
-            .system
-            .mmu
-            .collect_stream_stats
-            .then(|| simulator.mmu().miss_stream.clone());
-        RunRecord {
-            spec: self.clone(),
-            metrics,
-            miss_stream,
-            audit: simulator.audit_report().cloned(),
-            intervals: simulator.interval_samples().to_vec(),
-            phases: *simulator.phase_profile(),
-            elision: simulator.elision_counters(),
-            machine: None,
-            analysis: None,
-        }
+        };
+        (record, simulator)
     }
 }
 
@@ -730,9 +697,9 @@ pub struct RunRecord {
     /// release). A present report is always clean — the simulator panics
     /// on a violated law instead of returning metrics.
     pub audit: Option<AuditReport>,
-    /// The interval sampler's epoch time-series, non-empty iff the record
-    /// was produced by [`RunSpec::execute_observed`] with an interval (or
-    /// a [`Runner`](crate::Runner) configured with one). Multi-core
+    /// The interval sampler's epoch time-series, non-empty iff the spec
+    /// was executed with an [`Execution::interval`] (as a
+    /// [`Runner`](crate::Runner) configured with one does). Multi-core
     /// records keep this empty; their per-core epoch series ride the
     /// [`MachineSummary`]'s `per_core_intervals`.
     pub intervals: Vec<IntervalSample>,
@@ -752,10 +719,10 @@ pub struct RunRecord {
     /// then carries the machine aggregate: summed counters, makespan
     /// cycles).
     pub machine: Option<MachineSummary>,
-    /// The per-run diagnosis, present iff the record was produced by
-    /// [`RunSpec::execute_analyzed`]. Records without one render
-    /// byte-identical JSON to the pre-analysis format (the `analysis`
-    /// key is simply absent).
+    /// The per-run diagnosis, present iff the spec was executed with the
+    /// [`Observer::Analysis`] observer (as [`RunSpec::execute_analyzed`]
+    /// does). Records without one render byte-identical JSON to the
+    /// pre-analysis format (the `analysis` key is simply absent).
     pub analysis: Option<AnalysisReport>,
 }
 

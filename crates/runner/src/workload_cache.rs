@@ -91,7 +91,8 @@ pub struct WorkloadCacheStats {
 /// A build-once, replay-many cache of materialized workload traces.
 /// Shared by every worker thread of a [`Runner`](crate::Runner).
 pub struct WorkloadCache {
-    /// `None` disables the cache entirely (the escape hatch).
+    /// `false` disables the cache entirely: every stream is generated
+    /// live.
     enabled: bool,
     disk_dir: Option<PathBuf>,
     max_resident_bytes: u64,

@@ -18,6 +18,7 @@
 //!   multi-core machine used to drop its per-core profiles, which is
 //!   how fig21's zero `simulate_seconds` bug escaped.
 
+use morrigan_runner::json::record_json;
 use morrigan_runner::{PrefetcherKind, RunSpec, Runner, WorkloadCache};
 use morrigan_sim::{SamplingConfig, SimConfig, SystemConfig, TopologyConfig};
 use morrigan_workloads::suites;
@@ -181,4 +182,33 @@ fn sampling_configuration_keys_the_result_cache() {
     let sampled = runner.run_one(&sampled_spec);
     assert_eq!(runner.sims_executed(), 2, "no false result-cache hit");
     assert_eq!(sampled.metrics.instructions, full.metrics.instructions);
+}
+
+#[test]
+fn multi_core_spec_keeps_its_own_schedule_on_every_path() {
+    // A machine spec that pins its own sampling schedule runs it whether
+    // it is executed directly, analyzed, or pooled by a runner.
+    let system = SystemConfig {
+        topology: TopologyConfig {
+            cores: 2,
+            shared_stlb: true,
+            llc_shards: 2,
+            shootdown_interval: Some(9_000),
+        },
+        ..SystemConfig::default()
+    };
+    let mut spec = RunSpec::multi(
+        suites::tenant_mixes(2, 2),
+        5_000,
+        system,
+        SimConfig {
+            warmup_instructions: 20_000,
+            measure_instructions: 60_000,
+        },
+        PrefetcherKind::Morrigan,
+    );
+    spec.sampling = Some(SamplingConfig::default_schedule());
+    let pooled = Runner::new(1).run_one(&spec);
+    assert_eq!(record_json(&spec.execute()), record_json(&pooled));
+    assert_eq!(spec.execute_analyzed(None).metrics, pooled.metrics);
 }
