@@ -270,12 +270,6 @@ impl TraceAnalysis {
         analysis
     }
 
-    /// Marks `n` events as lost upstream (ring saturation). A nonzero
-    /// total makes [`TraceAnalysis::is_complete`] false.
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
     /// Whether the diagnosis saw every event of the run.
     pub fn is_complete(&self) -> bool {
         self.dropped == 0

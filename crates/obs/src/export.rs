@@ -98,31 +98,24 @@ fn walk_class_lane_offset(class: WalkClass) -> u32 {
     class.index() as u32
 }
 
-/// Renders the retained events as Chrome `trace_event` JSON for core 0.
-/// See [`to_chrome_trace_for_core`].
-pub fn to_chrome_trace(trace: &TraceRecorder) -> String {
-    to_chrome_trace_for_core(trace, 0)
-}
-
 /// Renders the retained events as Chrome `trace_event` JSON (the
 /// "JSON object format": `{"traceEvents": [...], ...}`).
 ///
 /// Simulated cycles are rendered one-cycle-per-microsecond, the scale
 /// Perfetto's timeline is most comfortable at. `WalkComplete` events
 /// become `"X"` complete spans covering the walk's issue-to-completion
-/// window; everything else becomes an `"i"` instant. Metadata records
-/// name the process after the simulated core and each station lane
-/// after its core and ASID (each tenant's stations get their own lane
-/// block), so multi-core, multi-tenant traces stay legible when opened
-/// side by side.
-pub fn to_chrome_trace_for_core(trace: &TraceRecorder, core: u32) -> String {
-    let pid = core + 1;
+/// window; everything else becomes an `"i"` instant. Trace recording
+/// is single-core: metadata records name the process `morrigan-sim
+/// core 0` (pid 1) and each station lane after the core and its ASID,
+/// giving each tenant its own lane block so multi-tenant traces stay
+/// legible.
+pub fn to_chrome_trace(trace: &TraceRecorder) -> String {
     let mut out = String::with_capacity(128 + trace.len() * 96);
     out.push_str("{\"traceEvents\":[\n");
-    out.push_str(&format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"morrigan-sim core {core}\"}}}},\n"
-    ));
+    out.push_str(
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
+         \"args\":{\"name\":\"morrigan-sim core 0\"}},\n",
+    );
     // One lane block per ASID seen in the retained events; ASID 0 keeps
     // the original lane ids so single-tenant traces are unchanged.
     let mut asids: Vec<u64> = trace.events().map(|e| asid_of(e.vpn)).collect();
@@ -141,8 +134,8 @@ pub fn to_chrome_trace_for_core(trace: &TraceRecorder, core: u32) -> String {
             (TID_IRIP, "irip-tables"),
         ] {
             out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"core {core} asid {asid} {name}\"}}}},\n",
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":\"core 0 asid {asid} {name}\"}}}},\n",
                 base + tid
             ));
         }
@@ -150,8 +143,8 @@ pub fn to_chrome_trace_for_core(trace: &TraceRecorder, core: u32) -> String {
         // the metadata block so every lane the events use is named.
         for class in [WalkClass::DemandData, WalkClass::Prefetch] {
             out.push_str(&format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"core {core} asid {asid} walker ({})\"}}}},\n",
+                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":\"core 0 asid {asid} walker ({})\"}}}},\n",
                 base + TID_WALKER + 10 + walk_class_lane_offset(class),
                 class.name()
             ));
@@ -180,7 +173,7 @@ pub fn to_chrome_trace_for_core(trace: &TraceRecorder, core: u32) -> String {
                 };
                 let start = event.cycle.saturating_sub(u64::from(duration));
                 out.push_str(&format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{start},\
+                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start},\
                      \"dur\":{duration},\"name\":\"{name}\",\
                      \"args\":{{\"vpn\":\"{:#x}\",\"asid\":{asid},\"refs\":{refs}}}}}",
                     event.vpn
@@ -188,7 +181,7 @@ pub fn to_chrome_trace_for_core(trace: &TraceRecorder, core: u32) -> String {
             }
             _ => {
                 out.push_str(&format!(
-                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"s\":\"t\",\
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\
                      \"name\":\"{name}\",\"args\":{{\"vpn\":\"{:#x}\",\"asid\":{asid}{}}}}}",
                     lane(event),
                     event.cycle,
@@ -200,7 +193,7 @@ pub fn to_chrome_trace_for_core(trace: &TraceRecorder, core: u32) -> String {
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\",");
     out.push_str(&format!(
-        "\"otherData\":{{\"core\":{core},\"dropped_events\":{},\"total_events\":{}}}}}\n",
+        "\"otherData\":{{\"core\":0,\"dropped_events\":{},\"total_events\":{}}}}}\n",
         trace.dropped(),
         trace.counts().total()
     ));

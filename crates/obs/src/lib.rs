@@ -39,7 +39,7 @@ pub use event::{
     EventCounts, EventKind, IcacheCrossOutcome, PbProbeOutcome, PrefetchComponent,
     PrefetchDropReason, TraceEvent, WalkClass,
 };
-pub use export::{to_chrome_trace, to_chrome_trace_for_core, to_jsonl, ASID_SHIFT};
+pub use export::{to_chrome_trace, to_jsonl, ASID_SHIFT};
 pub use phase::{Phase, PhaseProfile};
 pub use recorder::{NullRecorder, Recorder, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 

@@ -48,9 +48,15 @@
 //! when enabled — a per-core interval time-series
 //! ([`Machine::set_interval`]) and SMARTS-style sampled stepping
 //! ([`Machine::set_sampling`], each core's schedule anchored to its own
-//! retirement counter). Interval epochs are recorded at quantum
-//! boundaries so the instruction schedule is *identical* with the
-//! sampler on or off. Trace recording remains a single-core feature.
+//! retirement counter). Every core's measurement window runs the
+//! simulator's own window protocol — close warm-up, note an epoch after
+//! each advance, close the window — so warm-up audits, interval epochs,
+//! sampled rescaling and end-of-window audits have one implementation
+//! for [`Simulator::run`] and every core. Both drivers note an epoch
+//! after every quantum: an interval epoch closes at the first quantum
+//! boundary at or past each multiple of the interval, so the
+//! instruction schedule is *identical* with the sampler on or off.
+//! Trace recording remains a single-core feature.
 //!
 //! Host wall time is profiled machine-wide ([`Machine::phase_profile`]):
 //! the total is the machine's own run wall time (so scheduling, barrier,
@@ -67,13 +73,10 @@ use morrigan_types::{AuditReport, TlbPrefetcher, VirtPage};
 use morrigan_vm::{replay_stlb_ops, StlbOp, StlbView, Tlb};
 use morrigan_workloads::InstructionStream;
 
-use crate::audit::{audit_metrics, audit_state};
 use crate::config::{SimConfig, SystemConfig, TopologyConfig};
 use crate::metrics::{IntervalSample, Metrics};
 use crate::sampling::SamplingConfig;
-use crate::simulator::{
-    audit_default, scale_sampled_metrics, window_metrics, ElisionCounters, Simulator, Snapshot,
-};
+use crate::simulator::{audit_default, ElisionCounters, Simulator};
 
 /// Instructions a core executes per epoch. Small enough that
 /// shared-structure contention is visible at sub-epoch granularity,
@@ -137,14 +140,24 @@ struct CoreLane {
     received: u64,
     /// Received deliveries that found a cached translation.
     hits: u64,
-    // --- interval time-series state ---
-    /// Snapshot at this core's last recorded epoch boundary.
-    epoch_base: Snapshot,
-    /// Instructions recorded so far (relative to measure start).
-    epoch_done: u64,
-    /// Next nominal epoch boundary (relative instruction count).
-    next_epoch: u64,
-    intervals: Vec<IntervalSample>,
+}
+
+impl CoreLane {
+    /// The next shootdown victim this core owes, if its retirement
+    /// counter has passed its next multiple of `interval`: a rotation
+    /// through its code region, counted as issued.
+    fn next_due_victim(&mut self, interval: Option<u64>) -> Option<VirtPage> {
+        if self.sim.retired() < self.next_shootdown {
+            return None;
+        }
+        let (base, count) = self.code_region;
+        let offset = (self.victim_rotor * SHOOTDOWN_VICTIM_STRIDE) % count;
+        self.victim_rotor += 1;
+        self.issued += 1;
+        // next_shootdown is finite only when an interval is set.
+        self.next_shootdown += interval.expect("shootdown was scheduled");
+        Some(VirtPage::new(base.raw() + offset))
+    }
 }
 
 /// One core's published epoch logs, read by every replay thread between
@@ -217,16 +230,6 @@ pub struct Machine {
     audit: Option<AuditReport>,
     summary: Option<MachineSummary>,
     ran: bool,
-    /// Interval-sampler epoch length in retired instructions; `None`
-    /// disables recording.
-    interval: Option<u64>,
-    /// Measurement base (warmup instructions); valid while `recording`.
-    measure_base: u64,
-    /// Whether the driver is inside the measurement window with the
-    /// interval sampler armed.
-    recording: bool,
-    /// Mirrors the per-core schedules (each sim owns its own copy).
-    sampling: Option<SamplingConfig>,
     phase: PhaseProfile,
 }
 
@@ -293,23 +296,15 @@ impl Machine {
             .into_iter()
             .zip(prefetchers)
             .zip(code_regions.into_iter().zip(asids_per_core))
-            .map(|((w, p), (code_region, asids))| {
-                let sim = Simulator::new(system, w, p);
-                let epoch_base = sim.snapshot();
-                CoreLane {
-                    sim,
-                    code_region,
-                    asids,
-                    next_shootdown,
-                    victim_rotor: 0,
-                    issued: 0,
-                    received: 0,
-                    hits: 0,
-                    epoch_base,
-                    epoch_done: 0,
-                    next_epoch: u64::MAX,
-                    intervals: Vec::new(),
-                }
+            .map(|((w, p), (code_region, asids))| CoreLane {
+                sim: Simulator::new(system, w, p),
+                code_region,
+                asids,
+                next_shootdown,
+                victim_rotor: 0,
+                issued: 0,
+                received: 0,
+                hits: 0,
             })
             .collect();
         let shared_llc = Arc::new(Llc::new(system.mem.llc, topology.llc_shards));
@@ -330,10 +325,6 @@ impl Machine {
             audit: None,
             summary: None,
             ran: false,
-            interval: None,
-            measure_base: 0,
-            recording: false,
-            sampling: None,
             phase: PhaseProfile::new(),
         }
     }
@@ -370,20 +361,12 @@ impl Machine {
     /// # Panics
     ///
     /// Panics on a zero interval, after the run has started, or if
-    /// sampled stepping is enabled (mixing measured and estimated epoch
-    /// cycle counts would corrupt the time series).
+    /// sampled stepping is enabled (see [`Simulator::set_interval`]).
     pub fn set_interval(&mut self, interval: Option<u64>) {
-        assert!(
-            interval != Some(0),
-            "sampling interval must be positive when set"
-        );
         assert!(!self.ran, "interval must be set before running");
-        assert!(
-            interval.is_none() || self.sampling.is_none(),
-            "interval time-series and sampled simulation are mutually exclusive: \
-             epoch cycle counts would mix measured and estimated time"
-        );
-        self.interval = interval;
+        for lane in &mut self.cores {
+            lane.sim.set_interval(interval);
+        }
     }
 
     /// Enables SMARTS-style sampled stepping on every core. Each core
@@ -395,15 +378,9 @@ impl Machine {
     /// # Panics
     ///
     /// Panics after the run has started, or if the interval sampler is
-    /// enabled (the two are mutually exclusive).
+    /// enabled (see [`Simulator::set_sampling`]).
     pub fn set_sampling(&mut self, sampling: Option<SamplingConfig>) {
         assert!(!self.ran, "sampling must be set before running");
-        assert!(
-            sampling.is_none() || self.interval.is_none(),
-            "interval time-series and sampled simulation are mutually exclusive: \
-             epoch cycle counts would mix measured and estimated time"
-        );
-        self.sampling = sampling;
         for lane in &mut self.cores {
             lane.sim.set_sampling(sampling);
         }
@@ -504,71 +481,18 @@ impl Machine {
         }
 
         self.drive(cfg.warmup_instructions);
-        if let Some(r) = report.as_mut() {
-            for (i, lane) in self.cores.iter().enumerate() {
-                audit_state(
-                    r,
-                    &format!("core {i} end of warmup"),
-                    lane.sim.mmu(),
-                    lane.sim.mem(),
-                );
-            }
-        }
-        for lane in &mut self.cores {
-            lane.sim.mmu_mut().miss_stream.break_chain();
-            lane.sim.reset_cpi_pool();
-        }
-        let starts: Vec<Snapshot> = self.cores.iter().map(|l| l.sim.snapshot()).collect();
-
-        if let Some(interval) = self.interval {
-            self.measure_base = cfg.warmup_instructions;
-            for (lane, &start) in self.cores.iter_mut().zip(&starts) {
-                lane.epoch_base = start;
-                lane.epoch_done = 0;
-                lane.next_epoch = interval;
-            }
-            self.recording = true;
+        for (i, lane) in self.cores.iter_mut().enumerate() {
+            lane.sim
+                .close_warmup(report.as_mut(), &format!("core {i} end of warmup"));
         }
         self.drive(cfg.warmup_instructions + cfg.measure_instructions);
-        self.recording = false;
-        // Lanes never go through `Simulator::run`, so enforce the
-        // fetch-side probe conservation law here, per core.
-        for lane in &self.cores {
-            let c = lane.sim.elision_counters();
-            crate::audit::assert_probe_conservation(
-                c.probes_issued,
-                c.probes_elided,
-                lane.sim.retired(),
-            );
-        }
-        let ends: Vec<Snapshot> = self.cores.iter().map(|l| l.sim.snapshot()).collect();
-        if self.interval.is_some() {
-            // Flush each core's final (possibly partial) epoch so the
-            // samples tile the measurement window exactly — summing
-            // them reconstitutes the per-core window metrics.
-            for (lane, end) in self.cores.iter_mut().zip(&ends) {
-                let done = end.retired - cfg.warmup_instructions;
-                if done > lane.epoch_done {
-                    lane.intervals.push(IntervalSample {
-                        start_instruction: lane.epoch_done,
-                        end_instruction: done,
-                        start_cycle: lane.epoch_base.last_retire,
-                        end_cycle: end.last_retire,
-                        metrics: window_metrics(&lane.epoch_base, end),
-                    });
-                }
-            }
-        }
-        let per_core: Vec<Metrics> = starts
-            .iter()
-            .zip(&ends)
-            .map(|(start, end)| {
-                let mut m = window_metrics(start, end);
-                m.cycles = m.cycles.max(1);
-                if self.sampling.is_some() {
-                    scale_sampled_metrics(&mut m, start, end);
-                }
-                m
+        let per_core: Vec<Metrics> = self
+            .cores
+            .iter_mut()
+            .enumerate()
+            .map(|(i, lane)| {
+                lane.sim
+                    .close_window(report.as_mut(), &format!("core {i} end of window"))
             })
             .collect();
 
@@ -589,16 +513,6 @@ impl Machine {
         self.phase.add_total(run_start.elapsed().as_secs_f64());
 
         if let Some(mut r) = report {
-            for (i, lane) in self.cores.iter().enumerate() {
-                audit_state(
-                    &mut r,
-                    &format!("core {i} end of window"),
-                    lane.sim.mmu(),
-                    lane.sim.mem(),
-                );
-                lane.sim.audit_window(&mut r, &starts[i], &ends[i]);
-                audit_metrics(&mut r, &per_core[i]);
-            }
             self.audit_machine(&mut r, &per_core, &aggregate);
             assert!(r.is_clean(), "{}", r.render());
             self.audit = Some(r);
@@ -606,8 +520,8 @@ impl Machine {
 
         let per_core_intervals: Vec<Vec<IntervalSample>> = self
             .cores
-            .iter_mut()
-            .map(|l| std::mem::take(&mut l.intervals))
+            .iter()
+            .map(|l| l.sim.interval_samples().to_vec())
             .collect();
         self.summary = Some(MachineSummary {
             cores: self.cores.len(),
@@ -666,12 +580,7 @@ impl Machine {
                 lane.sim.mmu_mut().swap_stlb(stlb);
             }
 
-            while lane.sim.retired() >= lane.next_shootdown {
-                let (base, count) = lane.code_region;
-                let offset = (lane.victim_rotor * SHOOTDOWN_VICTIM_STRIDE) % count;
-                lane.victim_rotor += 1;
-                let victim = VirtPage::new(base.raw() + offset);
-                lane.issued += 1;
+            while let Some(victim) = lane.next_due_victim(self.topology.shootdown_interval) {
                 lane.received += 1;
                 if lane.sim.mmu_mut().shootdown(victim) {
                     lane.hits += 1;
@@ -683,17 +592,8 @@ impl Machine {
                         .expect("shared stlb lock")
                         .invalidate(victim);
                 }
-                // next_shootdown is finite only when an interval is set.
-                lane.next_shootdown += self
-                    .topology
-                    .shootdown_interval
-                    .expect("shootdown was scheduled");
             }
-
-            if self.recording {
-                let interval = self.interval.expect("recording implies an interval");
-                record_interval(lane, interval, self.measure_base);
-            }
+            lane.sim.note_epoch();
         }
     }
 
@@ -732,9 +632,6 @@ impl Machine {
         let llc: &Llc = &self.shared_llc;
         let stlb: Option<&RwLock<Tlb>> = self.shared_stlb.as_deref();
         let shootdown_interval = self.topology.shootdown_interval;
-        let recording = self.recording;
-        let interval = self.interval;
-        let measure_base = self.measure_base;
         let slots = &slots;
         let barrier = &barrier;
 
@@ -757,19 +654,10 @@ impl Machine {
                             if let Some(view) = lane.sim.mmu_mut().stlb_view_mut() {
                                 view.take_epoch(&mut slot.stlb);
                             }
-                            while lane.sim.retired() >= lane.next_shootdown {
-                                let (base, count) = lane.code_region;
-                                let offset = (lane.victim_rotor * SHOOTDOWN_VICTIM_STRIDE) % count;
-                                lane.victim_rotor += 1;
-                                lane.issued += 1;
-                                slot.shootdowns.push(VirtPage::new(base.raw() + offset));
-                                lane.next_shootdown +=
-                                    shootdown_interval.expect("shootdown was scheduled");
+                            while let Some(victim) = lane.next_due_victim(shootdown_interval) {
+                                slot.shootdowns.push(victim);
                             }
-                            if recording {
-                                let interval = interval.expect("recording implies an interval");
-                                record_interval(lane, interval, measure_base);
-                            }
+                            lane.sim.note_epoch();
                         }
                         barrier.wait();
                         // --- Replay phase: (core, sequence) order per
@@ -959,29 +847,6 @@ impl Machine {
     }
 }
 
-/// Records an interval sample for `lane` if its retirement counter
-/// crossed the next nominal epoch boundary. Shared between the serial
-/// and epoch drivers so both record at identical per-core points.
-fn record_interval(lane: &mut CoreLane, interval: u64, measure_base: u64) {
-    let done = lane.sim.retired() - measure_base;
-    if done >= lane.next_epoch {
-        // First quantum boundary at or past the nominal epoch: record
-        // the actual extent (the schedule is never bent to land exactly
-        // on the nominal one).
-        let snap = lane.sim.snapshot();
-        lane.intervals.push(IntervalSample {
-            start_instruction: lane.epoch_done,
-            end_instruction: done,
-            start_cycle: lane.epoch_base.last_retire,
-            end_cycle: snap.last_retire,
-            metrics: window_metrics(&lane.epoch_base, &snap),
-        });
-        lane.epoch_base = snap;
-        lane.epoch_done = done;
-        lane.next_epoch = (done / interval + 1) * interval;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1028,24 +893,38 @@ mod tests {
 
     #[test]
     fn single_core_machine_matches_simulator_exactly() {
-        // cores=1, processes=1: the machine must be the simulator.
+        // cores=1, processes=1: the machine must be the simulator, and
+        // both engines must cut the window by one epoch rule. Intervals:
+        // none, quantum multiples, the whole window, longer than it.
         let cfg = ServerWorkloadConfig::qmm_like("pin", 0x77);
-        let mut sim = Simulator::new(
-            SystemConfig::default(),
-            Box::new(ServerWorkload::new(cfg.clone())),
-            Box::new(NullPrefetcher),
-        );
-        let sim_m = sim.run(quick());
+        for interval in [None, Some(6_400), Some(64), Some(30_000), Some(40_000)] {
+            let mut sim = Simulator::new(
+                SystemConfig::default(),
+                Box::new(ServerWorkload::new(cfg.clone())),
+                Box::new(NullPrefetcher),
+            );
+            sim.set_interval(interval);
+            let sim_m = sim.run(quick());
 
-        let mut machine = Machine::new(
-            SystemConfig::default(),
-            vec![Box::new(ServerWorkload::new(cfg))],
-            vec![Box::new(NullPrefetcher)],
-        );
-        let agg = machine.run(quick());
-        assert_eq!(agg, sim_m, "one-core machine must replay the simulator");
-        assert_eq!(machine.summary().per_core[0], sim_m);
-        assert_eq!(machine.summary().shootdowns_issued, 0);
+            let mut machine = Machine::new(
+                SystemConfig::default(),
+                vec![Box::new(ServerWorkload::new(cfg.clone()))],
+                vec![Box::new(NullPrefetcher)],
+            );
+            machine.set_interval(interval);
+            let agg = machine.run(quick());
+            assert_eq!(agg, sim_m, "one-core machine must replay the simulator");
+            assert_eq!(machine.summary().per_core[0], sim_m);
+            assert_eq!(machine.summary().shootdowns_issued, 0);
+            match interval {
+                None => assert!(machine.summary().per_core_intervals.is_empty()),
+                Some(_) => assert_eq!(
+                    machine.summary().per_core_intervals[0],
+                    sim.interval_samples(),
+                    "interval {interval:?}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -105,9 +105,9 @@ impl ElisionCounters {
 /// Snapshot subtraction over a `[start, end)` window. Used for both the
 /// full measurement window and each sampler epoch; `cycles` keeps the
 /// raw difference (possibly zero for degenerate epochs) so that epoch
-/// metrics sum *exactly* to the window metrics — the run-level caller
+/// metrics sum *exactly* to the window metrics — [`Simulator::close_window`]
 /// applies its `.max(1)` after.
-pub(crate) fn window_metrics(start: &Snapshot, end: &Snapshot) -> Metrics {
+fn window_metrics(start: &Snapshot, end: &Snapshot) -> Metrics {
     let walk_refs = [
         end.walk_refs[0] - start.walk_refs[0],
         end.walk_refs[1] - start.walk_refs[1],
@@ -140,9 +140,8 @@ pub(crate) fn window_metrics(start: &Snapshot, end: &Snapshot) -> Metrics {
 /// (u128 intermediate — counters × instructions overflows u64 at bench
 /// scale). Per-counter floor division keeps every audited inequality
 /// (`a ≤ b ⇒ ⌊a·f⌋ ≤ ⌊b·f⌋`, and `⌊a·f⌋+⌊b·f⌋ ≤ ⌊(a+b)·f⌋` for the
-/// summed iprefetch law). Free fn so the multi-core machine applies the
-/// same policy per core.
-pub(crate) fn scale_sampled_metrics(metrics: &mut Metrics, start: &Snapshot, end: &Snapshot) {
+/// summed iprefetch law).
+fn scale_sampled_metrics(metrics: &mut Metrics, start: &Snapshot, end: &Snapshot) {
     let detailed = end.detailed - start.detailed;
     let instructions = metrics.instructions;
     // Cycle reconstruction: the raw `last_retire` difference charged each
@@ -211,12 +210,12 @@ pub(crate) fn scale_sampled_metrics(metrics: &mut Metrics, start: &Snapshot, end
 
 /// Counter snapshot used to subtract warmup from measurement.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Snapshot {
-    pub(crate) retired: u64,
+struct Snapshot {
+    retired: u64,
     /// Instructions retired through the *detailed* timing model (equals
     /// `retired` in a full run; the sampled stall-scaling divisor).
     detailed: u64,
-    pub(crate) last_retire: u64,
+    last_retire: u64,
     istlb_stall: u64,
     icache_stall: u64,
     mmu: MmuStats,
@@ -250,6 +249,37 @@ pub(crate) struct Snapshot {
     /// Front-end TLB misses attributable to detailed stepping
     /// (including the in-progress window's share).
     detail_fe: u64,
+}
+
+/// The open measurement window: opened by [`Simulator::close_warmup`],
+/// cut into interval epochs by [`Simulator::note_epoch`] and closed by
+/// [`Simulator::close_window`].
+struct Window {
+    /// Snapshot at warm-up close.
+    start: Snapshot,
+    /// Snapshot at the last epoch boundary.
+    epoch_start: Snapshot,
+    /// Window-relative instruction count of the last epoch boundary.
+    epoch_done: u64,
+    /// Window-relative instruction count at or past which the epoch in
+    /// progress closes.
+    next_epoch: u64,
+}
+
+impl Window {
+    /// Records the epoch from the last boundary to `end`, `done`
+    /// instructions into the window, and starts the next one there.
+    fn close_epoch(&mut self, done: u64, end: Snapshot, samples: &mut Vec<IntervalSample>) {
+        samples.push(IntervalSample {
+            start_instruction: self.epoch_done,
+            end_instruction: done,
+            start_cycle: self.epoch_start.last_retire,
+            end_cycle: end.last_retire,
+            metrics: window_metrics(&self.epoch_start, &end),
+        });
+        self.epoch_start = end;
+        self.epoch_done = done;
+    }
 }
 
 /// The trace-driven simulator (see the crate docs for the timing model).
@@ -305,7 +335,9 @@ pub struct Simulator<R: Recorder = NullRecorder> {
     // --- stats-invariant audit ---
     audit_enabled: bool,
     audit: Option<AuditReport>,
-    // --- interval time-series sampling ---
+    // --- measurement window and interval time-series sampling ---
+    /// The measurement window, open between warm-up close and window close.
+    window: Option<Window>,
     /// Epoch length in retired instructions; `None` disables sampling.
     interval: Option<u64>,
     intervals: Vec<IntervalSample>,
@@ -514,6 +546,7 @@ impl<R: Recorder> Simulator<R> {
             iprefetch_walks: 0,
             audit_enabled: audit_default(),
             audit: None,
+            window: None,
             interval: None,
             intervals: Vec::new(),
             sampling: None,
@@ -670,7 +703,7 @@ impl<R: Recorder> Simulator<R> {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         Snapshot {
             retired: self.retired,
             detailed: self.detailed,
@@ -738,67 +771,97 @@ impl<R: Recorder> Simulator<R> {
             ))
         });
         self.advance(cfg.warmup_instructions);
-        if let Some(r) = report.as_mut() {
-            audit_state(r, "end of warmup", &self.mmu, &self.mem);
+        self.close_warmup(report.as_mut(), "end of warmup");
+        // Each chunk ends on the next epoch edge, so single-core epochs
+        // are exactly `interval` instructions long.
+        let end = cfg.warmup_instructions + cfg.measure_instructions;
+        while self.retired < end {
+            self.advance(self.interval.unwrap_or(u64::MAX).min(end - self.retired));
+            self.note_epoch();
         }
-        self.mmu.miss_stream.break_chain();
-        self.reset_cpi_pool();
-        let start = self.snapshot();
-        // With the interval sampler on, the window is measured in epoch
-        // chunks with one snapshot per boundary. Epoch metrics are pure
-        // snapshot differences, so they telescope: summing them
-        // reproduces the window metrics exactly.
-        let mut done = 0u64;
-        let mut epoch_start = start;
-        while done < cfg.measure_instructions {
-            let chunk = self
-                .interval
-                .unwrap_or(u64::MAX)
-                .min(cfg.measure_instructions - done);
-            self.advance(chunk);
-            if self.interval.is_some() {
-                let epoch_end = self.snapshot();
-                self.intervals.push(IntervalSample {
-                    start_instruction: done,
-                    end_instruction: done + chunk,
-                    start_cycle: epoch_start.last_retire,
-                    end_cycle: epoch_end.last_retire,
-                    metrics: window_metrics(&epoch_start, &epoch_end),
-                });
-                epoch_start = epoch_end;
-            }
-            done += chunk;
-        }
-        let end = self.snapshot();
-        crate::audit::assert_probe_conservation(
-            self.probes_issued,
-            self.probes_elided,
-            self.retired,
-        );
-
-        let mut metrics = window_metrics(&start, &end);
-        // The run-level IPC denominator must never be zero; epoch samples
-        // keep the raw difference so they sum exactly.
-        metrics.cycles = metrics.cycles.max(1);
-        if self.sampling.is_some() {
-            scale_sampled_metrics(&mut metrics, &start, &end);
-        }
-
+        let metrics = self.close_window(report.as_mut(), "end of window");
         self.phase.add_total(run_start.elapsed().as_secs_f64());
-
-        if let Some(mut r) = report {
-            audit_state(&mut r, "end of window", &self.mmu, &self.mem);
-            self.audit_window(&mut r, &start, &end);
-            audit_metrics(&mut r, &metrics);
+        if let Some(r) = report {
             assert!(r.is_clean(), "{}", r.render());
             self.audit = Some(r);
         }
         metrics
     }
 
+    /// Closes warm-up, the first step of the window protocol that
+    /// [`Simulator::run`] and every machine lane follow: audits the warm
+    /// state under `at`, breaks the miss-stream chain, drops the warm-up
+    /// CPI pool and opens the measurement window, with its first interval
+    /// epoch, at the current retirement count.
+    pub(crate) fn close_warmup(&mut self, report: Option<&mut AuditReport>, at: &str) {
+        if let Some(r) = report {
+            audit_state(r, at, &self.mmu, &self.mem);
+        }
+        self.mmu.miss_stream.break_chain();
+        self.reset_cpi_pool();
+        let start = self.snapshot();
+        self.window = Some(Window {
+            start,
+            epoch_start: start,
+            epoch_done: 0,
+            next_epoch: self.interval.unwrap_or(u64::MAX),
+        });
+    }
+
+    /// Closes the interval epoch in progress once the window has reached
+    /// its edge; call after every advance. An epoch closes at the first
+    /// call at or past each multiple of the interval and records its
+    /// actual extent, so a caller that advances in fixed quanta never
+    /// bends its instruction schedule to land on the nominal edge. A
+    /// no-op outside the window or without an interval.
+    pub(crate) fn note_epoch(&mut self) {
+        let (Some(interval), Some(window)) = (self.interval, &self.window) else {
+            return;
+        };
+        let done = self.retired - window.start.retired;
+        if done >= window.next_epoch {
+            let end = self.snapshot();
+            let window = self.window.as_mut().expect("the window is open");
+            window.close_epoch(done, end, &mut self.intervals);
+            window.next_epoch = (done / interval + 1) * interval;
+        }
+    }
+
+    /// Closes the measurement window: checks fetch-side probe
+    /// conservation, records the final (possibly partial) epoch so the
+    /// samples tile the window, and returns the window metrics — cycles
+    /// at least 1, rescaled under sampled stepping — after auditing the
+    /// end state under `at`, the window's monotonicity and the metrics.
+    pub(crate) fn close_window(&mut self, report: Option<&mut AuditReport>, at: &str) -> Metrics {
+        crate::audit::assert_probe_conservation(
+            self.probes_issued,
+            self.probes_elided,
+            self.retired,
+        );
+        let end = self.snapshot();
+        let mut window = self.window.take().expect("close_warmup opened the window");
+        let done = end.retired - window.start.retired;
+        if self.interval.is_some() && done > window.epoch_done {
+            window.close_epoch(done, end, &mut self.intervals);
+        }
+        let mut metrics = window_metrics(&window.start, &end);
+        // The run-level IPC denominator must never be zero; epoch samples
+        // keep the raw difference so they sum exactly.
+        metrics.cycles = metrics.cycles.max(1);
+        if self.sampling.is_some() {
+            scale_sampled_metrics(&mut metrics, &window.start, &end);
+        }
+        if let Some(r) = report {
+            audit_state(r, at, &self.mmu, &self.mem);
+            self.audit_window(r, &window.start, &end);
+            audit_metrics(r, &metrics);
+        }
+        metrics
+    }
+
     /// Window monotonicity: every counter the snapshot subtraction relies
     /// on must be no smaller at the end of the window than at its start.
-    pub(crate) fn audit_window(&self, r: &mut AuditReport, start: &Snapshot, end: &Snapshot) {
+    fn audit_window(&self, r: &mut AuditReport, start: &Snapshot, end: &Snapshot) {
         let at = "measurement window";
         check_monotonic(r, at, "mmu", &start.mmu, &end.mmu);
         check_monotonic(r, at, "walker", &start.walker, &end.walker);
@@ -879,7 +942,7 @@ impl<R: Recorder> Simulator<R> {
     /// upward; the current `cpi_fp` (already dominated by the freshest
     /// warm windows) carries over as the seed until the first
     /// measurement window refreshes it.
-    pub(crate) fn reset_cpi_pool(&mut self) {
+    fn reset_cpi_pool(&mut self) {
         self.cpi_instr_sum = 0;
         self.cpi_cycle_sum = 0;
         self.reg_windows = 0;

@@ -396,19 +396,9 @@ impl<R: Recorder> Mmu<R> {
         &self.page_table
     }
 
-    /// Mutable access to the page table (to map pages at load time).
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
-    }
-
     /// Walker statistics (walks, references, latencies).
     pub fn walker_stats(&self) -> &WalkerStats {
         &self.walker.stats
-    }
-
-    /// The walker itself (PSC inspection, ASAP toggling).
-    pub fn walker_mut(&mut self) -> &mut Walker {
-        &mut self.walker
     }
 
     /// The prefetch buffer (hit-rate inspection).
@@ -494,11 +484,6 @@ impl<R: Recorder> Mmu<R> {
     /// implementation-specific statistics).
     pub fn prefetcher(&self) -> &dyn TlbPrefetcher {
         self.prefetcher.as_ref()
-    }
-
-    /// Prediction-state storage of the attached prefetcher, in bits.
-    pub fn prefetcher_storage_bits(&self) -> u64 {
-        self.prefetcher.storage_bits()
     }
 
     /// Translates an instruction fetch at `pc`, returning the critical-path

@@ -274,13 +274,6 @@ impl PrefetchBuffer {
         self.entries.iter().filter(|e| e.vpn.asid() == asid).count()
     }
 
-    /// Virtual pages currently staged, in no particular order. Lets the
-    /// MMU emit an eviction trace event per resident entry before a
-    /// flush discards them.
-    pub fn resident_vpns(&self) -> impl Iterator<Item = VirtPage> + '_ {
-        self.entries.iter().map(|e| e.vpn)
-    }
-
     /// Staged entries as `(vpn, component)` pairs, in no particular
     /// order; the component lets the MMU attribute flush evictions.
     pub fn resident_entries(&self) -> impl Iterator<Item = (VirtPage, PrefetchComponent)> + '_ {

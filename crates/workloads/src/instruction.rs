@@ -122,27 +122,46 @@ pub fn scan_page_runs(
     irun_ends: &mut Vec<u32>,
     drun_ends: &mut Vec<u32>,
 ) {
+    scan_runs(
+        instrs.iter().map(|instr| {
+            (
+                instr.pc.raw() >> PAGE_SHIFT,
+                instr.mem.map(|mem| mem.addr.raw() >> PAGE_SHIFT),
+            )
+        }),
+        irun_ends,
+        drun_ends,
+    );
+}
+
+/// The page-run rules of [`scan_page_runs`] over `(fetch page, data
+/// page)` items, one per instruction; the packed trace builds its
+/// persisted run index with them too.
+pub(crate) fn scan_runs(
+    pages: impl ExactSizeIterator<Item = (u64, Option<u64>)>,
+    irun_ends: &mut Vec<u32>,
+    drun_ends: &mut Vec<u32>,
+) {
+    let len = pages.len();
     let mut ipage = u64::MAX;
     let mut dpage = None::<u64>;
-    for (i, instr) in instrs.iter().enumerate() {
-        let page = instr.pc.raw() >> PAGE_SHIFT;
-        if page != ipage {
+    for (i, (fetch, data)) in pages.enumerate() {
+        if fetch != ipage {
             if i > 0 {
                 irun_ends.push(i as u32);
             }
-            ipage = page;
+            ipage = fetch;
         }
-        if let Some(mem) = instr.mem {
-            let page = mem.addr.raw() >> PAGE_SHIFT;
+        if let Some(page) = data {
             if dpage.is_some_and(|p| p != page) {
                 drun_ends.push(i as u32);
             }
             dpage = Some(page);
         }
     }
-    if !instrs.is_empty() {
-        irun_ends.push(instrs.len() as u32);
-        drun_ends.push(instrs.len() as u32);
+    if len > 0 {
+        irun_ends.push(len as u32);
+        drun_ends.push(len as u32);
     }
 }
 

@@ -72,7 +72,7 @@ use std::path::Path;
 
 use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
 
-use crate::instruction::{InstructionStream, MemAccess, TraceInstruction};
+use crate::instruction::{scan_runs, InstructionStream, MemAccess, TraceInstruction};
 
 /// Sentinel in the `mems` array for "no data access" (real virtual
 /// addresses are ≤ 2^52).
@@ -143,30 +143,17 @@ fn build_page_runs(pcs: &[u64], mems: &[u64]) -> (Vec<u32>, Vec<u32>) {
         "page-run index stores end positions as u32; trace of {} instructions overflows",
         pcs.len()
     );
-    let mut irun_ends = Vec::new();
-    let mut drun_ends = Vec::new();
-    let mut ipage = u64::MAX;
-    let mut dpage = None::<u64>;
-    for i in 0..pcs.len() {
-        let page = pcs[i] >> PAGE_SHIFT;
-        if page != ipage {
-            if i > 0 {
-                irun_ends.push(i as u32);
-            }
-            ipage = page;
-        }
-        if mems[i] != NO_MEM {
-            let page = mems[i] >> PAGE_SHIFT;
-            if dpage.is_some_and(|p| p != page) {
-                drun_ends.push(i as u32);
-            }
-            dpage = Some(page);
-        }
-    }
-    if !pcs.is_empty() {
-        irun_ends.push(pcs.len() as u32);
-        drun_ends.push(pcs.len() as u32);
-    }
+    let (mut irun_ends, mut drun_ends) = (Vec::new(), Vec::new());
+    scan_runs(
+        pcs.iter().zip(mems).map(|(&pc, &mem)| {
+            (
+                pc >> PAGE_SHIFT,
+                (mem != NO_MEM).then_some(mem >> PAGE_SHIFT),
+            )
+        }),
+        &mut irun_ends,
+        &mut drun_ends,
+    );
     (irun_ends, drun_ends)
 }
 

@@ -218,11 +218,6 @@ impl ServerWorkload {
         &self.cfg
     }
 
-    /// Number of pages in the hot pool (short-reuse, rarely missing).
-    pub fn hot_pool_pages(&self) -> u64 {
-        ((self.cfg.code_pages as f64 * self.cfg.hot_core_frac) as u64).clamp(16, 500)
-    }
-
     /// Number of call chains in the current phase.
     pub fn chain_count(&self) -> usize {
         self.hot_chains.len() + self.warm_chains.len() + self.cold_chains.len()
