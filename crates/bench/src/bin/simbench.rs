@@ -49,6 +49,7 @@
 //! options only the workload-cache ones apply: every figure gets a fresh
 //! `Runner::new(1)`.
 
+use std::fmt::Display;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -191,7 +192,7 @@ struct BenchFigure {
     name: &'static str,
     cores: usize,
     scale: Scale,
-    run: fn(&Runner, &Scale),
+    run: fn(&Runner, &Scale) -> Box<dyn Display>,
 }
 
 /// Every figure of the `figures` binary, in its run order, plus the
@@ -203,45 +204,17 @@ fn run_figures(
     sampling: Option<SamplingConfig>,
     options: &RunOptions,
 ) -> Vec<FigureRun> {
-    macro_rules! figs {
-        ($($name:literal => $module:ident),+ $(,)?) => {
-            vec![$(($name, (|runner: &Runner, scale: &Scale| {
-                std::hint::black_box(exp::$module::run(runner, scale));
-            }) as fn(&Runner, &Scale))),+]
-        };
-    }
-    let figures = figs![
-        "fig02_java_mpki" => fig02_java_mpki,
-        "fig03_frontend_mpki" => fig03_frontend_mpki,
-        "fig04_translation_cycles" => fig04_translation_cycles,
-        "fig05_delta_cdf" => fig05_delta_cdf,
-        "fig06_page_skew" => fig06_page_skew,
-        "fig07_successors" => fig07_successors,
-        "fig08_successor_prob" => fig08_successor_prob,
-        "fig09_dstlb_on_istlb" => fig09_dstlb_on_istlb,
-        "fig10_fnlmma_tlb" => fig10_fnlmma_tlb,
-        "fig13_coverage_budget" => fig13_coverage_budget,
-        "fig14_replacement" => fig14_replacement,
-        "fig15_iso_speedup" => fig15_iso_speedup,
-        "fig16_walk_refs" => fig16_walk_refs,
-        "fig17_mono" => fig17_mono,
-        "fig18_other_approaches" => fig18_other_approaches,
-        "fig19_icache_synergy" => fig19_icache_synergy,
-        "fig20_smt" => fig20_smt,
-        "fig21_multicore" => fig21_multicore,
-        "table_irip_tuning" => tuning,
-    ];
-    let mut figures: Vec<BenchFigure> = figures
-        .into_iter()
-        .map(|(name, run)| BenchFigure {
-            name,
-            cores: if name == "fig21_multicore" {
+    let mut figures: Vec<BenchFigure> = exp::FIGURES
+        .iter()
+        .map(|figure| BenchFigure {
+            name: figure.label,
+            cores: if figure.name == "fig21" {
                 scale.cores
             } else {
                 1
             },
             scale: *scale,
-            run,
+            run: figure.run,
         })
         .collect();
     // The 8-core scaling row: the same machine sweep with the ceiling
@@ -253,9 +226,7 @@ fn run_figures(
         name: "fig21_multicore_8core",
         cores: 8,
         scale: eight_core,
-        run: (|runner: &Runner, scale: &Scale| {
-            std::hint::black_box(exp::fig21_multicore::run(runner, scale));
-        }) as fn(&Runner, &Scale),
+        run: |runner, scale| Box::new(exp::fig21_multicore::run(runner, scale)),
     });
 
     let label = if sampling.is_some() {
@@ -280,7 +251,7 @@ fn run_figures(
             .with_sampling(sampling)
             .with_workload_cache(options.workload_cache());
         let start = Instant::now();
-        run(&runner, scale);
+        std::hint::black_box(run(&runner, scale));
         let seconds = start.elapsed().as_secs_f64();
         let instructions = runner.instructions_simulated();
         // Each figure owns a fresh runner, so its phase totals are

@@ -54,10 +54,9 @@ use morrigan_obs::{to_chrome_trace, to_jsonl, DEFAULT_TRACE_CAPACITY};
 use morrigan_runner::Observer;
 
 /// Every figure name the binary accepts, in run order.
-const FIGURES: [&str; 19] = [
-    "fig02", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig13",
-    "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "tuning",
-];
+fn figure_names() -> impl Iterator<Item = &'static str> {
+    exp::FIGURES.iter().map(|figure| figure.name)
+}
 
 /// Levenshtein edit distance, for the "did you mean" hint.
 fn edit_distance(a: &str, b: &str) -> usize {
@@ -77,8 +76,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 fn closest_figure(name: &str) -> &'static str {
-    FIGURES
-        .iter()
+    figure_names()
         .min_by_key(|candidate| edit_distance(name, candidate))
         .expect("FIGURES is non-empty")
 }
@@ -125,7 +123,7 @@ fn usage() -> String {
          [--interval <n>] [--sample <detail:skip|1>] [--cores <1|2|4|8|…>] [--tenants <n>] \
          [--machine-threads <n>] [--no-workload-cache] [{}]...\n\
          \x20      figures explain <a.json> <b.json> [--out <path>]",
-        FIGURES.join("|")
+        figure_names().collect::<Vec<_>>().join("|")
     )
 }
 
@@ -147,7 +145,7 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--help" | "-h" => help = true,
-            name if FIGURES.contains(&name) => selected.push(arg),
+            name if figure_names().any(|known| known == name) => selected.push(arg),
             unknown if unknown.starts_with('-') => {
                 return Err(format!(
                     "unknown flag '{unknown}' — did you mean '{}'?\n{}",
@@ -159,7 +157,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(format!(
                     "unknown figure '{unknown}' — did you mean '{}'?\nknown figures: {}",
                     closest_figure(unknown),
-                    FIGURES.join(" ")
+                    figure_names().collect::<Vec<_>>().join(" ")
                 ));
             }
         }
@@ -215,41 +213,21 @@ fn main() -> ExitCode {
     // caused (fresh or cached) are exactly those past its watermark.
     let mut json_figures: Vec<(String, Vec<Arc<RunRecord>>)> = Vec::new();
 
-    macro_rules! figure {
-        ($name:literal, $module:ident) => {
-            if want($name) {
-                eprintln!("running {}...", $name);
-                let watermark = runner.journal_len();
-                println!("{}\n", exp::$module::run(&runner, &scale));
-                if options.digest {
-                    eprintln!("digest {}: {}", $name, figure_digest(&runner, watermark));
-                }
-                if args.json_path.is_some() {
-                    json_figures.push(($name.to_string(), runner.journal_since(watermark)));
-                }
-            }
-        };
+    for figure in exp::FIGURES.iter().filter(|figure| want(figure.name)) {
+        eprintln!("running {}...", figure.name);
+        let watermark = runner.journal_len();
+        println!("{}\n", (figure.run)(&runner, &scale));
+        if options.digest {
+            eprintln!(
+                "digest {}: {}",
+                figure.name,
+                figure_digest(&runner, watermark)
+            );
+        }
+        if args.json_path.is_some() {
+            json_figures.push((figure.name.to_string(), runner.journal_since(watermark)));
+        }
     }
-
-    figure!("fig02", fig02_java_mpki);
-    figure!("fig03", fig03_frontend_mpki);
-    figure!("fig04", fig04_translation_cycles);
-    figure!("fig05", fig05_delta_cdf);
-    figure!("fig06", fig06_page_skew);
-    figure!("fig07", fig07_successors);
-    figure!("fig08", fig08_successor_prob);
-    figure!("fig09", fig09_dstlb_on_istlb);
-    figure!("fig10", fig10_fnlmma_tlb);
-    figure!("fig13", fig13_coverage_budget);
-    figure!("fig14", fig14_replacement);
-    figure!("fig15", fig15_iso_speedup);
-    figure!("fig16", fig16_walk_refs);
-    figure!("fig17", fig17_mono);
-    figure!("fig18", fig18_other_approaches);
-    figure!("fig19", fig19_icache_synergy);
-    figure!("fig20", fig20_smt);
-    figure!("fig21", fig21_multicore);
-    figure!("tuning", tuning);
 
     let workload_stats = runner.workload_cache_stats();
     eprintln!(

@@ -52,3 +52,48 @@ pub mod fig21_multicore;
 pub mod tuning;
 
 pub use common::{PrefetcherKind, RunOptions, RunRecord, RunSpec, Runner, Scale};
+
+use std::fmt::Display;
+
+/// One figure of the suite, as the `figures` binary and simbench run it.
+pub struct Figure {
+    /// The name `figures` accepts on its command line.
+    pub name: &'static str,
+    /// simbench's row label (its committed baseline keys on it).
+    pub label: &'static str,
+    /// Regenerates the figure; the result renders as its text table.
+    pub run: fn(&Runner, &Scale) -> Box<dyn Display>,
+}
+
+macro_rules! figures {
+    ($($name:literal, $label:literal => $module:ident;)+) => {
+        [$(Figure {
+            name: $name,
+            label: $label,
+            run: |runner, scale| Box::new($module::run(runner, scale)),
+        }),+]
+    };
+}
+
+/// Every figure, in run order.
+pub const FIGURES: [Figure; 19] = figures! {
+    "fig02", "fig02_java_mpki" => fig02_java_mpki;
+    "fig03", "fig03_frontend_mpki" => fig03_frontend_mpki;
+    "fig04", "fig04_translation_cycles" => fig04_translation_cycles;
+    "fig05", "fig05_delta_cdf" => fig05_delta_cdf;
+    "fig06", "fig06_page_skew" => fig06_page_skew;
+    "fig07", "fig07_successors" => fig07_successors;
+    "fig08", "fig08_successor_prob" => fig08_successor_prob;
+    "fig09", "fig09_dstlb_on_istlb" => fig09_dstlb_on_istlb;
+    "fig10", "fig10_fnlmma_tlb" => fig10_fnlmma_tlb;
+    "fig13", "fig13_coverage_budget" => fig13_coverage_budget;
+    "fig14", "fig14_replacement" => fig14_replacement;
+    "fig15", "fig15_iso_speedup" => fig15_iso_speedup;
+    "fig16", "fig16_walk_refs" => fig16_walk_refs;
+    "fig17", "fig17_mono" => fig17_mono;
+    "fig18", "fig18_other_approaches" => fig18_other_approaches;
+    "fig19", "fig19_icache_synergy" => fig19_icache_synergy;
+    "fig20", "fig20_smt" => fig20_smt;
+    "fig21", "fig21_multicore" => fig21_multicore;
+    "tuning", "table_irip_tuning" => tuning;
+};

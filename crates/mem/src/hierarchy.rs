@@ -1,6 +1,6 @@
 //! The three-level cache hierarchy plus DRAM, with per-class statistics.
 
-use morrigan_types::{CacheLine, CounterSet};
+use morrigan_types::CacheLine;
 
 use std::sync::Arc;
 
@@ -103,62 +103,19 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Hit/served counters for one hierarchy level, per access class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelStats {
-    /// References served by this level on the instruction-fetch path.
-    pub ifetch: u64,
-    /// References served by this level on the data path.
-    pub data: u64,
-    /// Demand page-walk references served by this level.
-    pub demand_walk: u64,
-    /// Prefetch page-walk references served by this level.
-    pub prefetch_walk: u64,
-    /// I-cache prefetch references served by this level.
-    pub iprefetch: u64,
-}
-
-impl std::ops::Sub for LevelStats {
-    type Output = LevelStats;
-
-    /// Field-wise difference, used to isolate the measurement window from
-    /// warmup (`end_snapshot - start_snapshot`).
-    fn sub(self, rhs: LevelStats) -> LevelStats {
-        LevelStats {
-            ifetch: self.ifetch - rhs.ifetch,
-            data: self.data - rhs.data,
-            demand_walk: self.demand_walk - rhs.demand_walk,
-            prefetch_walk: self.prefetch_walk - rhs.prefetch_walk,
-            iprefetch: self.iprefetch - rhs.iprefetch,
-        }
-    }
-}
-
-impl std::ops::Add for LevelStats {
-    type Output = LevelStats;
-
-    /// Field-wise sum, the inverse of [`Sub`](std::ops::Sub): summing the
-    /// interval sampler's epoch deltas reconstitutes the window totals.
-    fn add(self, rhs: LevelStats) -> LevelStats {
-        LevelStats {
-            ifetch: self.ifetch + rhs.ifetch,
-            data: self.data + rhs.data,
-            demand_walk: self.demand_walk + rhs.demand_walk,
-            prefetch_walk: self.prefetch_walk + rhs.prefetch_walk,
-            iprefetch: self.iprefetch + rhs.iprefetch,
-        }
-    }
-}
-
-impl CounterSet for LevelStats {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("ifetch", self.ifetch),
-            ("data", self.data),
-            ("demand_walk", self.demand_walk),
-            ("prefetch_walk", self.prefetch_walk),
-            ("iprefetch", self.iprefetch),
-        ]
+morrigan_types::counter_set! {
+    /// Hit/served counters for one hierarchy level, per access class.
+    pub struct LevelStats {
+        /// References served by this level on the instruction-fetch path.
+        pub ifetch: u64,
+        /// References served by this level on the data path.
+        pub data: u64,
+        /// Demand page-walk references served by this level.
+        pub demand_walk: u64,
+        /// Prefetch page-walk references served by this level.
+        pub prefetch_walk: u64,
+        /// I-cache prefetch references served by this level.
+        pub iprefetch: u64,
     }
 }
 

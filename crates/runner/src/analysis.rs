@@ -23,7 +23,7 @@ use morrigan_obs::{ComponentTally, LogHistogram, PrefetchComponent, TraceAnalysi
 use morrigan_sim::MachineSummary;
 use morrigan_vm::{MmuStats, PbStats, WalkerStats};
 
-use crate::json::{json_f64, json_string};
+use crate::json::{json_f64, json_string, kv, obj};
 use crate::jsonval::JsonValue;
 use crate::spec::{RunRecord, WorkloadSpec};
 
@@ -560,14 +560,6 @@ fn machine_report(record: &RunRecord, summary: &MachineSummary) -> MachineReport
 }
 
 // --- JSON rendering -----------------------------------------------------
-
-fn kv(key: &str, value: impl AsRef<str>) -> String {
-    format!("{}: {}", json_string(key), value.as_ref())
-}
-
-fn obj(fields: Vec<String>) -> String {
-    format!("{{{}}}", fields.join(", "))
-}
 
 fn arr_u64(values: &[u64]) -> String {
     format!(

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use morrigan_sim::{IcachePrefetcherKind, IntervalSample, Metrics};
+use morrigan_types::CounterSet;
 
 use crate::spec::{RunRecord, WorkloadSpec};
 
@@ -44,12 +45,23 @@ pub fn json_f64(x: f64) -> String {
     }
 }
 
-fn kv(key: &str, value: impl AsRef<str>) -> String {
+/// One `"key": value` member; `value` is already rendered JSON.
+pub(crate) fn kv(key: &str, value: impl AsRef<str>) -> String {
     format!("{}: {}", json_string(key), value.as_ref())
 }
 
-fn obj(fields: Vec<String>) -> String {
+/// A JSON object of already-rendered members, in order.
+pub(crate) fn obj(fields: Vec<String>) -> String {
     format!("{{{}}}", fields.join(", "))
+}
+
+/// A counter set as a JSON object of its counters, in declaration order.
+fn counters_json(set: &impl CounterSet) -> String {
+    obj(set
+        .counters()
+        .into_iter()
+        .map(|(name, value)| kv(name, value.to_string()))
+        .collect())
 }
 
 fn workload_json(workload: &WorkloadSpec) -> String {
@@ -66,9 +78,6 @@ fn workload_json(workload: &WorkloadSpec) -> String {
 }
 
 fn metrics_json(m: &Metrics) -> String {
-    let mmu = &m.mmu;
-    let walker = &m.walker;
-    let served = &m.l1i_served;
     obj(vec![
         kv("instructions", m.instructions.to_string()),
         kv("cycles", m.cycles.to_string()),
@@ -90,48 +99,10 @@ fn metrics_json(m: &Metrics) -> String {
                 m.walk_refs_by_level[3]
             ),
         ),
-        kv(
-            "mmu",
-            obj(vec![
-                kv("instr_translations", mmu.instr_translations.to_string()),
-                kv("itlb_misses", mmu.itlb_misses.to_string()),
-                kv("istlb_misses", mmu.istlb_misses.to_string()),
-                kv("istlb_covered", mmu.istlb_covered.to_string()),
-                kv("istlb_covered_late", mmu.istlb_covered_late.to_string()),
-                kv("data_translations", mmu.data_translations.to_string()),
-                kv("dtlb_misses", mmu.dtlb_misses.to_string()),
-                kv("dstlb_misses", mmu.dstlb_misses.to_string()),
-                kv("prefetches_issued", mmu.prefetches_issued.to_string()),
-                kv("prefetches_duplicate", mmu.prefetches_duplicate.to_string()),
-                kv(
-                    "icache_prefetches_issued",
-                    mmu.icache_prefetches_issued.to_string(),
-                ),
-                kv("spatial_ptes_staged", mmu.spatial_ptes_staged.to_string()),
-                kv("correcting_walks", mmu.correcting_walks.to_string()),
-                kv("shootdowns", mmu.shootdowns.to_string()),
-            ]),
-        ),
-        kv(
-            "walker",
-            obj(vec![
-                kv("demand_instr_walks", walker.demand_instr_walks.to_string()),
-                kv("demand_instr_refs", walker.demand_instr_refs.to_string()),
-                kv(
-                    "demand_instr_latency",
-                    walker.demand_instr_latency.to_string(),
-                ),
-                kv("demand_data_walks", walker.demand_data_walks.to_string()),
-                kv("demand_data_refs", walker.demand_data_refs.to_string()),
-                kv(
-                    "demand_data_latency",
-                    walker.demand_data_latency.to_string(),
-                ),
-                kv("prefetch_walks", walker.prefetch_walks.to_string()),
-                kv("prefetch_refs", walker.prefetch_refs.to_string()),
-                kv("faults_suppressed", walker.faults_suppressed.to_string()),
-            ]),
-        ),
+        kv("mmu", counters_json(&m.mmu)),
+        kv("walker", counters_json(&m.walker)),
+        // `pb` lists its keys: the record's order differs from
+        // `PbStats`' declaration order, which its `Debug` rendering pins.
         kv(
             "pb",
             obj(vec![
@@ -144,16 +115,7 @@ fn metrics_json(m: &Metrics) -> String {
                 kv("invalidations", m.pb.invalidations.to_string()),
             ]),
         ),
-        kv(
-            "l1i_served",
-            obj(vec![
-                kv("ifetch", served.ifetch.to_string()),
-                kv("data", served.data.to_string()),
-                kv("demand_walk", served.demand_walk.to_string()),
-                kv("prefetch_walk", served.prefetch_walk.to_string()),
-                kv("iprefetch", served.iprefetch.to_string()),
-            ]),
-        ),
+        kv("l1i_served", counters_json(&m.l1i_served)),
         kv("iprefetch_lines", m.iprefetch_lines.to_string()),
         kv(
             "iprefetch_translation_ready",
@@ -377,6 +339,7 @@ pub fn figures_document(figures: &[(String, Vec<Arc<RunRecord>>)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonval::{self, JsonValue};
     use crate::spec::{PrefetcherKind, RunSpec};
     use morrigan_sim::{SimConfig, SystemConfig};
     use morrigan_workloads::ServerWorkloadConfig;
@@ -393,6 +356,45 @@ mod tests {
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
+    }
+
+    /// Every counter of the four counter sets reads back at
+    /// `metrics.<set>.<name>` with its value: the declaration-order helper
+    /// and `pb`'s explicit key list together cover every counter.
+    #[test]
+    fn every_counter_reads_back_from_the_record() {
+        let cfg = ServerWorkloadConfig::qmm_like("json-counters", 5);
+        let spec = RunSpec::server(
+            &cfg,
+            SystemConfig::default(),
+            SimConfig {
+                warmup_instructions: 10_000,
+                measure_instructions: 30_000,
+            },
+            PrefetcherKind::Morrigan,
+        );
+        let record = spec.execute();
+        let doc = jsonval::parse(&record_json(&record)).expect("record JSON parses");
+        let m = &record.metrics;
+        assert!(
+            m.pb.inserts > 0,
+            "a prefetching run exercises the PB counters"
+        );
+        for (set, counters) in [
+            ("mmu", m.mmu.counters()),
+            ("walker", m.walker.counters()),
+            ("pb", m.pb.counters()),
+            ("l1i_served", m.l1i_served.counters()),
+        ] {
+            let Some(JsonValue::Obj(members)) = doc.path(&["metrics", set]) else {
+                panic!("metrics.{set} must be an object");
+            };
+            assert_eq!(members.len(), counters.len(), "metrics.{set} keys");
+            for (name, value) in counters {
+                let read = members.get(name).and_then(JsonValue::as_u64);
+                assert_eq!(read, Some(value), "metrics.{set}.{name}");
+            }
+        }
     }
 
     #[test]

@@ -155,6 +155,17 @@ impl WorkloadCache {
         warmup + measure + REPLAY_SLACK
     }
 
+    /// The resident bytes a trace of `len` instructions is charged
+    /// against the budget before it is loaded or built: ~17 bytes per
+    /// instruction across the three packed arrays, plus the page-run
+    /// index at 4 bytes per run entry, dominated by d-runs at roughly one
+    /// per eight instructions on the server suite (i-runs are far
+    /// longer). Once the trace exists its actual
+    /// [`PackedTrace::resident_bytes`] replaces the charge.
+    pub fn projected_bytes(len: u64) -> u64 {
+        len * 16 + len / 8 + len / 2
+    }
+
     /// The cache's counters so far.
     pub fn stats(&self) -> WorkloadCacheStats {
         let (build_seconds, saved_seconds) = *self.seconds.lock().unwrap();
@@ -235,15 +246,17 @@ impl WorkloadCache {
         len: u64,
         build: &impl Fn() -> Box<dyn InstructionStream>,
     ) -> Option<Materialized> {
-        // ~17 bytes per instruction across the three packed arrays, plus
-        // the page-run index: 4 bytes per run entry, dominated by d-runs
-        // at roughly one per eight instructions on the server suite
-        // (i-runs are far longer). Actual accounting uses
-        // `PackedTrace::resident_bytes` after capture; this pre-check
-        // only guards against starting a build that cannot fit.
-        let projected = len * 16 + len / 8 + len / 2;
-        let resident = self.resident_bytes.load(Ordering::Relaxed);
-        if resident + projected > self.max_resident_bytes {
+        // Reserve before loading or building: concurrent materializations
+        // of different keys each see the others' reservations, so
+        // together they never pass the budget.
+        let projected = Self::projected_bytes(len);
+        let reserved =
+            self.resident_bytes
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |resident| {
+                    (resident + projected <= self.max_resident_bytes)
+                        .then_some(resident + projected)
+                });
+        if reserved.is_err() {
             eprintln!(
                 "[workload-cache] skipping materialization (~{} MiB would exceed the \
                  {} MiB budget; set MORRIGAN_WORKLOAD_CACHE_MB to raise it): {full_key}",
@@ -259,8 +272,7 @@ impl WorkloadCache {
             match PackedTrace::read_from(path, key_hash) {
                 Ok((trace, build_seconds)) if trace.len() == len => {
                     self.loaded_from_disk.fetch_add(1, Ordering::Relaxed);
-                    self.resident_bytes
-                        .fetch_add(trace.resident_bytes(), Ordering::Relaxed);
+                    self.settle(projected, &trace);
                     return Some(Materialized {
                         trace: Arc::new(trace),
                         build_seconds,
@@ -286,8 +298,7 @@ impl WorkloadCache {
         let trace = PackedTrace::capture(live.as_mut(), len);
         let build_seconds = start.elapsed().as_secs_f64();
         self.built.fetch_add(1, Ordering::Relaxed);
-        self.resident_bytes
-            .fetch_add(trace.resident_bytes(), Ordering::Relaxed);
+        self.settle(projected, &trace);
         self.seconds.lock().unwrap().0 += build_seconds;
 
         if let Some(path) = &path {
@@ -302,6 +313,15 @@ impl WorkloadCache {
             trace: Arc::new(trace),
             build_seconds,
         })
+    }
+
+    /// Replaces a trace's `projected` reservation with its actual
+    /// resident bytes, adding before subtracting so the total never dips
+    /// below what is really held.
+    fn settle(&self, projected: u64, trace: &PackedTrace) {
+        self.resident_bytes
+            .fetch_add(trace.resident_bytes(), Ordering::Relaxed);
+        self.resident_bytes.fetch_sub(projected, Ordering::Relaxed);
     }
 
     /// The on-disk file for a key: `<name-ish prefix>-<key hash>.mpt`.

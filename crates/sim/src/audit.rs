@@ -9,15 +9,17 @@
 //! walk-class counters, and the PB is a closed ledger (everything inserted
 //! is eventually taken, evicted unused, invalidated, or still resident).
 //!
-//! [`audit_state`] checks the cumulative laws against live structures at a
-//! checkpoint (end of warmup, end of window); [`audit_metrics`] re-checks
-//! the structural laws on the subtracted measurement-window [`Metrics`].
+//! The laws that read only counters are written once, over a [`Metrics`]
+//! total: [`audit_state`] checks them on the live totals at a checkpoint
+//! (end of warmup, end of window) and adds the laws that read live
+//! structures; [`audit_metrics`] checks them on the subtracted
+//! measurement-window [`Metrics`].
 //! [`Simulator::run`](crate::Simulator::run) calls both — always in debug
 //! builds, and in release when `MORRIGAN_AUDIT=1` is set or
 //! [`Simulator::set_audit`](crate::Simulator::set_audit) was called — and
 //! panics with the rendered report if any law is violated.
 
-use morrigan_mem::{MemLevel, MemoryHierarchy};
+use morrigan_mem::MemoryHierarchy;
 use morrigan_obs::Recorder;
 use morrigan_types::AuditReport;
 use morrigan_vm::{Mmu, PrefetchPlacement};
@@ -25,17 +27,88 @@ use morrigan_vm::{Mmu, PrefetchPlacement};
 use crate::metrics::Metrics;
 
 /// Checks every cumulative conservation law against the live MMU and
-/// memory hierarchy at checkpoint `at`, appending results to `report`.
+/// memory hierarchy at checkpoint `at`, appending results to `report`:
+/// the counter laws over the live totals, then the laws that read live
+/// structures (the PB ledger and capacity, placement stagings, L1I
+/// demand misses and TLB occupancies).
 pub fn audit_state<R: Recorder>(
     report: &mut AuditReport,
     at: &str,
     mmu: &Mmu<R>,
     mem: &MemoryHierarchy,
 ) {
-    let s = &mmu.stats;
-    let w = mmu.walker_stats();
+    let totals = Metrics::structure_totals(mmu, mem);
+    check_counter_laws(report, at, &totals);
+    let s = &totals.mmu;
+    let ps = &totals.pb;
     let pb = mmu.prefetch_buffer();
-    let ps = pb.stats;
+    report.check_eq(
+        at,
+        "pb ledger: inserts == hits + evicted_unused + invalidations + occupancy",
+        ps.inserts,
+        ps.hits() + ps.evicted_unused + ps.invalidations + pb.len() as u64,
+    );
+    report.check_le(
+        at,
+        "pb occupancy ≤ pb capacity",
+        pb.len() as u64,
+        pb.capacity() as u64,
+    );
+    let staged = match mmu.config().placement {
+        PrefetchPlacement::Buffer => {
+            s.prefetches_issued + s.spatial_ptes_staged + s.icache_prefetches_issued
+        }
+        // P2TLB places prefetcher output directly in the STLB; only
+        // i-cache-initiated translations are staged in the PB (§3.5).
+        PrefetchPlacement::Stlb => s.icache_prefetches_issued,
+    };
+    report.check_eq(
+        at,
+        "pb.inserts == stagings under the placement policy",
+        ps.inserts,
+        staged,
+    );
+    report.check_le(
+        at,
+        "l1i_demand_misses ≤ l1i_demand_accesses",
+        mem.l1i_demand_misses,
+        mem.l1i_demand_accesses,
+    );
+    for (name, tlb) in [
+        ("itlb", mmu.itlb()),
+        ("dtlb", mmu.dtlb()),
+        ("stlb", mmu.stlb()),
+    ] {
+        report.check_le(
+            at,
+            &format!("{name} occupancy ≤ configured entries"),
+            tlb.occupancy() as u64,
+            tlb.config().entries as u64,
+        );
+    }
+}
+
+/// Re-checks the counter laws on the subtracted measurement-window
+/// metrics, plus the I-cache-prefetch law. Laws involving live state (PB
+/// occupancy, TLB occupancy) do not survive the subtraction and are
+/// checked only by [`audit_state`].
+pub fn audit_metrics(report: &mut AuditReport, m: &Metrics) {
+    let at = "measurement window";
+    check_counter_laws(report, at, m);
+    report.check_le(
+        at,
+        "iprefetch ready + walks ≤ iprefetch lines",
+        m.iprefetch_translation_ready + m.iprefetch_translation_walks,
+        m.iprefetch_lines,
+    );
+}
+
+/// The conservation laws that hold on any span of counters — the live
+/// totals at a checkpoint and the measurement window alike.
+fn check_counter_laws(report: &mut AuditReport, at: &str, m: &Metrics) {
+    let s = &m.mmu;
+    let w = &m.walker;
+    let ps = &m.pb;
 
     // --- Instruction translation path ---
     report.check_le(
@@ -77,39 +150,11 @@ pub fn audit_state<R: Recorder>(
         ps.hits() + ps.misses,
         s.istlb_misses,
     );
-
-    // --- Prefetch buffer ledger ---
-    report.check_eq(
-        at,
-        "pb ledger: inserts == hits + evicted_unused + invalidations + occupancy",
-        ps.inserts,
-        ps.hits() + ps.evicted_unused + ps.invalidations + pb.len() as u64,
-    );
-    report.check_le(
-        at,
-        "pb occupancy ≤ pb capacity",
-        pb.len() as u64,
-        pb.capacity() as u64,
-    );
     report.check_eq(
         at,
         "pb.refreshes == 0 (every MMU staging path checks residency first)",
         ps.refreshes,
         0,
-    );
-    let staged = match mmu.config().placement {
-        PrefetchPlacement::Buffer => {
-            s.prefetches_issued + s.spatial_ptes_staged + s.icache_prefetches_issued
-        }
-        // P2TLB places prefetcher output directly in the STLB; only
-        // i-cache-initiated translations are staged in the PB (§3.5).
-        PrefetchPlacement::Stlb => s.icache_prefetches_issued,
-    };
-    report.check_eq(
-        at,
-        "pb.inserts == stagings under the placement policy",
-        ps.inserts,
-        staged,
     );
 
     // --- Data translation path ---
@@ -163,11 +208,11 @@ pub fn audit_state<R: Recorder>(
     // --- Memory hierarchy cross-check ---
     report.check_eq(
         at,
-        "Σ mem.walk_refs_by_level == walker demand + prefetch refs",
-        mem.walk_refs_by_level().iter().sum::<u64>(),
+        "Σ walk_refs_by_level == walker demand + prefetch refs",
+        m.walk_refs_by_level.iter().sum::<u64>(),
         w.demand_instr_refs + w.demand_data_refs + w.prefetch_refs,
     );
-    let l1i = mem.served_by(MemLevel::L1I);
+    let l1i = &m.l1i_served;
     report.check_eq(at, "no data references served by the L1I", l1i.data, 0);
     report.check_eq(
         at,
@@ -180,156 +225,6 @@ pub fn audit_state<R: Recorder>(
         "no prefetch-walk references served by the L1I",
         l1i.prefetch_walk,
         0,
-    );
-    report.check_le(
-        at,
-        "l1i_demand_misses ≤ l1i_demand_accesses",
-        mem.l1i_demand_misses,
-        mem.l1i_demand_accesses,
-    );
-
-    // --- TLB occupancy ---
-    for (name, tlb) in [
-        ("itlb", mmu.itlb()),
-        ("dtlb", mmu.dtlb()),
-        ("stlb", mmu.stlb()),
-    ] {
-        report.check_le(
-            at,
-            &format!("{name} occupancy ≤ configured entries"),
-            tlb.occupancy() as u64,
-            tlb.config().entries as u64,
-        );
-    }
-}
-
-/// Re-checks the structural laws on the subtracted measurement-window
-/// metrics. Laws involving live state (PB occupancy, TLB occupancy) do not
-/// survive the subtraction and are checked only by [`audit_state`].
-pub fn audit_metrics(report: &mut AuditReport, m: &Metrics) {
-    let at = "measurement window";
-    let s = &m.mmu;
-    let w = &m.walker;
-    let ps = m.pb;
-
-    report.check_le(
-        at,
-        "itlb_misses ≤ instr_translations",
-        s.itlb_misses,
-        s.instr_translations,
-    );
-    report.check_le(
-        at,
-        "istlb_misses ≤ itlb_misses",
-        s.istlb_misses,
-        s.itlb_misses,
-    );
-    report.check_eq(
-        at,
-        "istlb_covered + walker.demand_instr_walks == istlb_misses",
-        s.istlb_covered + w.demand_instr_walks,
-        s.istlb_misses,
-    );
-    report.check_le(
-        at,
-        "istlb_covered_late ≤ istlb_covered",
-        s.istlb_covered_late,
-        s.istlb_covered,
-    );
-
-    report.check_eq(at, "pb.hits == istlb_covered", ps.hits(), s.istlb_covered);
-    report.check_eq(
-        at,
-        "pb.hits_inflight == istlb_covered_late",
-        ps.hits_inflight,
-        s.istlb_covered_late,
-    );
-    report.check_eq(
-        at,
-        "pb.hits + pb.misses == istlb_misses",
-        ps.hits() + ps.misses,
-        s.istlb_misses,
-    );
-    report.check_eq(
-        at,
-        "pb.refreshes == 0 (every MMU staging path checks residency first)",
-        ps.refreshes,
-        0,
-    );
-
-    report.check_le(
-        at,
-        "dtlb_misses ≤ data_translations",
-        s.dtlb_misses,
-        s.data_translations,
-    );
-    report.check_le(
-        at,
-        "dstlb_misses ≤ dtlb_misses",
-        s.dstlb_misses,
-        s.dtlb_misses,
-    );
-    report.check_eq(
-        at,
-        "walker.demand_data_walks == dstlb_misses",
-        w.demand_data_walks,
-        s.dstlb_misses,
-    );
-    report.check_eq(
-        at,
-        "walker.prefetch_walks == prefetches_issued + icache_prefetches_issued + correcting_walks",
-        w.prefetch_walks,
-        s.prefetches_issued + s.icache_prefetches_issued + s.correcting_walks,
-    );
-
-    for (kind, walks, refs) in [
-        ("demand_instr", w.demand_instr_walks, w.demand_instr_refs),
-        ("demand_data", w.demand_data_walks, w.demand_data_refs),
-        ("prefetch", w.prefetch_walks, w.prefetch_refs),
-    ] {
-        report.check_le(
-            at,
-            &format!("walker.{kind}_walks ≤ {kind}_refs"),
-            walks,
-            refs,
-        );
-        report.check_le(
-            at,
-            &format!("walker.{kind}_refs ≤ 4·{kind}_walks"),
-            refs,
-            4 * walks,
-        );
-    }
-
-    report.check_eq(
-        at,
-        "Σ walk_refs_by_level == walker demand + prefetch refs",
-        m.walk_refs_by_level.iter().sum::<u64>(),
-        w.demand_instr_refs + w.demand_data_refs + w.prefetch_refs,
-    );
-    report.check_eq(
-        at,
-        "no data references served by the L1I",
-        m.l1i_served.data,
-        0,
-    );
-    report.check_eq(
-        at,
-        "no demand-walk references served by the L1I",
-        m.l1i_served.demand_walk,
-        0,
-    );
-    report.check_eq(
-        at,
-        "no prefetch-walk references served by the L1I",
-        m.l1i_served.prefetch_walk,
-        0,
-    );
-    report.check_le(
-        at,
-        "iprefetch ready + walks ≤ iprefetch lines",
-        m.iprefetch_translation_ready + m.iprefetch_translation_walks,
-        m.iprefetch_lines,
     );
 }
 

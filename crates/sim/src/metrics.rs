@@ -1,10 +1,14 @@
 //! Measurement-window metrics reported by the simulator.
 
-use morrigan_mem::LevelStats;
+use morrigan_mem::{LevelStats, MemLevel, MemoryHierarchy};
+use morrigan_obs::Recorder;
 use morrigan_types::stats::mpki;
-use morrigan_vm::{MmuStats, PbStats, WalkerStats};
+use morrigan_types::CounterSet;
+use morrigan_vm::{Mmu, MmuStats, PbStats, WalkerStats};
 
-/// Everything measured over the measurement window of one run.
+/// Everything measured over the measurement window of one run. The
+/// simulator also keeps its run-so-far totals in this shape, so a window
+/// or an interval epoch is the difference of two totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Metrics {
     /// Instructions retired in the window.
@@ -39,6 +43,21 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// The run-so-far totals of the counters the MMU and the memory
+    /// hierarchy own; the core's own counters (instructions, cycles,
+    /// stalls, I-cache prefetches) stay zero.
+    pub(crate) fn structure_totals<R: Recorder>(mmu: &Mmu<R>, mem: &MemoryHierarchy) -> Metrics {
+        Metrics {
+            mmu: mmu.stats,
+            walker: *mmu.walker_stats(),
+            pb: mmu.prefetch_buffer().stats,
+            l1i_misses: mem.l1i_demand_misses,
+            walk_refs_by_level: mem.walk_refs_by_level(),
+            l1i_served: mem.served_by(MemLevel::L1I),
+            ..Metrics::default()
+        }
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -107,34 +126,74 @@ impl Metrics {
     }
 }
 
-impl std::ops::Add for Metrics {
-    type Output = Metrics;
+/// Field-wise `Add` and `Sub` over every counter of [`Metrics`]: `Sub`
+/// isolates a window or epoch from two running totals (`cycles` stays
+/// the raw difference), and `Add` is its inverse, so summing epochs
+/// reconstitutes the window exactly.
+macro_rules! fieldwise {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl std::ops::$trait for Metrics {
+            type Output = Metrics;
 
-    /// Field-wise sum: interval-sampler epochs are snapshot differences,
-    /// so adding them reconstitutes the window metrics exactly (the
-    /// sampler keeps `cycles` as the raw difference for this reason).
-    fn add(self, rhs: Metrics) -> Metrics {
-        let mut walk_refs = self.walk_refs_by_level;
-        for (a, b) in walk_refs.iter_mut().zip(rhs.walk_refs_by_level) {
-            *a += b;
+            fn $method(self, rhs: Metrics) -> Metrics {
+                let (a, b) = (self.walk_refs_by_level, rhs.walk_refs_by_level);
+                Metrics {
+                    instructions: self.instructions $op rhs.instructions,
+                    cycles: self.cycles $op rhs.cycles,
+                    istlb_stall_cycles: self.istlb_stall_cycles $op rhs.istlb_stall_cycles,
+                    icache_stall_cycles: self.icache_stall_cycles $op rhs.icache_stall_cycles,
+                    mmu: self.mmu $op rhs.mmu,
+                    walker: self.walker $op rhs.walker,
+                    pb: self.pb $op rhs.pb,
+                    l1i_misses: self.l1i_misses $op rhs.l1i_misses,
+                    walk_refs_by_level: std::array::from_fn(|level| a[level] $op b[level]),
+                    l1i_served: self.l1i_served $op rhs.l1i_served,
+                    iprefetch_lines: self.iprefetch_lines $op rhs.iprefetch_lines,
+                    iprefetch_translation_ready: self.iprefetch_translation_ready
+                        $op rhs.iprefetch_translation_ready,
+                    iprefetch_translation_walks: self.iprefetch_translation_walks
+                        $op rhs.iprefetch_translation_walks,
+                }
+            }
         }
-        Metrics {
-            instructions: self.instructions + rhs.instructions,
-            cycles: self.cycles + rhs.cycles,
-            istlb_stall_cycles: self.istlb_stall_cycles + rhs.istlb_stall_cycles,
-            icache_stall_cycles: self.icache_stall_cycles + rhs.icache_stall_cycles,
-            mmu: self.mmu + rhs.mmu,
-            walker: self.walker + rhs.walker,
-            pb: self.pb + rhs.pb,
-            l1i_misses: self.l1i_misses + rhs.l1i_misses,
-            walk_refs_by_level: walk_refs,
-            l1i_served: self.l1i_served + rhs.l1i_served,
-            iprefetch_lines: self.iprefetch_lines + rhs.iprefetch_lines,
-            iprefetch_translation_ready: self.iprefetch_translation_ready
-                + rhs.iprefetch_translation_ready,
-            iprefetch_translation_walks: self.iprefetch_translation_walks
-                + rhs.iprefetch_translation_walks,
-        }
+    };
+}
+
+fieldwise!(Add, add, +);
+fieldwise!(Sub, sub, -);
+
+/// Every counter of the record, scalars first and then the four nested
+/// sets in field order. Names are unique across the record (the nested
+/// sets' own field names, unprefixed), so a monotonicity law names its
+/// counter unambiguously.
+impl CounterSet for Metrics {
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        let [l1, l2, llc, dram] = self.walk_refs_by_level;
+        let mut counters = vec![
+            ("instructions", self.instructions),
+            ("cycles", self.cycles),
+            ("istlb_stall_cycles", self.istlb_stall_cycles),
+            ("icache_stall_cycles", self.icache_stall_cycles),
+            ("l1i_misses", self.l1i_misses),
+            ("walk_refs_by_level[0]", l1),
+            ("walk_refs_by_level[1]", l2),
+            ("walk_refs_by_level[2]", llc),
+            ("walk_refs_by_level[3]", dram),
+            ("iprefetch_lines", self.iprefetch_lines),
+            (
+                "iprefetch_translation_ready",
+                self.iprefetch_translation_ready,
+            ),
+            (
+                "iprefetch_translation_walks",
+                self.iprefetch_translation_walks,
+            ),
+        ];
+        counters.extend(self.mmu.counters());
+        counters.extend(self.walker.counters());
+        counters.extend(self.pb.counters());
+        counters.extend(self.l1i_served.counters());
+        counters
     }
 }
 
@@ -192,6 +251,24 @@ mod tests {
             ..Metrics::default()
         };
         let _ = a.speedup_over(&Metrics::default());
+    }
+
+    #[test]
+    fn counters_are_47_unique_names_and_sub_inverts_add() {
+        let mut m = Metrics {
+            instructions: 9,
+            cycles: 4,
+            walk_refs_by_level: [1, 2, 3, 4],
+            ..Metrics::default()
+        };
+        m.pb.misses = 5;
+        m.l1i_served.data = 6;
+        let counters = m.counters();
+        assert_eq!(counters.len(), 47);
+        let names: std::collections::HashSet<_> = counters.iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), 47, "counter names must be unique");
+        assert!(counters.contains(&("misses", 5)) && counters.contains(&("data", 6)));
+        assert_eq!((m + m) - m, m);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use morrigan_icache::{FnlMma, FnlMmaConfig, ICachePrefetcher, LinePrefetch, NextLinePrefetcher};
-use morrigan_mem::{AccessClass, LevelStats, MemLevel, MemoryHierarchy};
+use morrigan_mem::{AccessClass, MemoryHierarchy};
 use morrigan_obs::{
     EventKind, IcacheCrossOutcome, NullRecorder, Phase, PhaseProfile, Recorder, TraceEvent,
 };
@@ -11,7 +11,7 @@ use morrigan_types::{
     check_monotonic, scan, AuditReport, CacheLine, PhysPage, ThreadId, TlbPrefetcher, VirtPage,
     PAGE_SHIFT,
 };
-use morrigan_vm::{Mmu, MmuStats, PageTable, PbStats, WalkerStats};
+use morrigan_vm::{Mmu, PageTable};
 use morrigan_workloads::{InstructionStream, TraceInstruction};
 
 use crate::audit::{audit_metrics, audit_state};
@@ -102,150 +102,20 @@ impl ElisionCounters {
     }
 }
 
-/// Snapshot subtraction over a `[start, end)` window. Used for both the
-/// full measurement window and each sampler epoch; `cycles` keeps the
-/// raw difference (possibly zero for degenerate epochs) so that epoch
-/// metrics sum *exactly* to the window metrics — [`Simulator::close_window`]
-/// applies its `.max(1)` after.
-fn window_metrics(start: &Snapshot, end: &Snapshot) -> Metrics {
-    let walk_refs = [
-        end.walk_refs[0] - start.walk_refs[0],
-        end.walk_refs[1] - start.walk_refs[1],
-        end.walk_refs[2] - start.walk_refs[2],
-        end.walk_refs[3] - start.walk_refs[3],
-    ];
-    Metrics {
-        instructions: end.retired - start.retired,
-        cycles: end.last_retire - start.last_retire,
-        istlb_stall_cycles: end.istlb_stall - start.istlb_stall,
-        icache_stall_cycles: end.icache_stall - start.icache_stall,
-        mmu: end.mmu - start.mmu,
-        walker: end.walker - start.walker,
-        pb: end.pb - start.pb,
-        l1i_misses: end.l1i_misses - start.l1i_misses,
-        walk_refs_by_level: walk_refs,
-        l1i_served: end.l1i_served - start.l1i_served,
-        iprefetch_lines: end.iprefetch_lines - start.iprefetch_lines,
-        iprefetch_translation_ready: end.iprefetch_ready - start.iprefetch_ready,
-        iprefetch_translation_walks: end.iprefetch_walks - start.iprefetch_walks,
-    }
-}
-
-/// Rescales the detail-only counters of a sampled window: stall cycles,
-/// L1I demand misses, L1I served references, and the I-cache-prefetcher
-/// counters only advance during detail steps (the fast-forward warms
-/// MMU and cache *state* but records no cache statistics), so each
-/// window total is the
-/// detailed sum scaled by the window's instruction-to-detailed ratio
-/// (u128 intermediate — counters × instructions overflows u64 at bench
-/// scale). Per-counter floor division keeps every audited inequality
-/// (`a ≤ b ⇒ ⌊a·f⌋ ≤ ⌊b·f⌋`, and `⌊a·f⌋+⌊b·f⌋ ≤ ⌊(a+b)·f⌋` for the
-/// summed iprefetch law).
-fn scale_sampled_metrics(metrics: &mut Metrics, start: &Snapshot, end: &Snapshot) {
-    let detailed = end.detailed - start.detailed;
-    let instructions = metrics.instructions;
-    // Cycle reconstruction: the raw `last_retire` difference charged each
-    // skip stretch at the CPI estimate available *when the stretch ran* —
-    // a noisy prefix of the pooled sample that systematically overweights
-    // the run's earliest windows. Instead, keep the detail windows'
-    // measured cycles verbatim and recharge the fast-forwarded stretch
-    // from a per-window regression fit over the detail windows,
-    //
-    //   cycles_w ≈ α·instr_w + β·miss_w,
-    //
-    // where `miss_w` is the front-end TLB miss count — measured on every
-    // fast-forwarded instruction too, so the β term recovers the phase
-    // structure (miss-heavy vs miss-light stretches) that a flat CPI
-    // charge aliases over. On the server suite the covariate explains
-    // ~75-80 % of per-window cycle variance (β ≈ 100 cycles/miss),
-    // roughly halving the IPC extrapolation error. Degenerate fits
-    // (fewer than two windows, no covariate variance, or coefficients
-    // outside physical bounds) fall back to the pooled mean-CPI charge.
-    // The live clock is untouched — the MMU saw monotone prefix-estimate
-    // timestamps — only the reported window cycles are rebuilt.
-    let ff_instr = instructions - detailed;
-    let detail_cycles = end.detail_cycles - start.detail_cycles;
-    let ff_cycles = {
-        let n = (end.reg_windows - start.reg_windows) as f64;
-        let si = (end.instr_sum - start.instr_sum) as f64;
-        let sc = (end.cycle_sum - start.cycle_sum) as f64;
-        let sm = (end.miss_sum - start.miss_sum) as f64;
-        let sm2 = (end.miss2_sum - start.miss2_sum) as f64;
-        let smc = (end.misscyc_sum - start.misscyc_sum) as f64;
-        let fe_total = metrics.mmu.itlb_misses + metrics.mmu.istlb_misses;
-        let ff_miss = fe_total.saturating_sub(end.detail_fe - start.detail_fe) as f64;
-        let denom = n * sm2 - sm * sm;
-        let fit = (n >= 2.0 && denom > 0.0 && si > 0.0)
-            .then(|| {
-                let beta = (n * smc - sm * sc) / denom;
-                let alpha = (sc - beta * sm) / si;
-                (alpha, beta)
-            })
-            .filter(|&(alpha, beta)| (0.0..=1000.0).contains(&beta) && alpha >= 0.1);
-        match fit {
-            Some((alpha, beta)) => (alpha * ff_instr as f64 + beta * ff_miss) as u64,
-            None => ((ff_instr as u128 * end.cpi_fp as u128) >> CPI_SHIFT) as u64,
-        }
-    };
-    metrics.cycles = (detail_cycles + ff_cycles).max(1);
-    let scale = |v: &mut u64| {
-        *v = if detailed == 0 {
-            0
-        } else {
-            ((*v as u128 * instructions as u128) / detailed as u128) as u64
-        };
-    };
-    scale(&mut metrics.istlb_stall_cycles);
-    scale(&mut metrics.icache_stall_cycles);
-    scale(&mut metrics.l1i_misses);
-    scale(&mut metrics.l1i_served.ifetch);
-    scale(&mut metrics.l1i_served.data);
-    scale(&mut metrics.l1i_served.demand_walk);
-    scale(&mut metrics.l1i_served.prefetch_walk);
-    scale(&mut metrics.l1i_served.iprefetch);
-    scale(&mut metrics.iprefetch_lines);
-    scale(&mut metrics.iprefetch_translation_ready);
-    scale(&mut metrics.iprefetch_translation_walks);
-}
-
-/// Counter snapshot used to subtract warmup from measurement.
+/// The run's counters so far, taken at warm-up close, at epoch edges
+/// and at window close; subtracting two gives a window or an epoch.
 #[derive(Debug, Clone, Copy)]
 struct Snapshot {
-    retired: u64,
+    /// Every counter of the record, run so far; `cycles` is the last
+    /// retire cycle.
+    totals: Metrics,
     /// Instructions retired through the *detailed* timing model (equals
-    /// `retired` in a full run; the sampled stall-scaling divisor).
+    /// `instructions` in a full run; the sampled stall-scaling divisor).
     detailed: u64,
-    last_retire: u64,
-    istlb_stall: u64,
-    icache_stall: u64,
-    mmu: MmuStats,
-    walker: WalkerStats,
-    pb: PbStats,
-    l1i_misses: u64,
-    walk_refs: [u64; 4],
-    l1i_served: LevelStats,
-    iprefetch_lines: u64,
-    iprefetch_ready: u64,
-    iprefetch_walks: u64,
     /// Cycles accumulated by *detailed* retirements only (equals
-    /// `last_retire` growth in a full run). The sampled cycle
+    /// `cycles` growth in a full run). The sampled cycle
     /// reconstruction keeps these measured cycles verbatim.
     detail_cycles: u64,
-    /// The pooled fast-forward CPI estimate at snapshot time
-    /// (`CPI_SHIFT` fixed-point). The window-closing reconstruction
-    /// recharges every fast-forwarded instruction at the *end*
-    /// snapshot's estimate — the full pooled sample — instead of the
-    /// noisy prefixes each skip stretch saw live.
-    cpi_fp: u64,
-    /// Regression-estimator sums at snapshot time (window count,
-    /// per-window instruction/cycle/miss sums and cross terms);
-    /// subtracting snapshots yields the measurement window's own fit.
-    reg_windows: u64,
-    instr_sum: u64,
-    cycle_sum: u64,
-    miss_sum: u64,
-    miss2_sum: u128,
-    misscyc_sum: u128,
     /// Front-end TLB misses attributable to detailed stepping
     /// (including the in-progress window's share).
     detail_fe: u64,
@@ -273,9 +143,9 @@ impl Window {
         samples.push(IntervalSample {
             start_instruction: self.epoch_done,
             end_instruction: done,
-            start_cycle: self.epoch_start.last_retire,
-            end_cycle: end.last_retire,
-            metrics: window_metrics(&self.epoch_start, &end),
+            start_cycle: self.epoch_start.totals.cycles,
+            end_cycle: end.totals.cycles,
+            metrics: end.totals - self.epoch_start.totals,
         });
         self.epoch_start = end;
         self.epoch_done = done;
@@ -705,28 +575,18 @@ impl<R: Recorder> Simulator<R> {
 
     fn snapshot(&self) -> Snapshot {
         Snapshot {
-            retired: self.retired,
+            totals: Metrics {
+                instructions: self.retired,
+                cycles: self.last_retire,
+                istlb_stall_cycles: self.istlb_stall_cycles,
+                icache_stall_cycles: self.icache_stall_cycles,
+                iprefetch_lines: self.iprefetch_lines,
+                iprefetch_translation_ready: self.iprefetch_ready,
+                iprefetch_translation_walks: self.iprefetch_walks,
+                ..Metrics::structure_totals(&self.mmu, &self.mem)
+            },
             detailed: self.detailed,
-            last_retire: self.last_retire,
-            istlb_stall: self.istlb_stall_cycles,
-            icache_stall: self.icache_stall_cycles,
-            mmu: self.mmu.stats,
-            walker: *self.mmu.walker_stats(),
-            pb: self.mmu.prefetch_buffer().stats,
-            l1i_misses: self.mem.l1i_demand_misses,
-            walk_refs: self.mem.walk_refs_by_level(),
-            l1i_served: self.mem.served_by(MemLevel::L1I),
-            iprefetch_lines: self.iprefetch_lines,
-            iprefetch_ready: self.iprefetch_ready,
-            iprefetch_walks: self.iprefetch_walks,
             detail_cycles: self.detail_cycles,
-            cpi_fp: self.cpi_fp,
-            reg_windows: self.reg_windows,
-            instr_sum: self.cpi_instr_sum,
-            cycle_sum: self.cpi_cycle_sum,
-            miss_sum: self.reg_miss_sum,
-            miss2_sum: self.reg_miss2_sum,
-            misscyc_sum: self.reg_misscyc_sum,
             detail_fe: self.detail_fe_misses
                 + if self.in_detail_window {
                     self.fe_misses() - self.seg_fe_miss
@@ -818,7 +678,7 @@ impl<R: Recorder> Simulator<R> {
         let (Some(interval), Some(window)) = (self.interval, &self.window) else {
             return;
         };
-        let done = self.retired - window.start.retired;
+        let done = self.retired - window.start.totals.instructions;
         if done >= window.next_epoch {
             let end = self.snapshot();
             let window = self.window.as_mut().expect("the window is open");
@@ -840,85 +700,113 @@ impl<R: Recorder> Simulator<R> {
         );
         let end = self.snapshot();
         let mut window = self.window.take().expect("close_warmup opened the window");
-        let done = end.retired - window.start.retired;
+        let done = end.totals.instructions - window.start.totals.instructions;
         if self.interval.is_some() && done > window.epoch_done {
             window.close_epoch(done, end, &mut self.intervals);
         }
-        let mut metrics = window_metrics(&window.start, &end);
+        let mut metrics = end.totals - window.start.totals;
         // The run-level IPC denominator must never be zero; epoch samples
         // keep the raw difference so they sum exactly.
         metrics.cycles = metrics.cycles.max(1);
         if self.sampling.is_some() {
-            scale_sampled_metrics(&mut metrics, &window.start, &end);
+            self.scale_sampled_metrics(&mut metrics, &window.start, &end);
         }
         if let Some(r) = report {
             audit_state(r, at, &self.mmu, &self.mem);
-            self.audit_window(r, &window.start, &end);
+            // Window monotonicity: every counter the subtraction relies
+            // on must be no smaller at the end than at the start.
+            check_monotonic(
+                r,
+                "measurement window",
+                "window",
+                &window.start.totals,
+                &end.totals,
+            );
             audit_metrics(r, &metrics);
         }
         metrics
     }
 
-    /// Window monotonicity: every counter the snapshot subtraction relies
-    /// on must be no smaller at the end of the window than at its start.
-    fn audit_window(&self, r: &mut AuditReport, start: &Snapshot, end: &Snapshot) {
-        let at = "measurement window";
-        check_monotonic(r, at, "mmu", &start.mmu, &end.mmu);
-        check_monotonic(r, at, "walker", &start.walker, &end.walker);
-        check_monotonic(r, at, "pb", &start.pb, &end.pb);
-        check_monotonic(r, at, "l1i_served", &start.l1i_served, &end.l1i_served);
-        for (law, s, e) in [
-            (
-                "retired is monotone over the window",
-                start.retired,
-                end.retired,
-            ),
-            (
-                "last_retire is monotone over the window",
-                start.last_retire,
-                end.last_retire,
-            ),
-            (
-                "istlb_stall is monotone over the window",
-                start.istlb_stall,
-                end.istlb_stall,
-            ),
-            (
-                "icache_stall is monotone over the window",
-                start.icache_stall,
-                end.icache_stall,
-            ),
-            (
-                "l1i_misses is monotone over the window",
-                start.l1i_misses,
-                end.l1i_misses,
-            ),
-            (
-                "iprefetch_lines is monotone over the window",
-                start.iprefetch_lines,
-                end.iprefetch_lines,
-            ),
-            (
-                "iprefetch_ready is monotone over the window",
-                start.iprefetch_ready,
-                end.iprefetch_ready,
-            ),
-            (
-                "iprefetch_walks is monotone over the window",
-                start.iprefetch_walks,
-                end.iprefetch_walks,
-            ),
-        ] {
-            r.check_le(at, law, s, e);
-        }
-        for (i, (s, e)) in start.walk_refs.iter().zip(end.walk_refs).enumerate() {
-            r.check_le(
-                at,
-                &format!("walk_refs_by_level[{i}] is monotone over the window"),
-                *s,
-                e,
-            );
-        }
+    /// Rescales the detail-only counters of a sampled window: stall cycles,
+    /// L1I demand misses, L1I served references, and the I-cache-prefetcher
+    /// counters only advance during detail steps (the fast-forward warms
+    /// MMU and cache *state* but records no cache statistics), so each
+    /// window total is the
+    /// detailed sum scaled by the window's instruction-to-detailed ratio
+    /// (u128 intermediate — counters × instructions overflows u64 at bench
+    /// scale). Per-counter floor division keeps every audited inequality
+    /// (`a ≤ b ⇒ ⌊a·f⌋ ≤ ⌊b·f⌋`, and `⌊a·f⌋+⌊b·f⌋ ≤ ⌊(a+b)·f⌋` for the
+    /// summed iprefetch law).
+    fn scale_sampled_metrics(&self, metrics: &mut Metrics, start: &Snapshot, end: &Snapshot) {
+        let detailed = end.detailed - start.detailed;
+        let instructions = metrics.instructions;
+        // Cycle reconstruction: the raw `last_retire` difference charged each
+        // skip stretch at the CPI estimate available *when the stretch ran* —
+        // a noisy prefix of the pooled sample that systematically overweights
+        // the run's earliest windows. Instead, keep the detail windows'
+        // measured cycles verbatim and recharge the fast-forwarded stretch
+        // from a per-window regression fit over the detail windows,
+        //
+        //   cycles_w ≈ α·instr_w + β·miss_w,
+        //
+        // where `miss_w` is the front-end TLB miss count — measured on every
+        // fast-forwarded instruction too, so the β term recovers the phase
+        // structure (miss-heavy vs miss-light stretches) that a flat CPI
+        // charge aliases over. On the server suite the covariate explains
+        // ~75-80 % of per-window cycle variance (β ≈ 100 cycles/miss),
+        // roughly halving the IPC extrapolation error. Degenerate fits
+        // (fewer than two windows, no covariate variance, or coefficients
+        // outside physical bounds) fall back to the pooled mean-CPI charge.
+        // The live clock is untouched — the MMU saw monotone prefix-estimate
+        // timestamps — only the reported window cycles are rebuilt.
+        let ff_instr = instructions - detailed;
+        let detail_cycles = end.detail_cycles - start.detail_cycles;
+        // The pooled sums and the CPI estimate are read live: warm-up
+        // close zeroes the sums just before the window opens, so they
+        // hold exactly the window's detail windows, and the recharge uses
+        // the full pooled estimate rather than the prefixes each skip
+        // stretch saw.
+        let ff_cycles = {
+            let n = self.reg_windows as f64;
+            let si = self.cpi_instr_sum as f64;
+            let sc = self.cpi_cycle_sum as f64;
+            let sm = self.reg_miss_sum as f64;
+            let sm2 = self.reg_miss2_sum as f64;
+            let smc = self.reg_misscyc_sum as f64;
+            let fe_total = metrics.mmu.itlb_misses + metrics.mmu.istlb_misses;
+            let ff_miss = fe_total.saturating_sub(end.detail_fe - start.detail_fe) as f64;
+            let denom = n * sm2 - sm * sm;
+            let fit = (n >= 2.0 && denom > 0.0 && si > 0.0)
+                .then(|| {
+                    let beta = (n * smc - sm * sc) / denom;
+                    let alpha = (sc - beta * sm) / si;
+                    (alpha, beta)
+                })
+                .filter(|&(alpha, beta)| (0.0..=1000.0).contains(&beta) && alpha >= 0.1);
+            match fit {
+                Some((alpha, beta)) => (alpha * ff_instr as f64 + beta * ff_miss) as u64,
+                None => ((ff_instr as u128 * self.cpi_fp as u128) >> CPI_SHIFT) as u64,
+            }
+        };
+        metrics.cycles = (detail_cycles + ff_cycles).max(1);
+        let scale = |v: &mut u64| {
+            *v = if detailed == 0 {
+                0
+            } else {
+                ((*v as u128 * instructions as u128) / detailed as u128) as u64
+            };
+        };
+        scale(&mut metrics.istlb_stall_cycles);
+        scale(&mut metrics.icache_stall_cycles);
+        scale(&mut metrics.l1i_misses);
+        scale(&mut metrics.l1i_served.ifetch);
+        scale(&mut metrics.l1i_served.data);
+        scale(&mut metrics.l1i_served.demand_walk);
+        scale(&mut metrics.l1i_served.prefetch_walk);
+        scale(&mut metrics.l1i_served.iprefetch);
+        scale(&mut metrics.iprefetch_lines);
+        scale(&mut metrics.iprefetch_translation_ready);
+        scale(&mut metrics.iprefetch_translation_walks);
     }
 
     /// The context-switch reset: ASID bump in the MMU, I-cache-prefetcher

@@ -110,9 +110,74 @@ impl AuditReport {
 /// Every struct with a window-subtraction `Sub` impl should implement
 /// this: the subtraction is only meaningful if each field at the window
 /// end is at least its value at the window start.
+/// [`counter_set!`](crate::counter_set) declares a struct together with
+/// its `Add`, `Sub` and this impl.
 pub trait CounterSet {
     /// `(name, value)` for every monotone counter, in declaration order.
     fn counters(&self) -> Vec<(&'static str, u64)>;
+}
+
+/// Declares a counter set: a stats struct of `pub u64` monotone counters,
+/// written once. Emits the struct (deriving `Debug, Clone, Copy,
+/// Default, PartialEq, Eq`) with field-wise [`Add`](std::ops::Add) and
+/// [`Sub`](std::ops::Sub) and a [`CounterSet`] impl, all in declaration
+/// order, so adding or renaming a counter is a one-line change.
+///
+/// `Sub` isolates a window (`end - start`); `Add` is its inverse, so
+/// summing epoch deltas reconstitutes the window totals.
+///
+/// ```
+/// morrigan_types::counter_set! {
+///     /// Hits and misses of some structure.
+///     pub struct Probes {
+///         /// Lookups that hit.
+///         pub hits: u64,
+///         /// Lookups that missed.
+///         pub misses: u64,
+///     }
+/// }
+/// use morrigan_types::CounterSet;
+/// let end = Probes { hits: 7, misses: 3 };
+/// let start = Probes { hits: 2, misses: 1 };
+/// assert_eq!(end - start, Probes { hits: 5, misses: 2 });
+/// assert_eq!((end - start).counters(), vec![("hits", 5), ("misses", 2)]);
+/// ```
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: u64,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$field_meta])* pub $field: u64,)+
+        }
+
+        impl ::std::ops::Add for $name {
+            type Output = $name;
+
+            fn add(self, rhs: $name) -> $name {
+                $name { $($field: self.$field + rhs.$field,)+ }
+            }
+        }
+
+        impl ::std::ops::Sub for $name {
+            type Output = $name;
+
+            fn sub(self, rhs: $name) -> $name {
+                $name { $($field: self.$field - rhs.$field,)+ }
+            }
+        }
+
+        impl $crate::CounterSet for $name {
+            fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field),)+]
+            }
+        }
+    };
 }
 
 /// Checks field-wise monotonicity between two snapshots of a
@@ -151,15 +216,24 @@ pub fn check_monotonic<T: CounterSet>(
 mod tests {
     use super::*;
 
-    struct Two {
-        a: u64,
-        b: u64,
+    crate::counter_set! {
+        /// A two-counter set for the unit tests.
+        struct Two {
+            /// First counter.
+            pub a: u64,
+            /// Second counter.
+            pub b: u64,
+        }
     }
 
-    impl CounterSet for Two {
-        fn counters(&self) -> Vec<(&'static str, u64)> {
-            vec![("a", self.a), ("b", self.b)]
-        }
+    #[test]
+    fn declared_set_round_trips_and_names_in_order() {
+        let start = Two { a: 5, b: 10 };
+        let delta = Two { a: 2, b: 0 };
+        assert_eq!((start + delta) - delta, start);
+        assert_eq!((start + delta) - start, delta);
+        assert_eq!(start.counters(), vec![("a", 5), ("b", 10)]);
+        assert_eq!(Two::default(), Two { a: 0, b: 0 });
     }
 
     #[test]

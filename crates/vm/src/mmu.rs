@@ -26,8 +26,8 @@ use morrigan_obs::{
 };
 use morrigan_types::prefetcher::NullPrefetcher;
 use morrigan_types::{
-    CounterSet, MissContext, PhysPage, PrefetchComponent, PrefetchDecision, PrefetcherEvent,
-    ThreadId, TlbPrefetcher, VirtAddr, VirtPage,
+    MissContext, PhysPage, PrefetchComponent, PrefetchDecision, PrefetcherEvent, ThreadId,
+    TlbPrefetcher, VirtAddr, VirtPage,
 };
 
 use crate::miss_stream::MissStreamStats;
@@ -99,110 +99,40 @@ impl Default for MmuConfig {
     }
 }
 
-/// Counters exposed by the MMU.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MmuStats {
-    /// Instruction translations requested.
-    pub instr_translations: u64,
-    /// I-TLB misses.
-    pub itlb_misses: u64,
-    /// Instruction lookups that missed the STLB (iSTLB misses).
-    pub istlb_misses: u64,
-    /// iSTLB misses covered by a PB hit (ready or in flight).
-    pub istlb_covered: u64,
-    /// iSTLB misses covered by an entry whose walk was still in flight.
-    pub istlb_covered_late: u64,
-    /// Data translations requested.
-    pub data_translations: u64,
-    /// D-TLB misses.
-    pub dtlb_misses: u64,
-    /// Data lookups that missed the STLB (dSTLB misses).
-    pub dstlb_misses: u64,
-    /// Prefetch requests issued to the walker.
-    pub prefetches_issued: u64,
-    /// Prefetch requests discarded because the placement target (PB, or
-    /// the STLB in P2TLB mode) already staged the page.
-    pub prefetches_duplicate: u64,
-    /// Prefetch walks issued on behalf of a page-crossing I-cache
-    /// prefetcher (§3.5), counted separately from the STLB prefetcher's
-    /// own requests so Fig 18/19 configurations stay comparable.
-    pub icache_prefetches_issued: u64,
-    /// PTEs staged for free via page-table locality (spatial prefetching).
-    pub spatial_ptes_staged: u64,
-    /// Correcting page walks issued for PB entries evicted unused (§4.3).
-    pub correcting_walks: u64,
-    /// Translations removed by TLB shootdowns.
-    pub shootdowns: u64,
-}
-
-impl std::ops::Sub for MmuStats {
-    type Output = MmuStats;
-
-    /// Field-wise difference, used to isolate the measurement window from
-    /// warmup (`end_snapshot - start_snapshot`).
-    fn sub(self, rhs: MmuStats) -> MmuStats {
-        MmuStats {
-            instr_translations: self.instr_translations - rhs.instr_translations,
-            itlb_misses: self.itlb_misses - rhs.itlb_misses,
-            istlb_misses: self.istlb_misses - rhs.istlb_misses,
-            istlb_covered: self.istlb_covered - rhs.istlb_covered,
-            istlb_covered_late: self.istlb_covered_late - rhs.istlb_covered_late,
-            data_translations: self.data_translations - rhs.data_translations,
-            dtlb_misses: self.dtlb_misses - rhs.dtlb_misses,
-            dstlb_misses: self.dstlb_misses - rhs.dstlb_misses,
-            prefetches_issued: self.prefetches_issued - rhs.prefetches_issued,
-            prefetches_duplicate: self.prefetches_duplicate - rhs.prefetches_duplicate,
-            icache_prefetches_issued: self.icache_prefetches_issued - rhs.icache_prefetches_issued,
-            spatial_ptes_staged: self.spatial_ptes_staged - rhs.spatial_ptes_staged,
-            correcting_walks: self.correcting_walks - rhs.correcting_walks,
-            shootdowns: self.shootdowns - rhs.shootdowns,
-        }
-    }
-}
-
-impl std::ops::Add for MmuStats {
-    type Output = MmuStats;
-
-    /// Field-wise sum, the inverse of [`Sub`](std::ops::Sub): summing
-    /// interval-sampler epoch deltas reconstitutes the window totals.
-    fn add(self, rhs: MmuStats) -> MmuStats {
-        MmuStats {
-            instr_translations: self.instr_translations + rhs.instr_translations,
-            itlb_misses: self.itlb_misses + rhs.itlb_misses,
-            istlb_misses: self.istlb_misses + rhs.istlb_misses,
-            istlb_covered: self.istlb_covered + rhs.istlb_covered,
-            istlb_covered_late: self.istlb_covered_late + rhs.istlb_covered_late,
-            data_translations: self.data_translations + rhs.data_translations,
-            dtlb_misses: self.dtlb_misses + rhs.dtlb_misses,
-            dstlb_misses: self.dstlb_misses + rhs.dstlb_misses,
-            prefetches_issued: self.prefetches_issued + rhs.prefetches_issued,
-            prefetches_duplicate: self.prefetches_duplicate + rhs.prefetches_duplicate,
-            icache_prefetches_issued: self.icache_prefetches_issued + rhs.icache_prefetches_issued,
-            spatial_ptes_staged: self.spatial_ptes_staged + rhs.spatial_ptes_staged,
-            correcting_walks: self.correcting_walks + rhs.correcting_walks,
-            shootdowns: self.shootdowns + rhs.shootdowns,
-        }
-    }
-}
-
-impl CounterSet for MmuStats {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("instr_translations", self.instr_translations),
-            ("itlb_misses", self.itlb_misses),
-            ("istlb_misses", self.istlb_misses),
-            ("istlb_covered", self.istlb_covered),
-            ("istlb_covered_late", self.istlb_covered_late),
-            ("data_translations", self.data_translations),
-            ("dtlb_misses", self.dtlb_misses),
-            ("dstlb_misses", self.dstlb_misses),
-            ("prefetches_issued", self.prefetches_issued),
-            ("prefetches_duplicate", self.prefetches_duplicate),
-            ("icache_prefetches_issued", self.icache_prefetches_issued),
-            ("spatial_ptes_staged", self.spatial_ptes_staged),
-            ("correcting_walks", self.correcting_walks),
-            ("shootdowns", self.shootdowns),
-        ]
+morrigan_types::counter_set! {
+    /// Counters exposed by the MMU.
+    pub struct MmuStats {
+        /// Instruction translations requested.
+        pub instr_translations: u64,
+        /// I-TLB misses.
+        pub itlb_misses: u64,
+        /// Instruction lookups that missed the STLB (iSTLB misses).
+        pub istlb_misses: u64,
+        /// iSTLB misses covered by a PB hit (ready or in flight).
+        pub istlb_covered: u64,
+        /// iSTLB misses covered by an entry whose walk was still in flight.
+        pub istlb_covered_late: u64,
+        /// Data translations requested.
+        pub data_translations: u64,
+        /// D-TLB misses.
+        pub dtlb_misses: u64,
+        /// Data lookups that missed the STLB (dSTLB misses).
+        pub dstlb_misses: u64,
+        /// Prefetch requests issued to the walker.
+        pub prefetches_issued: u64,
+        /// Prefetch requests discarded because the placement target (PB, or
+        /// the STLB in P2TLB mode) already staged the page.
+        pub prefetches_duplicate: u64,
+        /// Prefetch walks issued on behalf of a page-crossing I-cache
+        /// prefetcher (§3.5), counted separately from the STLB prefetcher's
+        /// own requests so Fig 18/19 configurations stay comparable.
+        pub icache_prefetches_issued: u64,
+        /// PTEs staged for free via page-table locality (spatial prefetching).
+        pub spatial_ptes_staged: u64,
+        /// Correcting page walks issued for PB entries evicted unused (§4.3).
+        pub correcting_walks: u64,
+        /// Translations removed by TLB shootdowns.
+        pub shootdowns: u64,
     }
 }
 

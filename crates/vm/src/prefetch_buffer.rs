@@ -12,7 +12,7 @@
 //! only saves the *remaining* latency (this is the effect that cripples
 //! naive page-crossing I-cache prefetchers in Fig 10).
 
-use morrigan_types::{CounterSet, PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
+use morrigan_types::{PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
 
 /// One prefetched translation staged in the PB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,79 +44,30 @@ pub struct PbHit {
     pub component: PrefetchComponent,
 }
 
-/// PB counters. Together they form a closed ledger: every entry that ever
-/// entered the buffer (`inserts`) either left through a demand hit
-/// (`hits_ready + hits_inflight`), an eviction or flush (`evicted_unused`),
-/// a shootdown (`invalidations`), or is still resident (occupancy) —
-/// `inserts == hits + evicted_unused + invalidations + len()` at every
-/// instant, which the audit layer checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PbStats {
-    /// Demand lookups that hit a ready entry.
-    pub hits_ready: u64,
-    /// Demand lookups that hit an entry whose walk was still in flight.
-    pub hits_inflight: u64,
-    /// Demand lookups that missed.
-    pub misses: u64,
-    /// Entries evicted without ever providing a hit (useless prefetches),
-    /// including entries discarded by a flush.
-    pub evicted_unused: u64,
-    /// Insertions of pages not already staged (new entries only).
-    pub inserts: u64,
-    /// Re-insertions of already-staged pages (recency refresh; the entry
-    /// count does not change).
-    pub refreshes: u64,
-    /// Entries removed by TLB shootdowns.
-    pub invalidations: u64,
-}
-
-impl std::ops::Sub for PbStats {
-    type Output = PbStats;
-
-    /// Field-wise difference, used to isolate the measurement window from
-    /// warmup (`end_snapshot - start_snapshot`).
-    fn sub(self, rhs: PbStats) -> PbStats {
-        PbStats {
-            hits_ready: self.hits_ready - rhs.hits_ready,
-            hits_inflight: self.hits_inflight - rhs.hits_inflight,
-            misses: self.misses - rhs.misses,
-            evicted_unused: self.evicted_unused - rhs.evicted_unused,
-            inserts: self.inserts - rhs.inserts,
-            refreshes: self.refreshes - rhs.refreshes,
-            invalidations: self.invalidations - rhs.invalidations,
-        }
-    }
-}
-
-impl std::ops::Add for PbStats {
-    type Output = PbStats;
-
-    /// Field-wise sum, the inverse of [`Sub`](std::ops::Sub): summing
-    /// interval-sampler epoch deltas reconstitutes the window totals.
-    fn add(self, rhs: PbStats) -> PbStats {
-        PbStats {
-            hits_ready: self.hits_ready + rhs.hits_ready,
-            hits_inflight: self.hits_inflight + rhs.hits_inflight,
-            misses: self.misses + rhs.misses,
-            evicted_unused: self.evicted_unused + rhs.evicted_unused,
-            inserts: self.inserts + rhs.inserts,
-            refreshes: self.refreshes + rhs.refreshes,
-            invalidations: self.invalidations + rhs.invalidations,
-        }
-    }
-}
-
-impl CounterSet for PbStats {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("hits_ready", self.hits_ready),
-            ("hits_inflight", self.hits_inflight),
-            ("misses", self.misses),
-            ("evicted_unused", self.evicted_unused),
-            ("inserts", self.inserts),
-            ("refreshes", self.refreshes),
-            ("invalidations", self.invalidations),
-        ]
+morrigan_types::counter_set! {
+    /// PB counters. Together they form a closed ledger: every entry that ever
+    /// entered the buffer (`inserts`) either left through a demand hit
+    /// (`hits_ready + hits_inflight`), an eviction or flush (`evicted_unused`),
+    /// a shootdown (`invalidations`), or is still resident (occupancy) —
+    /// `inserts == hits + evicted_unused + invalidations + len()` at every
+    /// instant, which the audit layer checks.
+    pub struct PbStats {
+        /// Demand lookups that hit a ready entry.
+        pub hits_ready: u64,
+        /// Demand lookups that hit an entry whose walk was still in flight.
+        pub hits_inflight: u64,
+        /// Demand lookups that missed.
+        pub misses: u64,
+        /// Entries evicted without ever providing a hit (useless prefetches),
+        /// including entries discarded by a flush.
+        pub evicted_unused: u64,
+        /// Insertions of pages not already staged (new entries only).
+        pub inserts: u64,
+        /// Re-insertions of already-staged pages (recency refresh; the entry
+        /// count does not change).
+        pub refreshes: u64,
+        /// Entries removed by TLB shootdowns.
+        pub invalidations: u64,
     }
 }
 

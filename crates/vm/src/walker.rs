@@ -9,7 +9,7 @@
 //! STLB's MSHR depth) and one walk can be initiated per cycle.
 
 use morrigan_mem::{AccessClass, MemoryHierarchy};
-use morrigan_types::{CounterSet, PhysPage, VirtPage};
+use morrigan_types::{PhysPage, VirtPage};
 
 use crate::page_table::PageTable;
 use crate::psc::{PagingStructureCaches, PscConfig, PscHit};
@@ -77,83 +77,28 @@ pub struct WalkResult {
     pub psc_hit: PscHit,
 }
 
-/// Walk and reference counters, split by [`WalkKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalkerStats {
-    /// Demand walks for instruction misses.
-    pub demand_instr_walks: u64,
-    /// Memory references of demand instruction walks.
-    pub demand_instr_refs: u64,
-    /// Summed latency of demand instruction walks (for mean latency).
-    pub demand_instr_latency: u64,
-    /// Demand walks for data misses.
-    pub demand_data_walks: u64,
-    /// Memory references of demand data walks.
-    pub demand_data_refs: u64,
-    /// Summed latency of demand data walks.
-    pub demand_data_latency: u64,
-    /// Prefetch walks performed.
-    pub prefetch_walks: u64,
-    /// Memory references of prefetch walks.
-    pub prefetch_refs: u64,
-    /// Prefetch walks suppressed because the target page was unmapped
-    /// (faulting prefetches are not permitted, §2.1).
-    pub faults_suppressed: u64,
-}
-
-impl std::ops::Sub for WalkerStats {
-    type Output = WalkerStats;
-
-    /// Field-wise difference, used to isolate the measurement window from
-    /// warmup (`end_snapshot - start_snapshot`).
-    fn sub(self, rhs: WalkerStats) -> WalkerStats {
-        WalkerStats {
-            demand_instr_walks: self.demand_instr_walks - rhs.demand_instr_walks,
-            demand_instr_refs: self.demand_instr_refs - rhs.demand_instr_refs,
-            demand_instr_latency: self.demand_instr_latency - rhs.demand_instr_latency,
-            demand_data_walks: self.demand_data_walks - rhs.demand_data_walks,
-            demand_data_refs: self.demand_data_refs - rhs.demand_data_refs,
-            demand_data_latency: self.demand_data_latency - rhs.demand_data_latency,
-            prefetch_walks: self.prefetch_walks - rhs.prefetch_walks,
-            prefetch_refs: self.prefetch_refs - rhs.prefetch_refs,
-            faults_suppressed: self.faults_suppressed - rhs.faults_suppressed,
-        }
-    }
-}
-
-impl std::ops::Add for WalkerStats {
-    type Output = WalkerStats;
-
-    /// Field-wise sum, the inverse of [`Sub`](std::ops::Sub): summing
-    /// interval-sampler epoch deltas reconstitutes the window totals.
-    fn add(self, rhs: WalkerStats) -> WalkerStats {
-        WalkerStats {
-            demand_instr_walks: self.demand_instr_walks + rhs.demand_instr_walks,
-            demand_instr_refs: self.demand_instr_refs + rhs.demand_instr_refs,
-            demand_instr_latency: self.demand_instr_latency + rhs.demand_instr_latency,
-            demand_data_walks: self.demand_data_walks + rhs.demand_data_walks,
-            demand_data_refs: self.demand_data_refs + rhs.demand_data_refs,
-            demand_data_latency: self.demand_data_latency + rhs.demand_data_latency,
-            prefetch_walks: self.prefetch_walks + rhs.prefetch_walks,
-            prefetch_refs: self.prefetch_refs + rhs.prefetch_refs,
-            faults_suppressed: self.faults_suppressed + rhs.faults_suppressed,
-        }
-    }
-}
-
-impl CounterSet for WalkerStats {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("demand_instr_walks", self.demand_instr_walks),
-            ("demand_instr_refs", self.demand_instr_refs),
-            ("demand_instr_latency", self.demand_instr_latency),
-            ("demand_data_walks", self.demand_data_walks),
-            ("demand_data_refs", self.demand_data_refs),
-            ("demand_data_latency", self.demand_data_latency),
-            ("prefetch_walks", self.prefetch_walks),
-            ("prefetch_refs", self.prefetch_refs),
-            ("faults_suppressed", self.faults_suppressed),
-        ]
+morrigan_types::counter_set! {
+    /// Walk and reference counters, split by [`WalkKind`].
+    pub struct WalkerStats {
+        /// Demand walks for instruction misses.
+        pub demand_instr_walks: u64,
+        /// Memory references of demand instruction walks.
+        pub demand_instr_refs: u64,
+        /// Summed latency of demand instruction walks (for mean latency).
+        pub demand_instr_latency: u64,
+        /// Demand walks for data misses.
+        pub demand_data_walks: u64,
+        /// Memory references of demand data walks.
+        pub demand_data_refs: u64,
+        /// Summed latency of demand data walks.
+        pub demand_data_latency: u64,
+        /// Prefetch walks performed.
+        pub prefetch_walks: u64,
+        /// Memory references of prefetch walks.
+        pub prefetch_refs: u64,
+        /// Prefetch walks suppressed because the target page was unmapped
+        /// (faulting prefetches are not permitted, §2.1).
+        pub faults_suppressed: u64,
     }
 }
 
