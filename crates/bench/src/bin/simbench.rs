@@ -310,11 +310,22 @@ fn run_figures(
             probes_elided: elision.probes_elided,
             runs_consumed: elision.runs_consumed,
         };
+        // The epoch driver's thread-seconds at its barriers and in
+        // replay; single-core rows have no epochs.
+        let epoch_split = if cores > 1 {
+            format!(
+                ", barrier wait {:.3} s, replay {:.3} s",
+                phases.barrier_wait(),
+                phases.replay()
+            )
+        } else {
+            String::new()
+        };
         eprintln!(
             "[simbench] {label} {name}: {instructions} instructions in {seconds:.3} s = \
              {:.2} MIPS over {} core(s) at width {} (workload-gen {:.3} s, trace-build \
-             {:.3} s over {} traces serving {} streams, simulate {:.3} s, parallel \
-             speedup {:.2}, elided {}/{} probes over {} runs)",
+             {:.3} s over {} traces serving {} streams, simulate {:.3} s{epoch_split}, \
+             parallel speedup {:.2}, elided {}/{} probes over {} runs)",
             fig.mips(),
             fig.cores,
             fig.machine_threads,

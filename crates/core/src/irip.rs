@@ -143,6 +143,10 @@ pub struct Irip {
     /// traced MMU to drain onto the event timeline. Off by default.
     capture_events: bool,
     events: Vec<PrefetcherEvent>,
+    /// Victim-selection scratch reused by every eviction: the full set's
+    /// `(vpn, stamp)` candidates and the policy's ranking keys.
+    candidates: Vec<(VirtPage, u64)>,
+    keys: Vec<(u32, u64, usize)>,
 }
 
 impl Irip {
@@ -175,6 +179,8 @@ impl Irip {
             stats: IripStats::default(),
             capture_events: false,
             events: Vec::new(),
+            candidates: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -346,23 +352,22 @@ impl Irip {
             return;
         }
         // Policy-selected victim.
-        let candidates: Vec<(VirtPage, u64)> = range
-            .clone()
-            .map(|i| {
-                (
-                    self.tables[t].entries[i].vpn,
-                    self.tables[t].entries[i].stamp,
-                )
-            })
-            .collect();
-        let victim = self
-            .cfg
-            .policy
-            .choose_victim(&candidates, &self.freq, &mut self.rng);
+        self.candidates.clear();
+        self.candidates.extend(
+            self.tables[t].entries[range.clone()]
+                .iter()
+                .map(|e| (e.vpn, e.stamp)),
+        );
+        let victim = self.cfg.policy.choose_victim(
+            &self.candidates,
+            &self.freq,
+            &mut self.rng,
+            &mut self.keys,
+        );
         if self.capture_events {
             self.events.push(PrefetcherEvent::TableEvict {
                 table: t as u8,
-                vpn: candidates[victim].0,
+                vpn: self.candidates[victim].0,
             });
         }
         self.tables[t].entries[range.start + victim] = entry;

@@ -51,7 +51,9 @@ impl ReplacementPolicy {
 
     /// Picks a victim among `candidates`, each described by
     /// `(vpn, lru_stamp)`. Frequencies come from `freq`; randomness from
-    /// `rng` (deterministic xoshiro state owned by the caller).
+    /// `rng` (deterministic xoshiro state owned by the caller). `keys` is
+    /// scratch space RLFU ranks in; its contents on entry are ignored,
+    /// and a caller that keeps it across calls allocates nothing.
     ///
     /// Returns an index into `candidates`.
     ///
@@ -63,6 +65,7 @@ impl ReplacementPolicy {
         candidates: &[(VirtPage, u64)],
         freq: &FrequencyStack,
         rng: &mut Xoshiro256StarStar,
+        keys: &mut Vec<(u32, u64, usize)>,
     ) -> usize {
         assert!(
             !candidates.is_empty(),
@@ -83,14 +86,24 @@ impl ReplacementPolicy {
                 .map(|(i, _)| i)
                 .expect("non-empty"),
             ReplacementPolicy::Rlfu => {
-                // Rank by frequency ascending and draw uniformly from the
-                // coldest quarter (at least one): frequency drives the
-                // choice like LFU, and the randomness within the cold pool
-                // acts as the second chance for recently installed entries.
-                let mut ranked: Vec<usize> = (0..candidates.len()).collect();
-                ranked.sort_by_key(|&i| (freq.frequency(candidates[i].0), candidates[i].1));
+                // Draw a rank uniformly from the coldest quarter (at least
+                // one) of the candidates ordered by (frequency, stamp):
+                // frequency drives the choice like LFU, and the randomness
+                // within the cold pool acts as the second chance for
+                // recently installed entries. The index breaks ties, so
+                // the rank-`r` key is the one a stable sort puts at `r`,
+                // and selecting it needs no sort.
                 let pool = (candidates.len() / 4).max(1);
-                ranked[rng.next_below(pool as u64) as usize]
+                let rank = rng.next_below(pool as u64) as usize;
+                keys.clear();
+                keys.extend(
+                    candidates
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(vpn, stamp))| (freq.frequency(vpn), stamp, i)),
+                );
+                let (_, &mut (_, _, victim), _) = keys.select_nth_unstable(rank);
+                victim
             }
         }
     }
@@ -118,7 +131,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(1);
         let f = FrequencyStack::default();
         let candidates = [(p(1), 30), (p(2), 10), (p(3), 20)];
-        let idx = ReplacementPolicy::Lru.choose_victim(&candidates, &f, &mut rng);
+        let idx = ReplacementPolicy::Lru.choose_victim(&candidates, &f, &mut rng, &mut Vec::new());
         assert_eq!(idx, 1);
     }
 
@@ -128,7 +141,7 @@ mod tests {
         let f = hot_cold_stack();
         // Page 3 has frequency 0 → coldest regardless of recency.
         let candidates = [(p(1), 1), (p(2), 2), (p(3), 99)];
-        let idx = ReplacementPolicy::Lfu.choose_victim(&candidates, &f, &mut rng);
+        let idx = ReplacementPolicy::Lfu.choose_victim(&candidates, &f, &mut rng, &mut Vec::new());
         assert_eq!(idx, 2);
     }
 
@@ -137,7 +150,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(1);
         let f = FrequencyStack::default(); // all frequencies 0
         let candidates = [(p(1), 30), (p(2), 10), (p(3), 20)];
-        let idx = ReplacementPolicy::Lfu.choose_victim(&candidates, &f, &mut rng);
+        let idx = ReplacementPolicy::Lfu.choose_victim(&candidates, &f, &mut rng, &mut Vec::new());
         assert_eq!(idx, 1, "equal frequencies fall back to LRU order");
     }
 
@@ -158,7 +171,8 @@ mod tests {
             (p(8), 8),
         ];
         for _ in 0..200 {
-            let idx = ReplacementPolicy::Rlfu.choose_victim(&candidates, &f, &mut rng);
+            let idx =
+                ReplacementPolicy::Rlfu.choose_victim(&candidates, &f, &mut rng, &mut Vec::new());
             assert!(
                 idx == 2 || idx == 3,
                 "victim must come from the cold pool, got {idx}"
@@ -182,7 +196,12 @@ mod tests {
         ];
         let mut seen = [false; 8];
         for _ in 0..200 {
-            seen[ReplacementPolicy::Rlfu.choose_victim(&candidates, &f, &mut rng)] = true;
+            seen[ReplacementPolicy::Rlfu.choose_victim(
+                &candidates,
+                &f,
+                &mut rng,
+                &mut Vec::new(),
+            )] = true;
         }
         assert!(
             seen[2] && seen[3],
@@ -192,13 +211,33 @@ mod tests {
     }
 
     #[test]
+    fn rlfu_ties_keep_candidate_order() {
+        // Equal (frequency, stamp) keys rank in candidate order, as a
+        // stable sort ranks them: the victim is the drawn rank itself.
+        let f = FrequencyStack::default();
+        let candidates: Vec<(VirtPage, u64)> = (0..40).map(|v| (p(v), 7)).collect();
+        let mut keys = Vec::new();
+        for seed in 0..50 {
+            let mut rng = Xoshiro256StarStar::new(seed);
+            let rank = rng.clone().next_below(10) as usize;
+            let idx = ReplacementPolicy::Rlfu.choose_victim(&candidates, &f, &mut rng, &mut keys);
+            assert_eq!(idx, rank, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn random_covers_all_candidates() {
         let mut rng = Xoshiro256StarStar::new(3);
         let f = FrequencyStack::default();
         let candidates = [(p(1), 1), (p(2), 2), (p(3), 3)];
         let mut seen = [false; 3];
         for _ in 0..300 {
-            seen[ReplacementPolicy::Random.choose_victim(&candidates, &f, &mut rng)] = true;
+            seen[ReplacementPolicy::Random.choose_victim(
+                &candidates,
+                &f,
+                &mut rng,
+                &mut Vec::new(),
+            )] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -209,7 +248,10 @@ mod tests {
         let f = FrequencyStack::default();
         let candidates = [(p(9), 5)];
         for policy in ReplacementPolicy::ALL {
-            assert_eq!(policy.choose_victim(&candidates, &f, &mut rng), 0);
+            assert_eq!(
+                policy.choose_victim(&candidates, &f, &mut rng, &mut Vec::new()),
+                0
+            );
         }
     }
 
@@ -218,7 +260,7 @@ mod tests {
     fn empty_candidates_rejected() {
         let mut rng = Xoshiro256StarStar::new(3);
         let f = FrequencyStack::default();
-        ReplacementPolicy::Lru.choose_victim(&[], &f, &mut rng);
+        ReplacementPolicy::Lru.choose_victim(&[], &f, &mut rng, &mut Vec::new());
     }
 
     #[test]

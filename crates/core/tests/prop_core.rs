@@ -110,7 +110,7 @@ proptest! {
         }
         let mut rng = Xoshiro256StarStar::new(seed);
         for policy in ReplacementPolicy::ALL {
-            let idx = policy.choose_victim(&cands, &freq, &mut rng);
+            let idx = policy.choose_victim(&cands, &freq, &mut rng, &mut Vec::new());
             prop_assert!(idx < cands.len());
         }
     }

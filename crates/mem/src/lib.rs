@@ -36,4 +36,4 @@ pub use hierarchy::{
     AccessClass, AccessOutcome, HierarchyConfig, LevelStats, MemLevel, MemoryHierarchy,
 };
 pub use l2_prefetch::{L2Prefetcher, L2PrefetcherConfig};
-pub use llc::{CachePadded, Llc, LlcOp, LlcView};
+pub use llc::{Llc, LlcOp, LlcView};

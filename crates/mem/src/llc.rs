@@ -14,33 +14,25 @@
 //!
 //! ## Concurrency
 //!
-//! Each shard sits behind its own `RwLock`, and the lock+bank pair is
-//! padded to a cache-line boundary ([`CachePadded`]) so two host threads
-//! touching adjacent shards never false-share a line. The single-core
-//! hot path pays nothing for this: `&mut self` accessors go through
-//! `RwLock::get_mut`, which is a plain field access when the borrow is
-//! exclusive.
+//! Each shard is an [`EpochCell`]: a bank aligned to its own cache line
+//! (so two host threads touching adjacent shards never false-share) and
+//! read with plain loads. The single-core hot path reaches the banks through
+//! `&mut self` and [`EpochCell::get_mut`], a plain field access.
 //!
-//! The parallel machine never mutates shards concurrently. During an
-//! epoch every core reads the *frozen* epoch-start image (shared read
-//! locks, no writers) through an [`LlcView`] that overlays the core's
-//! own fills; at the epoch barrier each shard's buffered operations are
-//! replayed under the write lock in (core, sequence) order. Replay
-//! order is a pure function of the logs, so the machine's results are
-//! independent of how many host threads executed the epoch.
+//! The parallel machine never reads a shard while it is written. During
+//! an epoch every core reads the *frozen* epoch-start image through an
+//! [`LlcView`] that overlays the core's own fills; at the epoch barrier
+//! each shard's buffered operations are replayed by the one thread that
+//! owns the shard ([`Llc::replay_shard`]) in (core, sequence) order,
+//! while no core reads. Replay order is a pure function of the logs, so
+//! the machine's results are independent of how many host threads
+//! executed the epoch.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use morrigan_types::CacheLine;
+use morrigan_types::{CacheLine, EpochCell};
 
 use crate::cache::{Cache, CacheConfig};
-
-/// Pads (and aligns) `T` to a 64-byte cache-line boundary so adjacent
-/// array elements never share a line — the classic false-sharing guard
-/// for per-shard locks.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T>(pub T);
 
 /// One buffered LLC operation, replayed at the epoch barrier. The line
 /// key is shard-local (shard-select bits already dropped), so replay
@@ -55,7 +47,7 @@ pub enum LlcOp {
 }
 
 /// A sharded LLC: `shards` independent LRU banks over disjoint line
-/// partitions, each behind its own cache-line-padded `RwLock`.
+/// partitions, each in its own cache-line-aligned [`EpochCell`].
 ///
 /// # Examples
 ///
@@ -70,24 +62,11 @@ pub enum LlcOp {
 /// assert!(llc.probe(line));
 /// assert_eq!(llc.occupancy(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Llc {
-    shards: Vec<CachePadded<RwLock<Cache>>>,
+    shards: Vec<EpochCell<Cache>>,
     /// log2 of the shard count; shard select = `line & ((1 << bits) - 1)`.
     shard_bits: u32,
-}
-
-impl Clone for Llc {
-    fn clone(&self) -> Self {
-        Self {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| CachePadded(RwLock::new(s.0.read().expect("llc shard lock").clone())))
-                .collect(),
-            shard_bits: self.shard_bits,
-        }
-    }
 }
 
 impl Llc {
@@ -115,7 +94,7 @@ impl Llc {
         };
         Self {
             shards: (0..shards)
-                .map(|_| CachePadded(RwLock::new(Cache::new(bank))))
+                .map(|_| EpochCell::new(Cache::new(bank)))
                 .collect(),
             shard_bits: shards.trailing_zeros(),
         }
@@ -132,34 +111,22 @@ impl Llc {
     #[inline]
     pub fn probe(&mut self, line: CacheLine) -> bool {
         let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .get_mut()
-            .expect("llc shard lock")
-            .probe(key)
+        self.shards[shard].get_mut().probe(key)
     }
 
-    /// Whether `line` is resident, without disturbing LRU state. Safe
-    /// against concurrent readers (shared lock); the parallel machine
-    /// calls this between barriers, when no writer exists.
+    /// Whether `line` is resident, without disturbing LRU state. A plain
+    /// read; the parallel machine calls this in the run phase, when no
+    /// shard is being replayed.
     pub fn contains(&self, line: CacheLine) -> bool {
         let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .read()
-            .expect("llc shard lock")
-            .contains(key)
+        self.shards[shard].read().contains(key)
     }
 
     /// Installs `line` as MRU in its owning shard.
     #[inline]
     pub fn fill(&mut self, line: CacheLine) {
         let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .get_mut()
-            .expect("llc shard lock")
-            .fill(key);
+        self.shards[shard].get_mut().fill(key);
     }
 
     /// Installs `line`, which must not be resident, as MRU in its owning
@@ -167,33 +134,43 @@ impl Llc {
     #[inline]
     pub fn insert_absent(&mut self, line: CacheLine) {
         let (shard, key) = self.split(line);
-        self.shards[shard]
-            .0
-            .get_mut()
-            .expect("llc shard lock")
-            .insert_absent(key);
+        self.shards[shard].get_mut().insert_absent(key);
     }
 
     /// Replays one epoch's buffered operations against shard `shard`,
-    /// in the order given, under the shard's write lock. The parallel
-    /// machine concatenates per-core logs in core-id order before
-    /// calling, which is what makes the result thread-count-invariant.
+    /// in the order given. The parallel machine concatenates per-core
+    /// logs in core-id order before calling, which is what makes the
+    /// result thread-count-invariant.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the only thread touching shard `shard` until
+    /// this returns: no [`contains`](Self::contains) or
+    /// [`LlcView::probe`] may read it and no other replay may write it
+    /// concurrently, and a barrier must order this replay before the
+    /// shard's next reads. The parallel machine meets this by replaying
+    /// shard `s` only on thread `s % width`, between the two barriers
+    /// that bracket the replay phase.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
-    pub fn replay_shard(&self, shard: usize, ops: &[LlcOp]) {
-        let mut bank = self.shards[shard].0.write().expect("llc shard lock");
-        for op in ops {
-            match *op {
-                LlcOp::Touch(key) => {
-                    bank.probe(key);
-                }
-                LlcOp::Fill(key) => {
-                    bank.fill(key);
+    pub unsafe fn replay_shard(&self, shard: usize, ops: &[LlcOp]) {
+        let replay = |bank: &mut Cache| {
+            for op in ops {
+                match *op {
+                    LlcOp::Touch(key) => {
+                        bank.probe(key);
+                    }
+                    LlcOp::Fill(key) => {
+                        bank.fill(key);
+                    }
                 }
             }
-        }
+        };
+        // SAFETY: forwarded from this function's contract: the caller is
+        // the only thread touching the shard until the write returns.
+        unsafe { self.shards[shard].write(replay) }
     }
 
     /// Number of banks.
@@ -203,10 +180,7 @@ impl Llc {
 
     /// Valid lines across all banks.
     pub fn occupancy(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.0.read().expect("llc shard lock").occupancy())
-            .sum()
+        self.shards.iter().map(|s| s.read().occupancy()).sum()
     }
 
     /// Valid lines in one bank (shared-structure audit: per-shard
@@ -216,11 +190,7 @@ impl Llc {
     ///
     /// Panics if `shard >= shard_count()`.
     pub fn shard_occupancy(&self, shard: usize) -> usize {
-        self.shards[shard]
-            .0
-            .read()
-            .expect("llc shard lock")
-            .occupancy()
+        self.shards[shard].read().occupancy()
     }
 
     /// Total capacity in lines across all banks.
@@ -228,8 +198,8 @@ impl Llc {
         self.shards
             .iter()
             .map(|s| {
-                let bank = s.0.read().expect("llc shard lock");
-                bank.config().sets * bank.config().ways
+                let bank = s.read().config();
+                bank.sets * bank.ways
             })
             .sum()
     }
@@ -384,13 +354,11 @@ mod tests {
 
     #[test]
     fn shards_are_padded_to_cache_line_boundaries() {
-        assert_eq!(std::mem::align_of::<CachePadded<RwLock<Cache>>>(), 64);
-        assert!(std::mem::size_of::<CachePadded<RwLock<Cache>>>().is_multiple_of(64));
         let llc = Llc::new(cfg(), 4);
         let addrs: Vec<usize> = llc
             .shards
             .iter()
-            .map(|s| s as *const CachePadded<RwLock<Cache>> as usize)
+            .map(|s| s as *const EpochCell<Cache> as usize)
             .collect();
         for pair in addrs.windows(2) {
             assert!(
@@ -425,14 +393,17 @@ mod tests {
                 // Epoch barrier: replay and clear.
                 view.take_epoch(&mut logs);
                 for (shard, ops) in logs.iter_mut().enumerate() {
-                    shared.replay_shard(shard, ops);
+                    // SAFETY: one thread, and no read of the shard is in
+                    // progress while it replays.
+                    unsafe { shared.replay_shard(shard, ops) };
                     ops.clear();
                 }
             }
         }
         view.take_epoch(&mut logs);
         for (shard, ops) in logs.iter_mut().enumerate() {
-            shared.replay_shard(shard, ops);
+            // SAFETY: as above.
+            unsafe { shared.replay_shard(shard, ops) };
             ops.clear();
         }
         assert_eq!(shared.occupancy(), direct.occupancy());

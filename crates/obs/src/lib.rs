@@ -286,6 +286,21 @@ mod tests {
     }
 
     #[test]
+    fn barrier_wait_and_replay_stay_inside_simulate() {
+        let mut p = PhaseProfile::new();
+        p.add(Phase::WorkloadGen, 1.0);
+        p.add(Phase::BarrierWait, 0.5);
+        p.add(Phase::Replay, 0.25);
+        p.add_total(4.0);
+        assert_eq!((p.barrier_wait(), p.replay()), (0.5, 0.25));
+        assert_eq!(p.simulate(), 3.0, "machine overhead is simulation time");
+        let mut merged = PhaseProfile::new();
+        merged.merge(&p);
+        merged.merge(&p);
+        assert_eq!((merged.barrier_wait(), merged.replay()), (1.0, 0.5));
+    }
+
+    #[test]
     fn simulate_clamps_at_zero() {
         let mut p = PhaseProfile::new();
         p.add(Phase::WorkloadGen, 2.0);

@@ -1,13 +1,14 @@
 //! Host-side phase profiling: where a simulation's *wall time* goes,
 //! split into workload generation, trace materialization, and
-//! simulation proper.
+//! simulation proper, with the multi-core machine's epoch barrier waits
+//! and shared-state replay broken out of the latter.
 //!
-//! The buckets are timed at refill and materialization granularity
-//! (two `Instant` reads per 1024-instruction refill, far below
-//! measurement noise), so they are always on. Per-layer host cost
-//! inside the simulation (translation, walks, cache set scans, the
-//! prefetcher, retirement) is measured from outside the simulator by
-//! `hostbench --trace 1`.
+//! The buckets are timed at refill, materialization and epoch
+//! granularity (two `Instant` reads per 1024-instruction refill, four
+//! per machine thread per epoch, far below measurement noise), so they
+//! are always on. Per-layer host cost inside the simulation
+//! (translation, walks, cache set scans, the prefetcher, retirement) is
+//! measured from outside the simulator by `hostbench --trace 1`.
 
 /// Wall-time bucket a slice of host time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,17 +22,32 @@ pub enum Phase {
     /// simulator — near-zero on a cache hit or with the cache off, the
     /// full generation cost on a miss.
     TraceBuild,
+    /// The multi-core machine's epoch barriers: each host thread's time
+    /// inside its two `wait` calls per epoch, summed over threads. Part
+    /// of simulation time ([`PhaseProfile::simulate`] includes it).
+    BarrierWait,
+    /// The multi-core machine's replay phase: each host thread's time
+    /// replaying its LLC shards (and the shared STLB) and delivering
+    /// shootdowns, summed over threads. Part of simulation time.
+    Replay,
 }
 
 impl Phase {
     /// All phases, in [`Self::index`] order.
-    pub const ALL: [Phase; 2] = [Phase::WorkloadGen, Phase::TraceBuild];
+    pub const ALL: [Phase; 4] = [
+        Phase::WorkloadGen,
+        Phase::TraceBuild,
+        Phase::BarrierWait,
+        Phase::Replay,
+    ];
 
     /// Dense index into [`PhaseProfile`]'s bucket array.
     pub fn index(self) -> usize {
         match self {
             Phase::WorkloadGen => 0,
             Phase::TraceBuild => 1,
+            Phase::BarrierWait => 2,
+            Phase::Replay => 3,
         }
     }
 
@@ -40,6 +56,8 @@ impl Phase {
         match self {
             Phase::WorkloadGen => "workload_gen",
             Phase::TraceBuild => "trace_build",
+            Phase::BarrierWait => "barrier_wait",
+            Phase::Replay => "replay",
         }
     }
 }
@@ -47,7 +65,7 @@ impl Phase {
 /// Accumulated wall seconds per phase for one or more runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseProfile {
-    buckets: [f64; 2],
+    buckets: [f64; 4],
     total: f64,
 }
 
@@ -90,10 +108,23 @@ impl PhaseProfile {
         self.seconds(Phase::TraceBuild)
     }
 
+    /// Thread-seconds the multi-core machine's host threads spent in
+    /// epoch barriers (zero for single-core runs).
+    pub fn barrier_wait(&self) -> f64 {
+        self.seconds(Phase::BarrierWait)
+    }
+
+    /// Thread-seconds the multi-core machine's host threads spent
+    /// replaying shared-state logs and delivering shootdowns (zero for
+    /// single-core runs).
+    pub fn replay(&self) -> f64 {
+        self.seconds(Phase::Replay)
+    }
+
     /// Seconds spent simulating: the total minus workload generation
     /// and trace materialization, clamped at zero because timer
     /// granularity can make the buckets nominally overshoot a tiny
-    /// total.
+    /// total. Barrier and replay time are part of it.
     pub fn simulate(&self) -> f64 {
         (self.total - self.workload_gen() - self.trace_build()).max(0.0)
     }

@@ -20,6 +20,10 @@
 //! * [`scan`] — branch-free, autovectorizable tag-scan kernels shared by
 //!   every SoA set-associative structure (TLBs, PSCs, caches), pinned
 //!   byte-for-byte to the scalar scans they replace.
+//! * [`epoch`] — [`EpochCell`], the cache-line-aligned cell the
+//!   multi-core machine shares its LLC, STLB and epoch logs through:
+//!   plain-load reads, with writes confined by the caller to a phase
+//!   that the epoch barriers fence.
 //!
 //! # Examples
 //!
@@ -34,6 +38,7 @@
 
 pub mod addr;
 pub mod audit;
+pub mod epoch;
 pub mod prefetcher;
 pub mod rng;
 pub mod scan;
@@ -43,6 +48,7 @@ pub use addr::{
     CacheLine, PhysAddr, PhysPage, VirtAddr, VirtPage, ASID_SHIFT, LINE_SHIFT, PAGE_SHIFT,
 };
 pub use audit::{check_monotonic, AuditReport, CounterSet, Violation};
+pub use epoch::EpochCell;
 pub use prefetcher::{
     MissContext, PageDistance, PrefetchComponent, PrefetchDecision, PrefetchOrigin,
     PrefetcherEvent, ThreadId, TlbPrefetcher,

@@ -14,8 +14,6 @@
 //! fragmented physical memory (no physical contiguity between data pages,
 //! the situation the paper argues is typical in datacenters).
 
-use std::collections::HashSet;
-
 use morrigan_types::rng::SplitMix64;
 use morrigan_types::{PhysAddr, PhysPage, VirtPage};
 
@@ -72,10 +70,15 @@ pub struct WalkStep {
 /// Only pages registered with [`PageTable::map`] / [`PageTable::map_range`]
 /// are translatable; prefetches to unmapped pages are *faulting* and must be
 /// dropped by the MMU (§2.1: "only non-faulting prefetches are permitted").
+///
+/// Mapped pages are kept as sorted, merged `[start, end)` VPN ranges, so a
+/// membership test is one binary search over a handful of code and data
+/// regions rather than a hash of the page.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     asid: u64,
-    mapped: HashSet<VirtPage>,
+    /// Disjoint, non-adjacent `[start, end)` ranges in ascending order.
+    ranges: Vec<(u64, u64)>,
 }
 
 impl PageTable {
@@ -86,7 +89,7 @@ impl PageTable {
     pub fn new(asid: u64) -> Self {
         Self {
             asid,
-            mapped: HashSet::new(),
+            ranges: Vec::new(),
         }
     }
 
@@ -97,24 +100,41 @@ impl PageTable {
 
     /// Registers a single page as mapped.
     pub fn map(&mut self, vpn: VirtPage) {
-        self.mapped.insert(vpn);
+        self.map_range(vpn, 1);
     }
 
-    /// Registers `count` consecutive pages starting at `base`.
+    /// Registers `count` consecutive pages starting at `base`, merging
+    /// them with every range they overlap or touch. (VPN `u64::MAX`, which
+    /// no virtual address shifts to, is never mapped.)
     pub fn map_range(&mut self, base: VirtPage, count: u64) {
-        for i in 0..count {
-            self.mapped.insert(base.offset(i as i64));
+        let (start, end) = (base.raw(), base.raw().saturating_add(count));
+        if start == end {
+            return;
         }
+        // Ranges `[first, last)` overlap or touch `[start, end)`.
+        let first = self.ranges.partition_point(|&(_, e)| e < start);
+        let last = self.ranges.partition_point(|&(s, _)| s <= end);
+        let merged = if first == last {
+            (start, end)
+        } else {
+            (
+                self.ranges[first].0.min(start),
+                self.ranges[last - 1].1.max(end),
+            )
+        };
+        self.ranges.splice(first..last, [merged]);
     }
 
     /// Whether `vpn` has a valid translation.
     pub fn is_mapped(&self, vpn: VirtPage) -> bool {
-        self.mapped.contains(&vpn)
+        let v = vpn.raw();
+        let after = self.ranges.partition_point(|&(s, _)| s <= v);
+        after > 0 && v < self.ranges[after - 1].1
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.mapped.len()
+        self.ranges.iter().map(|&(s, e)| (e - s) as usize).sum()
     }
 
     /// The physical frame backing `vpn`, or `None` if unmapped.
@@ -265,6 +285,50 @@ mod tests {
         assert!(pt.is_mapped(VirtPage::new(100)));
         assert!(pt.is_mapped(VirtPage::new(109)));
         assert!(!pt.is_mapped(VirtPage::new(110)));
+    }
+
+    #[test]
+    fn ranges_merge_like_a_page_set() {
+        // Overlapping, touching, nested and disjoint mappings in a
+        // scrambled order must answer like the set of pages they name.
+        let maps = [
+            (40u64, 10u64),
+            (10, 5),
+            (60, 0),
+            (15, 5),
+            (45, 20),
+            (2, 3),
+            (70, 4),
+            (0, 1),
+            (30, 1),
+            (66, 3),
+            (12, 2),
+            (80, 1),
+            (79, 3),
+        ];
+        let mut pt = PageTable::new(1);
+        let mut pages = std::collections::BTreeSet::new();
+        for (base, count) in maps {
+            pt.map_range(VirtPage::new(base), count);
+            pages.extend(base..base + count);
+            assert_eq!(
+                pt.mapped_pages(),
+                pages.len(),
+                "after mapping {base}+{count}"
+            );
+            for v in 0..100 {
+                assert_eq!(
+                    pt.is_mapped(VirtPage::new(v)),
+                    pages.contains(&v),
+                    "page {v}"
+                );
+            }
+        }
+        for window in pt.ranges.windows(2) {
+            assert!(window[0].1 < window[1].0, "ranges stay merged and sorted");
+        }
+        pt.map(VirtPage::new(69));
+        assert!(pt.is_mapped(VirtPage::new(69)));
     }
 
     #[test]

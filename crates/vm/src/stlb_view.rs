@@ -1,12 +1,13 @@
 //! A core's epoch-local window onto the machine-wide shared STLB.
 //!
 //! The parallel machine freezes the shared STLB between epoch barriers:
-//! every core reads the epoch-start image (non-promoting [`Tlb::peek`]
-//! under a shared lock) plus an overlay of its own in-epoch inserts,
-//! and logs each operation in program order. At the barrier one thread
-//! replays all cores' logs against the real structure in (core,
-//! sequence) order, so the final state is a pure function of the logs —
-//! independent of host thread count and scheduling.
+//! every core reads the epoch-start image (non-promoting [`Tlb::peek`],
+//! a plain read of the [`EpochCell`]) plus an overlay of its own
+//! in-epoch inserts, and logs each operation in program order. At the
+//! barrier one thread replays all cores' logs against the real structure
+//! in (core, sequence) order while no core reads it, so the final state
+//! is a pure function of the logs — independent of host thread count
+//! and scheduling.
 //!
 //! Flush semantics carry over from the serial swap model: a core that
 //! context-switches mid-epoch flushes the *shared* STLB (under swapping
@@ -14,9 +15,9 @@
 //! view models that by hiding the frozen image from this core for the
 //! rest of the epoch and logging a [`StlbOp::Flush`] for replay.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use morrigan_types::{PhysPage, VirtPage};
+use morrigan_types::{EpochCell, PhysPage, VirtPage};
 
 use crate::tlb::Tlb;
 
@@ -35,7 +36,7 @@ pub enum StlbOp {
 /// The epoch-frozen shared-STLB window of one core. See the module docs.
 #[derive(Debug, Clone)]
 pub struct StlbView {
-    shared: Arc<RwLock<Tlb>>,
+    shared: Arc<EpochCell<Tlb>>,
     /// Operation log for barrier replay, program order.
     ops: Vec<StlbOp>,
     /// Inserts this core performed since the epoch start or its last
@@ -49,7 +50,7 @@ pub struct StlbView {
 
 impl StlbView {
     /// A fresh view over `shared` with empty overlay and log.
-    pub fn new(shared: Arc<RwLock<Tlb>>) -> Self {
+    pub fn new(shared: Arc<EpochCell<Tlb>>) -> Self {
         Self {
             shared,
             ops: Vec::new(),
@@ -71,7 +72,7 @@ impl StlbView {
     /// promotion replays at the barrier.
     pub fn lookup(&mut self, vpn: VirtPage) -> Option<PhysPage> {
         let hit = match self.overlay_get(vpn) {
-            None if !self.frozen_hidden => self.shared.read().expect("shared stlb lock").peek(vpn),
+            None if !self.frozen_hidden => self.shared.read().peek(vpn),
             resolved => resolved,
         };
         if hit.is_some() {
@@ -82,8 +83,7 @@ impl StlbView {
 
     /// Epoch-frozen residency check (non-promoting, nothing logged).
     pub fn contains(&self, vpn: VirtPage) -> bool {
-        self.overlay_get(vpn).is_some()
-            || (!self.frozen_hidden && self.shared.read().expect("shared stlb lock").contains(vpn))
+        self.overlay_get(vpn).is_some() || (!self.frozen_hidden && self.shared.read().contains(vpn))
     }
 
     /// Buffers an insert: visible to this core immediately, to everyone
@@ -113,8 +113,8 @@ impl StlbView {
     }
 }
 
-/// Replays one core's epoch log against the real shared STLB (caller
-/// holds the write lock and iterates cores in id order).
+/// Replays one core's epoch log against the real shared STLB (the
+/// caller has exclusive access and iterates cores in id order).
 pub fn replay_stlb_ops(stlb: &mut Tlb, ops: &[StlbOp]) {
     for op in ops {
         match *op {
@@ -134,8 +134,15 @@ mod tests {
     use super::*;
     use crate::tlb::TlbConfig;
 
-    fn shared() -> Arc<RwLock<Tlb>> {
-        Arc::new(RwLock::new(Tlb::new(TlbConfig::stlb())))
+    fn shared() -> Arc<EpochCell<Tlb>> {
+        Arc::new(EpochCell::new(Tlb::new(TlbConfig::stlb())))
+    }
+
+    /// The barrier replay of `ops`.
+    fn replay(stlb: &EpochCell<Tlb>, ops: &[StlbOp]) {
+        // SAFETY: one thread, and no reference from `read` is alive while
+        // the log replays.
+        unsafe { stlb.write(|tlb| replay_stlb_ops(tlb, ops)) }
     }
 
     fn vp(i: u64) -> VirtPage {
@@ -155,7 +162,7 @@ mod tests {
         assert_eq!(view.lookup(vp(1)), Some(pp(1)));
         assert!(view.contains(vp(1)));
         assert_eq!(
-            stlb.read().unwrap().occupancy(),
+            stlb.read().occupancy(),
             0,
             "shared structure stays frozen until the barrier"
         );
@@ -169,16 +176,19 @@ mod tests {
         view.insert(vp(2), pp(2), false);
         let mut ops = Vec::new();
         view.take_epoch(&mut ops);
-        replay_stlb_ops(&mut stlb.write().unwrap(), &ops);
-        assert_eq!(stlb.read().unwrap().peek(vp(1)), Some(pp(1)));
-        assert_eq!(stlb.read().unwrap().peek(vp(2)), Some(pp(2)));
+        replay(&stlb, &ops);
+        assert_eq!(stlb.read().peek(vp(1)), Some(pp(1)));
+        assert_eq!(stlb.read().peek(vp(2)), Some(pp(2)));
         assert_eq!(view.lookup(vp(1)), Some(pp(1)), "frozen image now has it");
     }
 
     #[test]
     fn flush_hides_frozen_image_for_the_rest_of_the_epoch() {
-        let stlb = shared();
-        stlb.write().unwrap().insert(vp(7), pp(7), true);
+        let mut stlb = shared();
+        Arc::get_mut(&mut stlb)
+            .unwrap()
+            .get_mut()
+            .insert(vp(7), pp(7), true);
         let mut view = StlbView::new(Arc::clone(&stlb));
         assert_eq!(view.lookup(vp(7)), Some(pp(7)));
         view.flush();
@@ -187,16 +197,18 @@ mod tests {
         assert_eq!(view.lookup(vp(8)), Some(pp(8)), "post-flush inserts live");
         let mut ops = Vec::new();
         view.take_epoch(&mut ops);
-        replay_stlb_ops(&mut stlb.write().unwrap(), &ops);
-        let guard = stlb.read().unwrap();
-        assert_eq!(guard.peek(vp(7)), None, "flush replayed");
-        assert_eq!(guard.peek(vp(8)), Some(pp(8)));
+        replay(&stlb, &ops);
+        assert_eq!(stlb.read().peek(vp(7)), None, "flush replayed");
+        assert_eq!(stlb.read().peek(vp(8)), Some(pp(8)));
     }
 
     #[test]
     fn take_epoch_resets_visibility() {
-        let stlb = shared();
-        stlb.write().unwrap().insert(vp(3), pp(3), true);
+        let mut stlb = shared();
+        Arc::get_mut(&mut stlb)
+            .unwrap()
+            .get_mut()
+            .insert(vp(3), pp(3), true);
         let mut view = StlbView::new(Arc::clone(&stlb));
         view.flush();
         let mut ops = Vec::new();

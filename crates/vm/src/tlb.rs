@@ -91,8 +91,9 @@ pub struct Tlb {
     /// Index of the most recently hit/inserted way, as a one-entry memo.
     /// Sound without invalidation hooks: a VPN only ever resides in its
     /// own set, so `vpns[last_idx] == key` proves `last_idx` is the live
-    /// way for `key`, and the memo path writes the same stamp the scan
-    /// would.
+    /// way for `key`. Every store of a live stamp moves the memo to its
+    /// way, so the memo way holds the newest stamp of the whole TLB and a
+    /// memo hit need not refresh it: no victim choice can change.
     last_idx: usize,
     /// Valid instruction entries evicted by data fills (contention metric).
     pub instr_evicted_by_data: u64,
@@ -151,7 +152,7 @@ impl Tlb {
         // usually answers with a single compare.
         let li = self.last_idx;
         if self.vpns[li] == key {
-            self.stamps[li] = self.tick;
+            // Live-stamp stores move `last_idx`: this way holds the newest stamp.
             return Some(PhysPage::new(self.pfns[li]));
         }
         let range = self.set_range(vpn);
@@ -168,11 +169,11 @@ impl Tlb {
 
     /// Applies the LRU-clock effect of `count` back-to-back hits on the
     /// resident entry for `vpn` without performing the lookups: the
-    /// clock advances once per elided probe and the entry's stamp lands
-    /// on the final tick — bit-for-bit what `count` calls to
+    /// clock advances once per elided probe and the entry becomes the
+    /// newest — bit-for-bit what `count` calls to
     /// [`lookup`](Self::lookup) would leave behind, since a hit's only
-    /// side effects are the tick increment, the stamp refresh, and the
-    /// `last_idx` memo. The page-run stepping path uses this to settle
+    /// side effects are the tick increment, the stamp refresh (which the
+    /// memo way, already the newest, skips), and the `last_idx` memo. The page-run stepping path uses this to settle
     /// a whole same-page run after one real probe.
     ///
     /// # Panics
@@ -189,7 +190,7 @@ impl Tlb {
         let key = vpn.raw();
         let li = self.last_idx;
         if self.vpns[li] == key {
-            self.stamps[li] = self.tick;
+            // Live-stamp stores move `last_idx`: this way holds the newest stamp.
             return;
         }
         let range = self.set_range(vpn);
