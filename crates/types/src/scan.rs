@@ -78,6 +78,9 @@ pub fn find_hit_or_victim(tags: &[u64], stamps: &[u64], key: u64) -> (usize, boo
 #[inline(always)]
 pub fn prefetch_tags(tags: &[u64]) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint that never faults, and every
+    // pointer passed to it stays inside `tags`' allocation: `base.add(k)`
+    // offsets by `k < tags.len()` bytes of a `tags.len() * 8`-byte slice.
     unsafe {
         // A 16-way set of u64 tags spans two 64-byte lines; prefetch
         // both ends so any configured geometry is covered.
