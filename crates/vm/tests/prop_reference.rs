@@ -5,10 +5,13 @@
 
 mod reference;
 
+use morrigan_mem::{HierarchyConfig, MemoryHierarchy};
 use morrigan_types::{scan, PhysPage, VirtPage};
-use morrigan_vm::{Tlb, TlbConfig};
+use morrigan_vm::{
+    PageTable, PagingStructureCaches, PscConfig, Tlb, TlbConfig, WalkKind, Walker, WalkerConfig,
+};
 use proptest::prelude::*;
-use reference::RefTlb;
+use reference::{RefPsc, RefTlb, RefWalker};
 
 /// ASIDs the TLB pool spans.
 const ASIDS: u16 = 3;
@@ -110,6 +113,154 @@ proptest! {
                     .fold(0u32, |mask, (bit, &v)| mask | (model.contains(v) as u32) << bit);
                 prop_assert_eq!(real.probe_batch(batch), expected, "residency after #{}", i);
             }
+        }
+    }
+}
+
+/// Table 1's PSC, and a shrunken one in which every level overflows.
+fn psc_geometry(index: usize) -> PscConfig {
+    match index {
+        0 => PscConfig::default(),
+        _ => PscConfig {
+            pml4_entries: 1,
+            pdp_entries: 2,
+            pd_entries: 8,
+            pd_ways: 2,
+            latency: 2,
+        },
+    }
+}
+
+/// Pages spread over three PML4 regions, two PDP regions in each and four
+/// PD regions in each of those. Three of the four PD regions share a PD
+/// set in both geometries, and two of the three pages in a region share
+/// a leaf-PTE line.
+fn region_pool() -> Vec<VirtPage> {
+    let mut pool = Vec::new();
+    for pml4 in 0..3u64 {
+        for pdp in 0..2u64 {
+            for pd in [0u64, 1, 8, 16] {
+                for leaf in [0u64, 1, 9] {
+                    pool.push(VirtPage::new(pml4 << 27 | pdp << 18 | pd << 9 | leaf));
+                }
+            }
+        }
+    }
+    pool
+}
+
+/// Table 1's walker, the shrunken PSC, a single walk slot, and ASAP.
+fn walker_geometry(index: usize) -> WalkerConfig {
+    let table1 = WalkerConfig::default();
+    match index {
+        0 => table1,
+        1 => WalkerConfig {
+            psc: psc_geometry(1),
+            ..table1
+        },
+        2 => WalkerConfig {
+            concurrent_walks: 1,
+            ..table1
+        },
+        _ => WalkerConfig {
+            asap: true,
+            ..table1
+        },
+    }
+}
+
+/// Cycle steps between walk requests: back-to-back requests, the gaps
+/// between the hierarchy's per-reference latencies (4, 12, 22 and 142
+/// cycles), so a later walk can complete in the same cycle as an earlier
+/// one, and gaps long enough for the walker to drain.
+const STEPS: [u64; 12] = [0, 0, 1, 2, 8, 10, 18, 120, 130, 138, 600, 5000];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every lookup's hit level and the four counters agree after every
+    /// lookup, fill and flush.
+    #[test]
+    fn psc_matches_reference(
+        geometry in 0usize..2,
+        ops in prop::collection::vec((0u8..32, 0usize..1024), 1..300),
+    ) {
+        let cfg = psc_geometry(geometry);
+        let pool = region_pool();
+        let mut real = PagingStructureCaches::new(cfg);
+        let mut model = RefPsc::new(cfg);
+        for (i, &(op, page)) in ops.iter().enumerate() {
+            let vpn = pool[page % pool.len()];
+            match op {
+                31 => {
+                    real.flush();
+                    model.flush();
+                }
+                _ if op % 2 == 0 => prop_assert_eq!(real.lookup(vpn), model.lookup(vpn), "lookup #{}", i),
+                _ => {
+                    real.fill(vpn);
+                    model.fill(vpn);
+                }
+            }
+            prop_assert_eq!(real.lookups, model.lookups, "after #{}", i);
+            prop_assert_eq!(real.pd_hits, model.pd_hits, "after #{}", i);
+            prop_assert_eq!(real.pdp_hits, model.pdp_hits, "after #{}", i);
+            prop_assert_eq!(real.pml4_hits, model.pml4_hits, "after #{}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every walk result (all fields), the walker's counters and its
+    /// PSC's counters agree after every demand, data and prefetch walk
+    /// and every PSC flush. Each side drives its own hierarchy, built
+    /// from one config, so both see the same reference stream; a sixth
+    /// of the pool is unmapped.
+    #[test]
+    fn walker_matches_reference(
+        geometry in 0usize..4,
+        ops in prop::collection::vec((0u8..64, 0usize..1024, 0usize..STEPS.len()), 1..300),
+    ) {
+        let cfg = walker_geometry(geometry);
+        let pool = region_pool();
+        let mut pt = PageTable::new(1);
+        for (i, &vpn) in pool.iter().enumerate() {
+            if i % 6 != 5 {
+                pt.map(vpn);
+            }
+        }
+        let mut real = Walker::new(cfg);
+        let mut model = RefWalker::new(cfg);
+        let mut real_mem = MemoryHierarchy::new(HierarchyConfig::default());
+        let mut model_mem = MemoryHierarchy::new(HierarchyConfig::default());
+        let mut now = 0u64;
+        for (i, &(op, page, step)) in ops.iter().enumerate() {
+            let vpn = pool[page % pool.len()];
+            now += STEPS[step];
+            if op == 63 {
+                real.flush_psc();
+                model.flush_psc();
+            } else {
+                let kind = match op % 3 {
+                    0 => WalkKind::DemandInstruction,
+                    1 => WalkKind::DemandData,
+                    _ => WalkKind::Prefetch,
+                };
+                prop_assert_eq!(
+                    real.walk(&pt, &mut real_mem, vpn, kind, now),
+                    model.walk(&pt, &mut model_mem, vpn, kind, now),
+                    "walk #{}",
+                    i
+                );
+            }
+            prop_assert_eq!(real.stats, model.stats, "after #{}", i);
+            let (psc, ref_psc) = (real.psc(), model.psc());
+            prop_assert_eq!(psc.lookups, ref_psc.lookups, "after #{}", i);
+            prop_assert_eq!(psc.pd_hits, ref_psc.pd_hits, "after #{}", i);
+            prop_assert_eq!(psc.pdp_hits, ref_psc.pdp_hits, "after #{}", i);
+            prop_assert_eq!(psc.pml4_hits, ref_psc.pml4_hits, "after #{}", i);
         }
     }
 }
