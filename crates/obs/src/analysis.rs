@@ -27,7 +27,9 @@
 
 use std::collections::HashMap;
 
-use crate::event::{EventCounts, EventKind, PrefetchComponent, TraceEvent, WalkClass};
+use morrigan_types::{PrefetchComponent, WalkKind};
+
+use crate::event::{EventCounts, EventKind, TraceEvent};
 use crate::recorder::{Recorder, TraceRecorder};
 
 /// Log₂-bucketed streaming histogram of `u64` samples.
@@ -316,7 +318,7 @@ impl TraceAnalysis {
     }
 
     /// Walk-latency histogram for one class.
-    pub fn walk_latency(&self, class: WalkClass) -> &LogHistogram {
+    pub fn walk_latency(&self, class: WalkKind) -> &LogHistogram {
         &self.walk_latency[class.index()]
     }
 

@@ -9,120 +9,7 @@
 //! the end-of-run statistics. The reconciliation test in
 //! `crates/sim/tests/trace_reconciliation.rs` pins that equality.
 
-/// Which translation demand class a page walk serves. Mirrors the vm
-/// crate's `WalkKind`; duplicated here so `morrigan-obs` stays
-/// dependency-free (vm depends on obs, not the other way around).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WalkClass {
-    /// A demand instruction-side walk (iSTLB miss, no PB cover).
-    DemandInstruction,
-    /// A demand data-side walk (dSTLB miss).
-    DemandData,
-    /// A speculative walk issued on behalf of a prefetcher.
-    Prefetch,
-}
-
-impl WalkClass {
-    /// All classes, in [`Self::index`] order.
-    pub const ALL: [WalkClass; 3] = [
-        WalkClass::DemandInstruction,
-        WalkClass::DemandData,
-        WalkClass::Prefetch,
-    ];
-
-    /// Dense index for per-class counter arrays.
-    pub fn index(self) -> usize {
-        match self {
-            WalkClass::DemandInstruction => 0,
-            WalkClass::DemandData => 1,
-            WalkClass::Prefetch => 2,
-        }
-    }
-
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            WalkClass::DemandInstruction => "demand_instr",
-            WalkClass::DemandData => "demand_data",
-            WalkClass::Prefetch => "prefetch",
-        }
-    }
-}
-
-/// The engine inside the prefetch stack that produced a prefetch.
-/// Mirrors the types crate's `PrefetchComponent` (dense-index form) the
-/// same way [`WalkClass`] mirrors `WalkKind`, so `morrigan-obs` stays
-/// dependency-free. IRIP tables above 3 fold into [`Self::Irip3`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrefetchComponent {
-    /// IRIP prediction table 0 (the 1-slot table).
-    Irip0,
-    /// IRIP prediction table 1.
-    Irip1,
-    /// IRIP prediction table 2.
-    Irip2,
-    /// IRIP prediction table 3 (and any wider tuning tables).
-    Irip3,
-    /// The Small Delta Prefetcher.
-    Sdp,
-    /// FNL+MMA page-crossing translation prefetches.
-    Icache,
-    /// Engines without finer attribution (dSTLB baselines).
-    Other,
-}
-
-impl PrefetchComponent {
-    /// All components, in [`Self::index`] order.
-    pub const ALL: [PrefetchComponent; 7] = [
-        PrefetchComponent::Irip0,
-        PrefetchComponent::Irip1,
-        PrefetchComponent::Irip2,
-        PrefetchComponent::Irip3,
-        PrefetchComponent::Sdp,
-        PrefetchComponent::Icache,
-        PrefetchComponent::Other,
-    ];
-
-    /// Number of dense component buckets.
-    pub const COUNT: usize = 7;
-
-    /// Dense index for per-component counter arrays.
-    pub fn index(self) -> usize {
-        match self {
-            PrefetchComponent::Irip0 => 0,
-            PrefetchComponent::Irip1 => 1,
-            PrefetchComponent::Irip2 => 2,
-            PrefetchComponent::Irip3 => 3,
-            PrefetchComponent::Sdp => 4,
-            PrefetchComponent::Icache => 5,
-            PrefetchComponent::Other => 6,
-        }
-    }
-
-    /// Component for an IRIP table index (tables above 3 fold into
-    /// [`Self::Irip3`], matching the types-crate dense index).
-    pub fn irip_table(table: u8) -> Self {
-        match table {
-            0 => PrefetchComponent::Irip0,
-            1 => PrefetchComponent::Irip1,
-            2 => PrefetchComponent::Irip2,
-            _ => PrefetchComponent::Irip3,
-        }
-    }
-
-    /// Stable lowercase name used by the exporters and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            PrefetchComponent::Irip0 => "irip0",
-            PrefetchComponent::Irip1 => "irip1",
-            PrefetchComponent::Irip2 => "irip2",
-            PrefetchComponent::Irip3 => "irip3",
-            PrefetchComponent::Sdp => "sdp",
-            PrefetchComponent::Icache => "icache",
-            PrefetchComponent::Other => "other",
-        }
-    }
-}
+use morrigan_types::{PrefetchComponent, WalkKind};
 
 /// Why an emitted prefetch decision never became a prefetch walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -241,7 +128,7 @@ pub enum EventKind {
     /// A page walk entered the walker.
     WalkIssue {
         /// Demand class of the walk.
-        class: WalkClass,
+        class: WalkKind,
         /// Steps skipped thanks to a paging-structure-cache hit
         /// (0 = PSC miss, walked all four levels; 3 = PD hit, one ref).
         psc_skip: u8,
@@ -250,7 +137,7 @@ pub enum EventKind {
     /// walk occupied `[cycle - duration, cycle]`.
     WalkComplete {
         /// Demand class of the walk.
-        class: WalkClass,
+        class: WalkKind,
         /// Memory references the walk performed.
         refs: u8,
         /// Cycles from issue to completion.
@@ -285,9 +172,9 @@ pub struct EventCounts {
     pub pb_fill: u64,
     pub pb_evict: u64,
     pub prefetch_issue: u64,
-    /// Indexed by [`WalkClass::index`].
+    /// Indexed by [`WalkKind::index`].
     pub walk_issue: [u64; 3],
-    /// Indexed by [`WalkClass::index`].
+    /// Indexed by [`WalkKind::index`].
     pub walk_complete: [u64; 3],
     pub icache_cross_ready: u64,
     pub icache_cross_walk_issued: u64,

@@ -5,7 +5,9 @@
 //! The workspace deliberately carries no JSON dependency; both
 //! exporters hand-render their (entirely numeric/ASCII) documents.
 
-use crate::event::{EventKind, TraceEvent, WalkClass};
+use morrigan_types::{VirtPage, WalkKind};
+
+use crate::event::{EventKind, TraceEvent};
 use crate::recorder::TraceRecorder;
 
 /// Chrome trace thread lanes, one per pipeline station.
@@ -15,14 +17,10 @@ const TID_PREFETCH: u32 = 2;
 const TID_ICACHE: u32 = 3;
 const TID_IRIP: u32 = 4;
 
-/// ASID bit position inside a fused VPN. Mirrors the types crate's
-/// `ASID_SHIFT` (obs stays dependency-free, like [`WalkClass`] mirrors
-/// `WalkKind`); ASID 0 is the single-tenant identity.
-pub const ASID_SHIFT: u32 = 40;
-
-/// The process/tenant an event belongs to, recovered from its fused VPN.
-fn asid_of(vpn: u64) -> u64 {
-    vpn >> ASID_SHIFT
+/// The process/tenant an event belongs to, recovered from its fused VPN;
+/// ASID 0 is the single-tenant identity.
+fn asid_of(vpn: u64) -> u16 {
+    VirtPage::new(vpn).asid()
 }
 
 /// Lanes are grouped per ASID: tenant `a`'s stations live at
@@ -46,7 +44,7 @@ fn station(kind: &EventKind) -> u32 {
 }
 
 fn lane(event: &TraceEvent) -> u32 {
-    asid_of(event.vpn) as u32 * ASID_LANE_STRIDE + station(&event.kind)
+    u32::from(asid_of(event.vpn)) * ASID_LANE_STRIDE + station(&event.kind)
 }
 
 /// Short human-facing event name shown on the timeline.
@@ -91,7 +89,7 @@ fn extra_args(kind: &EventKind) -> String {
     }
 }
 
-fn walk_class_lane_offset(class: WalkClass) -> u32 {
+fn walk_class_lane_offset(class: WalkKind) -> u32 {
     // Walk spans of different classes routinely overlap in time (the
     // walker has multiple slots); giving each class its own sub-lane
     // keeps the Perfetto rendering legible.
@@ -118,14 +116,14 @@ pub fn to_chrome_trace(trace: &TraceRecorder) -> String {
     );
     // One lane block per ASID seen in the retained events; ASID 0 keeps
     // the original lane ids so single-tenant traces are unchanged.
-    let mut asids: Vec<u64> = trace.events().map(|e| asid_of(e.vpn)).collect();
+    let mut asids: Vec<u16> = trace.events().map(|e| asid_of(e.vpn)).collect();
     asids.sort_unstable();
     asids.dedup();
     if asids.is_empty() {
         asids.push(0);
     }
     for &asid in &asids {
-        let base = asid as u32 * ASID_LANE_STRIDE;
+        let base = u32::from(asid) * ASID_LANE_STRIDE;
         for (tid, name) in [
             (TID_TRANSLATION, "translation"),
             (TID_WALKER, "walker (demand_instr)"),
@@ -141,7 +139,7 @@ pub fn to_chrome_trace(trace: &TraceRecorder) -> String {
         }
         // Extra walker sub-lanes for data/prefetch walks, declared in
         // the metadata block so every lane the events use is named.
-        for class in [WalkClass::DemandData, WalkClass::Prefetch] {
+        for class in [WalkKind::DemandData, WalkKind::Prefetch] {
             out.push_str(&format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"core 0 asid {asid} walker ({})\"}}}},\n",
@@ -165,8 +163,8 @@ pub fn to_chrome_trace(trace: &TraceRecorder) -> String {
                 refs,
                 duration,
             } => {
-                let base = asid as u32 * ASID_LANE_STRIDE;
-                let tid = if class == WalkClass::DemandInstruction {
+                let base = u32::from(asid) * ASID_LANE_STRIDE;
+                let tid = if class == WalkKind::DemandInstruction {
                     base + TID_WALKER
                 } else {
                     base + TID_WALKER + 10 + walk_class_lane_offset(class)

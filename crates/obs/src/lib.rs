@@ -1,8 +1,11 @@
 //! Observability for the Morrigan reproduction: zero-cost-when-disabled
 //! event tracing, trace exporters, and host-side phase profiling.
 //!
-//! The crate is deliberately dependency-free (it sits *below* the vm
-//! crate in the dependency graph) and exposes three layers:
+//! The crate depends only on `morrigan-types`, whose vocabulary it
+//! shares: events carry the walker's [`WalkKind`] and the prefetchers'
+//! [`PrefetchComponent`], and the exporters read a page's ASID with
+//! [`VirtPage::asid`]. It sits *below* the vm crate in the dependency
+//! graph and exposes three layers:
 //!
 //! 1. **Events + recorders** ([`TraceEvent`], [`Recorder`],
 //!    [`NullRecorder`], [`TraceRecorder`]): the simulation stack is
@@ -17,7 +20,13 @@
 //!    `chrome://tracing`) or JSON Lines.
 //! 3. **Phase profiling** ([`Phase`], [`PhaseProfile`]): wall-time
 //!    buckets splitting host seconds into workload generation, trace
-//!    materialization, and simulation.
+//!    materialization, and simulation, with the multi-core machine's
+//!    epoch barrier wait and shared-state replay counted inside
+//!    simulation.
+//!
+//! [`WalkKind`]: morrigan_types::WalkKind
+//! [`PrefetchComponent`]: morrigan_types::PrefetchComponent
+//! [`VirtPage::asid`]: morrigan_types::VirtPage::asid
 //!
 //! ```
 //! use morrigan_obs::{EventKind, Recorder, TraceEvent, TraceRecorder};
@@ -36,16 +45,16 @@ mod recorder;
 
 pub use analysis::{AnalysisConfig, AnalysisRecorder, ComponentTally, LogHistogram, TraceAnalysis};
 pub use event::{
-    EventCounts, EventKind, IcacheCrossOutcome, PbProbeOutcome, PrefetchComponent,
-    PrefetchDropReason, TraceEvent, WalkClass,
+    EventCounts, EventKind, IcacheCrossOutcome, PbProbeOutcome, PrefetchDropReason, TraceEvent,
 };
-pub use export::{to_chrome_trace, to_jsonl, ASID_SHIFT};
+pub use export::{to_chrome_trace, to_jsonl};
 pub use phase::{Phase, PhaseProfile};
 pub use recorder::{NullRecorder, Recorder, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morrigan_types::{PrefetchComponent, WalkKind};
 
     fn ev(cycle: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -96,7 +105,7 @@ mod tests {
             EventKind::PbProbe(PbProbeOutcome::HitInflight),
             EventKind::PbProbe(PbProbeOutcome::Miss),
             EventKind::PbPromote {
-                component: PrefetchComponent::Irip0,
+                component: PrefetchComponent::IripTable(0),
                 late: false,
             },
             EventKind::PbFill {
@@ -106,7 +115,7 @@ mod tests {
                 component: PrefetchComponent::Icache,
             },
             EventKind::PrefetchIssue {
-                component: PrefetchComponent::Irip3,
+                component: PrefetchComponent::IripTable(3),
             },
             EventKind::PrefetchDrop {
                 component: PrefetchComponent::Other,
@@ -118,29 +127,29 @@ mod tests {
             },
             EventKind::IripEvict { table: 1 },
             EventKind::WalkIssue {
-                class: WalkClass::DemandInstruction,
+                class: WalkKind::DemandInstruction,
                 psc_skip: 2,
             },
             EventKind::WalkIssue {
-                class: WalkClass::DemandData,
+                class: WalkKind::DemandData,
                 psc_skip: 0,
             },
             EventKind::WalkIssue {
-                class: WalkClass::Prefetch,
+                class: WalkKind::Prefetch,
                 psc_skip: 3,
             },
             EventKind::WalkComplete {
-                class: WalkClass::DemandInstruction,
+                class: WalkKind::DemandInstruction,
                 refs: 4,
                 duration: 100,
             },
             EventKind::WalkComplete {
-                class: WalkClass::DemandData,
+                class: WalkKind::DemandData,
                 refs: 2,
                 duration: 50,
             },
             EventKind::WalkComplete {
-                class: WalkClass::Prefetch,
+                class: WalkKind::Prefetch,
                 refs: 1,
                 duration: 25,
             },
@@ -162,13 +171,13 @@ mod tests {
         trace.record(ev(
             99,
             EventKind::PbPromote {
-                component: PrefetchComponent::Irip1,
+                component: PrefetchComponent::IripTable(1),
                 late: true,
             },
         ));
         let c = trace.counts();
         assert_eq!(
-            c.pb_promote_late_by_component[PrefetchComponent::Irip1.index()],
+            c.pb_promote_late_by_component[PrefetchComponent::IripTable(1).index()],
             1
         );
         assert_eq!(c.pb_fill_by_component.iter().sum::<u64>(), c.pb_fill);
@@ -209,7 +218,7 @@ mod tests {
         trace.record(ev(
             160,
             EventKind::WalkComplete {
-                class: WalkClass::DemandInstruction,
+                class: WalkKind::DemandInstruction,
                 refs: 4,
                 duration: 60,
             },
@@ -237,7 +246,7 @@ mod tests {
         trace.record(ev(
             2,
             EventKind::WalkIssue {
-                class: WalkClass::Prefetch,
+                class: WalkKind::Prefetch,
                 psc_skip: 1,
             },
         ));

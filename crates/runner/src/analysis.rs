@@ -19,8 +19,9 @@
 //! delta along the same conservation laws into per-component
 //! contributions.
 
-use morrigan_obs::{ComponentTally, LogHistogram, PrefetchComponent, TraceAnalysis, WalkClass};
+use morrigan_obs::{ComponentTally, LogHistogram, TraceAnalysis};
 use morrigan_sim::MachineSummary;
+use morrigan_types::{PrefetchComponent, WalkKind};
 use morrigan_vm::{MmuStats, PbStats, WalkerStats};
 
 use crate::json::{json_f64, json_string, kv, obj};
@@ -375,7 +376,7 @@ impl AnalysisReport {
             components,
             premature_by_table: analysis.premature_by_table(),
             irip_evict_by_table: counts.irip_evict_by_table,
-            walk_latency: WalkClass::ALL
+            walk_latency: WalkKind::ALL
                 .iter()
                 .map(|c| (c.name(), HistReport::from_hist(analysis.walk_latency(*c))))
                 .collect(),

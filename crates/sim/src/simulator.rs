@@ -34,16 +34,6 @@ struct ThreadFrontEnd {
 /// size only amortizes the per-instruction virtual call.
 const FILL_BLOCK: usize = 1024;
 
-/// Slots in the direct-mapped VPN→PFN memo on the I-cache-prefetch
-/// translation path (must be a power of two).
-const XLAT_MEMO_SLOTS: usize = 256;
-
-/// VPN sentinel for an empty memo slot (real VPNs are ≤ 2^52).
-const NO_VPN: u64 = u64::MAX;
-
-/// PFN sentinel memoizing "unmapped" (real PFNs are ≤ 2^36).
-const NO_PFN: u64 = u64::MAX;
-
 /// Fixed-point shift for the fast-forward CPI estimate (8 fractional
 /// bits: a 4-wide core's best CPI of 0.25 is representable exactly).
 const CPI_SHIFT: u32 = 8;
@@ -190,12 +180,6 @@ pub struct Simulator<R: Recorder = NullRecorder> {
     retire_len: usize,
     last_retire: u64,
     retired: u64,
-    /// Direct-mapped VPN→PFN memo for the prefetch-path page-table hash
-    /// (`(vpn, pfn)` pairs; [`NO_VPN`] marks an empty slot, [`NO_PFN`] a
-    /// memoized unmapped page). The page table is immutable after
-    /// construction, so entries only ever need invalidating at a context
-    /// switch — done for hygiene, not correctness.
-    xlat_memo: Vec<(u64, u64)>,
     // --- accumulated front-end stall accounting ---
     istlb_stall_cycles: u64,
     icache_stall_cycles: u64,
@@ -408,7 +392,6 @@ impl<R: Recorder> Simulator<R> {
             retire_len: 0,
             last_retire: 0,
             retired: 0,
-            xlat_memo: vec![(NO_VPN, NO_PFN); XLAT_MEMO_SLOTS],
             istlb_stall_cycles: 0,
             icache_stall_cycles: 0,
             iprefetch_lines: 0,
@@ -810,7 +793,7 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// The context-switch reset: ASID bump in the MMU, I-cache-prefetcher
-    /// flush, fetch-line invalidation, and translation-memo hygiene.
+    /// flush, and fetch-line invalidation.
     fn context_switch_reset(&mut self) {
         self.mmu.context_switch_at(self.fetch_cycle);
         if let Some(p) = self.icache_pref.as_mut() {
@@ -819,7 +802,6 @@ impl<R: Recorder> Simulator<R> {
         for t in &mut self.threads {
             t.cur_vline = None;
         }
-        self.xlat_memo.fill((NO_VPN, NO_PFN));
         self.ff_warm_dline = None;
     }
 
@@ -1140,7 +1122,7 @@ impl<R: Recorder> Simulator<R> {
                             self.fetched_this_cycle = 0;
                         }
                         if self.icache_pref.is_some() {
-                            self.run_icache_prefetcher(vline);
+                            self.run_icache_prefetcher(vline, iseg_pfn);
                         }
                     } else {
                         self.mem.warm(pline, true);
@@ -1318,8 +1300,11 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Feeds the I-cache prefetcher and services its requests, modelling
-    /// translation for page-crossing prefetches per §3.5.
-    fn run_icache_prefetcher(&mut self, vline: u64) {
+    /// translation for page-crossing prefetches per §3.5. `pfn` backs the
+    /// fetched line's page, so a same-page prefetch (all NextLine ever
+    /// issues) translates nothing; a page-crossing one asks the page
+    /// table.
+    fn run_icache_prefetcher(&mut self, vline: u64, pfn: PhysPage) {
         self.line_scratch.clear();
         self.icache_pref
             .as_mut()
@@ -1344,7 +1329,12 @@ impl<R: Recorder> Simulator<R> {
                         EventKind::IcacheCross(IcacheCrossOutcome::Ready),
                     );
                 }
-                if let Some(pfn) = self.memo_translate(page) {
+                let target = if page == cur_page {
+                    Some(pfn)
+                } else {
+                    self.mmu.page_table().translate(page)
+                };
+                if let Some(pfn) = target {
                     let pline = CacheLine::new(
                         pfn.raw() << (PAGE_SHIFT - 6) | (lp.vline % (1 << (PAGE_SHIFT - 6))),
                     );
@@ -1376,21 +1366,6 @@ impl<R: Recorder> Simulator<R> {
                 }
             }
         }
-    }
-
-    /// [`PageTable::translate`] through the direct-mapped memo: the table
-    /// is an immutable pure function of the VPN for the whole run, so the
-    /// memo can only return what the hash would.
-    fn memo_translate(&mut self, page: VirtPage) -> Option<PhysPage> {
-        let key = page.raw();
-        let slot = (key as usize) & (XLAT_MEMO_SLOTS - 1);
-        let (vpn, pfn) = self.xlat_memo[slot];
-        if vpn == key {
-            return (pfn != NO_PFN).then(|| PhysPage::new(pfn));
-        }
-        let res = self.mmu.page_table().translate(page);
-        self.xlat_memo[slot] = (key, res.map_or(NO_PFN, |p| p.raw()));
-        res
     }
 }
 

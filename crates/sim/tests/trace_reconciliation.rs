@@ -10,8 +10,9 @@
 //! the measurement-window [`Metrics`] bit for bit.
 
 use morrigan::{Morrigan, MorriganConfig};
-use morrigan_obs::{PrefetchComponent, TraceRecorder, WalkClass};
+use morrigan_obs::TraceRecorder;
 use morrigan_sim::{IcachePrefetcherKind, Metrics, SimConfig, Simulator, SystemConfig};
+use morrigan_types::{PrefetchComponent, WalkKind};
 use morrigan_workloads::{InstructionStream, ServerWorkload, ServerWorkloadConfig};
 
 fn stressful_system() -> SystemConfig {
@@ -77,7 +78,7 @@ fn trace_events_reconcile_with_audited_counters() {
     assert!(counts.pb_evict > 0, "no PB evictions traced");
     assert!(counts.pb_promote > 0, "no PB promotions traced");
     assert!(
-        counts.walk_complete[WalkClass::Prefetch.index()] > 0,
+        counts.walk_complete[WalkKind::Prefetch.index()] > 0,
         "no prefetch walks traced"
     );
     assert!(
@@ -103,18 +104,18 @@ fn trace_events_reconcile_with_audited_counters() {
 
     // --- Walker, per class ---
     assert_eq!(
-        counts.walk_complete[WalkClass::DemandInstruction.index()],
+        counts.walk_complete[WalkKind::DemandInstruction.index()],
         walker.demand_instr_walks
     );
     assert_eq!(
-        counts.walk_complete[WalkClass::DemandData.index()],
+        counts.walk_complete[WalkKind::DemandData.index()],
         walker.demand_data_walks
     );
     assert_eq!(
-        counts.walk_complete[WalkClass::Prefetch.index()],
+        counts.walk_complete[WalkKind::Prefetch.index()],
         walker.prefetch_walks
     );
-    for class in WalkClass::ALL {
+    for class in WalkKind::ALL {
         assert_eq!(
             counts.walk_issue[class.index()],
             counts.walk_complete[class.index()],
@@ -130,7 +131,7 @@ fn trace_events_reconcile_with_audited_counters() {
         stats.icache_prefetches_issued
     );
     assert_eq!(
-        counts.walk_complete[WalkClass::Prefetch.index()],
+        counts.walk_complete[WalkKind::Prefetch.index()],
         stats.prefetches_issued + stats.icache_prefetches_issued + stats.correcting_walks,
         "every prefetch-class walk has exactly one issuer"
     );

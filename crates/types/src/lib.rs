@@ -24,6 +24,8 @@
 //!   multi-core machine shares its LLC, STLB and epoch logs through:
 //!   plain-load reads, with writes confined by the caller to a phase
 //!   that the epoch barriers fence.
+//! * [`walk`] — [`WalkKind`], the demand class of a page walk, which the
+//!   walker accounts by and the trace events carry.
 //!
 //! # Examples
 //!
@@ -43,6 +45,7 @@ pub mod prefetcher;
 pub mod rng;
 pub mod scan;
 pub mod stats;
+pub mod walk;
 
 pub use addr::{
     CacheLine, PhysAddr, PhysPage, VirtAddr, VirtPage, ASID_SHIFT, LINE_SHIFT, PAGE_SHIFT,
@@ -55,3 +58,4 @@ pub use prefetcher::{
 };
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{geometric_mean, Ratio, SatCounter};
+pub use walk::WalkKind;

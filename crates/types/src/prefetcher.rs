@@ -121,6 +121,31 @@ impl PrefetchComponent {
 
     /// Number of dense component buckets (`index()` range).
     pub const COUNT: usize = 7;
+
+    /// One component per dense bucket, in [`Self::index`] order.
+    pub const ALL: [PrefetchComponent; Self::COUNT] = [
+        PrefetchComponent::IripTable(0),
+        PrefetchComponent::IripTable(1),
+        PrefetchComponent::IripTable(2),
+        PrefetchComponent::IripTable(3),
+        PrefetchComponent::Sdp,
+        PrefetchComponent::Icache,
+        PrefetchComponent::Other,
+    ];
+
+    /// Stable lowercase name used by the exporters and reports; IRIP
+    /// tables above 3 share `irip3`, like their [`Self::index`] bucket.
+    pub fn name(self) -> &'static str {
+        match self {
+            PrefetchComponent::IripTable(0) => "irip0",
+            PrefetchComponent::IripTable(1) => "irip1",
+            PrefetchComponent::IripTable(2) => "irip2",
+            PrefetchComponent::IripTable(_) => "irip3",
+            PrefetchComponent::Sdp => "sdp",
+            PrefetchComponent::Icache => "icache",
+            PrefetchComponent::Other => "other",
+        }
+    }
 }
 
 /// A state transition inside a prefetcher that the observability layer
@@ -310,6 +335,21 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(p.storage_bits(), 0);
         assert_eq!(p.name(), "none");
+    }
+
+    #[test]
+    fn components_cover_the_dense_buckets_in_order() {
+        let names: Vec<&str> = PrefetchComponent::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(
+            names,
+            ["irip0", "irip1", "irip2", "irip3", "sdp", "icache", "other"]
+        );
+        for (i, c) in PrefetchComponent::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
+        // Wider tuning tables fold into the last IRIP bucket and name.
+        let wide = PrefetchComponent::IripTable(6);
+        assert_eq!((wide.index(), wide.name()), (3, "irip3"));
     }
 
     #[test]

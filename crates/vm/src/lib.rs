@@ -46,9 +46,10 @@ mod walker;
 
 pub use miss_stream::MissStreamStats;
 pub use mmu::{Mmu, MmuConfig, MmuStats, PrefetchPlacement, TranslationOutcome};
+pub use morrigan_types::WalkKind;
 pub use page_table::{PageTable, PtLevel, WalkStep};
 pub use prefetch_buffer::{PbEntry, PbStats, PrefetchBuffer};
 pub use psc::{PagingStructureCaches, PscConfig, PscHit};
 pub use stlb_view::{replay_stlb_ops, StlbOp, StlbView};
 pub use tlb::{Tlb, TlbConfig};
-pub use walker::{WalkKind, WalkResult, Walker, WalkerConfig, WalkerStats};
+pub use walker::{WalkResult, Walker, WalkerConfig, WalkerStats};

@@ -22,12 +22,12 @@
 
 use morrigan_mem::MemoryHierarchy;
 use morrigan_obs::{
-    EventKind, NullRecorder, PbProbeOutcome, PrefetchDropReason, Recorder, TraceEvent, WalkClass,
+    EventKind, NullRecorder, PbProbeOutcome, PrefetchDropReason, Recorder, TraceEvent,
 };
 use morrigan_types::prefetcher::NullPrefetcher;
 use morrigan_types::{
     MissContext, PhysPage, PrefetchComponent, PrefetchDecision, PrefetcherEvent, ThreadId,
-    TlbPrefetcher, VirtAddr, VirtPage,
+    TlbPrefetcher, VirtAddr, VirtPage, WalkKind,
 };
 
 use crate::miss_stream::MissStreamStats;
@@ -35,7 +35,7 @@ use crate::page_table::PageTable;
 use crate::prefetch_buffer::PrefetchBuffer;
 use crate::stlb_view::StlbView;
 use crate::tlb::{Tlb, TlbConfig};
-use crate::walker::{WalkKind, WalkResult, Walker, WalkerConfig, WalkerStats};
+use crate::walker::{WalkResult, Walker, WalkerConfig, WalkerStats};
 
 /// Where prefetched PTEs are placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,18 +163,6 @@ pub struct TranslationOutcome {
     pub pfn: PhysPage,
 }
 
-/// Maps the core-side component tag onto the obs crate's mirror enum
-/// (obs stays dependency-free, so the two types meet here, at the
-/// emission boundary — the same pattern as `WalkKind`/`WalkClass`).
-fn component_tag(c: PrefetchComponent) -> morrigan_obs::PrefetchComponent {
-    match c {
-        PrefetchComponent::IripTable(t) => morrigan_obs::PrefetchComponent::irip_table(t),
-        PrefetchComponent::Sdp => morrigan_obs::PrefetchComponent::Sdp,
-        PrefetchComponent::Icache => morrigan_obs::PrefetchComponent::Icache,
-        PrefetchComponent::Other => morrigan_obs::PrefetchComponent::Other,
-    }
-}
-
 /// The MMU.
 ///
 /// Generic over a [`Recorder`]: the default [`NullRecorder`] compiles
@@ -294,13 +282,13 @@ impl<R: Recorder> Mmu<R> {
 
     /// Emits the issue/complete event pair for a finished walk.
     #[inline(always)]
-    fn emit_walk(&mut self, vpn: VirtPage, class: WalkClass, walk: &WalkResult) {
+    fn emit_walk(&mut self, vpn: VirtPage, walk: &WalkResult) {
         if R::ENABLED {
             self.emit(
                 walk.started_at,
                 vpn,
                 EventKind::WalkIssue {
-                    class,
+                    class: walk.kind,
                     psc_skip: walk.psc_hit.first_step() as u8,
                 },
             );
@@ -308,7 +296,7 @@ impl<R: Recorder> Mmu<R> {
                 walk.completed_at,
                 vpn,
                 EventKind::WalkComplete {
-                    class,
+                    class: walk.kind,
                     refs: walk.memory_refs as u8,
                     duration: (walk.completed_at - walk.started_at) as u32,
                 },
@@ -503,7 +491,7 @@ impl<R: Recorder> Mmu<R> {
                         probe_at,
                         vpn,
                         EventKind::PbPromote {
-                            component: component_tag(hit.component),
+                            component: hit.component,
                             late: hit.remaining_latency > 0,
                         },
                     );
@@ -521,7 +509,7 @@ impl<R: Recorder> Mmu<R> {
                     .walker
                     .walk(&self.page_table, mem, vpn, WalkKind::DemandInstruction, now)
                     .expect("demand-fetched instruction page must be mapped");
-                self.emit_walk(vpn, WalkClass::DemandInstruction, &walk);
+                self.emit_walk(vpn, &walk);
                 latency += walk.latency;
                 self.stlb_insert(vpn, walk.pfn, true);
                 self.itlb.insert(vpn, walk.pfn, true);
@@ -600,7 +588,7 @@ impl<R: Recorder> Mmu<R> {
                 now,
                 vpn,
                 EventKind::PrefetchDrop {
-                    component: component_tag(decision.component),
+                    component: decision.component,
                     reason: PrefetchDropReason::Duplicate,
                 },
             );
@@ -615,7 +603,7 @@ impl<R: Recorder> Mmu<R> {
                 now,
                 vpn,
                 EventKind::PrefetchDrop {
-                    component: component_tag(decision.component),
+                    component: decision.component,
                     reason: PrefetchDropReason::Fault,
                 },
             );
@@ -627,10 +615,10 @@ impl<R: Recorder> Mmu<R> {
                 now,
                 vpn,
                 EventKind::PrefetchIssue {
-                    component: component_tag(decision.component),
+                    component: decision.component,
                 },
             );
-            self.emit_walk(vpn, WalkClass::Prefetch, &walk);
+            self.emit_walk(vpn, &walk);
         }
         match self.cfg.placement {
             PrefetchPlacement::Buffer => {
@@ -707,17 +695,11 @@ impl<R: Recorder> Mmu<R> {
                     now,
                     victim.vpn,
                     EventKind::PbEvict {
-                        component: component_tag(victim.component),
+                        component: victim.component,
                     },
                 );
             }
-            self.emit(
-                ready_at,
-                vpn,
-                EventKind::PbFill {
-                    component: component_tag(component),
-                },
-            );
+            self.emit(ready_at, vpn, EventKind::PbFill { component });
         }
     }
 
@@ -787,7 +769,7 @@ impl<R: Recorder> Mmu<R> {
             .walker
             .walk(&self.page_table, mem, vpn, WalkKind::DemandData, now)
             .expect("demand-accessed data page must be mapped");
-        self.emit_walk(vpn, WalkClass::DemandData, &walk);
+        self.emit_walk(vpn, &walk);
         latency += walk.latency;
         self.stlb_insert(vpn, walk.pfn, false);
         self.dtlb.insert(vpn, walk.pfn, false);
@@ -819,7 +801,7 @@ impl<R: Recorder> Mmu<R> {
             .walker
             .walk(&self.page_table, mem, vpn, WalkKind::Prefetch, now)?;
         self.stats.icache_prefetches_issued += 1;
-        self.emit_walk(vpn, WalkClass::Prefetch, &walk);
+        self.emit_walk(vpn, &walk);
         let victim = self.pb.insert(
             vpn,
             walk.pfn,
@@ -857,7 +839,7 @@ impl<R: Recorder> Mmu<R> {
                     .walk(&self.page_table, mem, victim.vpn, WalkKind::Prefetch, now)
             {
                 self.stats.correcting_walks += 1;
-                self.emit_walk(victim.vpn, WalkClass::Prefetch, &walk);
+                self.emit_walk(victim.vpn, &walk);
             }
         }
     }
@@ -901,13 +883,7 @@ impl<R: Recorder> Mmu<R> {
         if R::ENABLED {
             let flushed: Vec<(VirtPage, PrefetchComponent)> = self.pb.resident_entries().collect();
             for (vpn, component) in flushed {
-                self.emit(
-                    now,
-                    vpn,
-                    EventKind::PbEvict {
-                        component: component_tag(component),
-                    },
-                );
+                self.emit(now, vpn, EventKind::PbEvict { component });
             }
         }
         self.itlb.flush();
@@ -1216,7 +1192,7 @@ mod tests {
 
     #[test]
     fn traced_mmu_emits_reconciling_events() {
-        use morrigan_obs::{TraceRecorder, WalkClass};
+        use morrigan_obs::TraceRecorder;
 
         let mut pt = PageTable::new(1);
         pt.map_range(VirtPage::new(0x4000), 256);
@@ -1254,15 +1230,15 @@ mod tests {
         assert_eq!(counts.pb_evict, pb.evicted_unused);
         assert_eq!(counts.prefetch_issue, stats.prefetches_issued);
         assert_eq!(
-            counts.walk_complete[WalkClass::DemandInstruction.index()],
+            counts.walk_complete[WalkKind::DemandInstruction.index()],
             walker.demand_instr_walks
         );
         assert_eq!(
-            counts.walk_complete[WalkClass::DemandData.index()],
+            counts.walk_complete[WalkKind::DemandData.index()],
             walker.demand_data_walks
         );
         assert_eq!(
-            counts.walk_complete[WalkClass::Prefetch.index()],
+            counts.walk_complete[WalkKind::Prefetch.index()],
             walker.prefetch_walks
         );
         assert_eq!(counts.walk_issue, counts.walk_complete);

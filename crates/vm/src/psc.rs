@@ -8,10 +8,10 @@
 //! and a full miss costs all 4 — exactly the "1.4 memory references per
 //! walk" regime the paper measures for the QMM workloads (§6.4).
 
-use morrigan_types::scan;
-use morrigan_types::VirtPage;
+use morrigan_types::{PhysPage, VirtPage};
 
 use crate::page_table::PtLevel;
+use crate::tlb::{Tlb, TlbConfig};
 
 /// Geometry of the three split PSCs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,98 +72,18 @@ impl PscHit {
     }
 }
 
-/// Tag sentinel marking an empty way. Real tags are VPN prefixes
-/// (≤ 2^43 after the span shift), so they can never reach it.
-const NO_TAG: u64 = u64::MAX;
-
-/// One PSC level, stored structure-of-arrays: packed tag and stamp
-/// vectors with a precomputed set mask. An empty way holds [`NO_TAG`] and
-/// stamp 0; live stamps are always ≥ 1, so a single min-stamp pass picks
-/// the first free way in index order, then the LRU way.
-#[derive(Debug, Clone)]
-struct PscLevel {
-    ways_per_set: usize,
-    /// `sets - 1`; the constructor asserts a power-of-two set count.
-    set_mask: usize,
-    tags: Vec<u64>,
-    stamps: Vec<u64>,
-    tick: u64,
-}
-
-impl PscLevel {
-    fn new(entries: usize, ways_per_set: usize) -> Self {
-        assert!(
-            ways_per_set > 0 && entries.is_multiple_of(ways_per_set),
-            "entries must divide into ways"
-        );
-        let sets = entries / ways_per_set;
-        assert!(
-            sets.is_power_of_two(),
-            "PSC set count must be a power of two"
-        );
-        Self {
-            ways_per_set,
-            set_mask: sets - 1,
-            tags: vec![NO_TAG; entries],
-            stamps: vec![0; entries],
-            tick: 0,
-        }
-    }
-
-    fn range(&self, tag: u64) -> std::ops::Range<usize> {
-        let start = ((tag as usize) & self.set_mask) * self.ways_per_set;
-        start..start + self.ways_per_set
-    }
-
-    fn lookup(&mut self, tag: u64) -> bool {
-        self.tick += 1;
-        debug_assert_ne!(tag, NO_TAG);
-        let range = self.range(tag);
-        let start = range.start;
-        if let Some(w) = scan::find_tag(&self.tags[range], tag) {
-            self.stamps[start + w] = self.tick;
-            return true;
-        }
-        false
-    }
-
-    fn fill(&mut self, tag: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        debug_assert_ne!(tag, NO_TAG);
-        let range = self.range(tag);
-        let tags = &mut self.tags[range.clone()];
-        let stamps = &mut self.stamps[range];
-        // Refresh on residency, otherwise overwrite the min-stamp way
-        // (first free way if one exists, LRU way otherwise) — the
-        // branch-free kernel is pinned to the fused scalar scan it
-        // replaced.
-        let (way, hit) = scan::find_hit_or_victim(tags, stamps, tag);
-        if hit {
-            stamps[way] = tick;
-            return;
-        }
-        tags[way] = tag;
-        stamps[way] = tick;
-    }
-
-    fn flush(&mut self) {
-        self.tags.fill(NO_TAG);
-        self.stamps.fill(0);
-    }
-}
-
 /// The split 3-level PSC hierarchy.
 ///
-/// Tags are the VPN prefix covered by each level: a PD-cache entry covers a
-/// 2 MB region (VPN >> 9), a PDP entry 1 GB (VPN >> 18), a PML4 entry
-/// 512 GB (VPN >> 27).
+/// Each level is a stamp-LRU [`Tlb`] whose keys are the VPN prefix the
+/// level covers: a PD-cache entry covers a 2 MB region (VPN >> 9), a PDP
+/// entry 1 GB (VPN >> 18), a PML4 entry 512 GB (VPN >> 27). Only
+/// residency matters, so every entry holds frame 0.
 #[derive(Debug, Clone)]
 pub struct PagingStructureCaches {
     cfg: PscConfig,
-    pml4: PscLevel,
-    pdp: PscLevel,
-    pd: PscLevel,
+    pml4: Tlb,
+    pdp: Tlb,
+    pd: Tlb,
     /// Lookup counters per outcome, for hit-rate reporting (§6.4).
     pub lookups: u64,
     /// Lookups that hit the PD cache.
@@ -177,11 +97,18 @@ pub struct PagingStructureCaches {
 impl PagingStructureCaches {
     /// Creates empty PSCs.
     pub fn new(cfg: PscConfig) -> Self {
+        let level = |entries, ways| {
+            Tlb::new(TlbConfig {
+                entries,
+                ways,
+                latency: cfg.latency,
+            })
+        };
         Self {
             cfg,
-            pml4: PscLevel::new(cfg.pml4_entries, cfg.pml4_entries),
-            pdp: PscLevel::new(cfg.pdp_entries, cfg.pdp_entries),
-            pd: PscLevel::new(cfg.pd_entries, cfg.pd_ways),
+            pml4: level(cfg.pml4_entries, cfg.pml4_entries),
+            pdp: level(cfg.pdp_entries, cfg.pdp_entries),
+            pd: level(cfg.pd_entries, cfg.pd_ways),
             lookups: 0,
             pd_hits: 0,
             pdp_hits: 0,
@@ -194,36 +121,37 @@ impl PagingStructureCaches {
         &self.cfg
     }
 
-    fn tag(level: PtLevel, vpn: VirtPage) -> u64 {
+    fn tag(level: PtLevel, vpn: VirtPage) -> VirtPage {
         // A PSC entry at level L caches the *result* of the lookup at L,
         // i.e. it covers the span below L.
-        vpn.raw() >> level.span_shift()
+        VirtPage::new(vpn.raw() >> level.span_shift())
     }
 
     /// Finds the deepest cached prefix for `vpn`; deepest-first probe as on
     /// real hardware.
     pub fn lookup(&mut self, vpn: VirtPage) -> PscHit {
         self.lookups += 1;
-        if self.pd.lookup(Self::tag(PtLevel::Pd, vpn)) {
+        if self.pd.lookup(Self::tag(PtLevel::Pd, vpn)).is_some() {
             self.pd_hits += 1;
             return PscHit::Pd;
         }
-        if self.pdp.lookup(Self::tag(PtLevel::Pdp, vpn)) {
+        if self.pdp.lookup(Self::tag(PtLevel::Pdp, vpn)).is_some() {
             self.pdp_hits += 1;
             return PscHit::Pdp;
         }
-        if self.pml4.lookup(Self::tag(PtLevel::Pml4, vpn)) {
+        if self.pml4.lookup(Self::tag(PtLevel::Pml4, vpn)).is_some() {
             self.pml4_hits += 1;
             return PscHit::Pml4;
         }
         PscHit::None
     }
 
-    /// Installs all three prefixes after a completed walk.
+    /// Installs (or refreshes) all three prefixes after a completed walk.
     pub fn fill(&mut self, vpn: VirtPage) {
-        self.pml4.fill(Self::tag(PtLevel::Pml4, vpn));
-        self.pdp.fill(Self::tag(PtLevel::Pdp, vpn));
-        self.pd.fill(Self::tag(PtLevel::Pd, vpn));
+        let zero = PhysPage::new(0);
+        self.pml4.insert(Self::tag(PtLevel::Pml4, vpn), zero, false);
+        self.pdp.insert(Self::tag(PtLevel::Pdp, vpn), zero, false);
+        self.pd.insert(Self::tag(PtLevel::Pd, vpn), zero, false);
     }
 
     /// Empties all levels (context switch).
