@@ -99,10 +99,14 @@ use crate::metrics::{IntervalSample, Metrics};
 use crate::sampling::SamplingConfig;
 use crate::simulator::{audit_default, ElisionCounters, Simulator};
 
-/// Instructions a core executes per epoch. Small enough that
-/// shared-structure contention is visible at sub-epoch granularity,
-/// large enough that the per-epoch protocol cost (log swap + barrier)
-/// is noise.
+/// Instructions a core executes per epoch: a modelling constant, small
+/// enough that shared-structure contention is visible at sub-epoch
+/// granularity. The per-epoch protocol is not free. On the hostbench
+/// `machine` spec (2-vCPU host), replay took 0.15–0.19 s of 1.53–1.95 s
+/// of simulation at machine width 1, and at width 2 barrier wait plus
+/// replay took about a third of each thread's time. The quantum also
+/// decides fig21's numbers, so changing it needs the fig21 sensitivity
+/// study (ROADMAP item 3), not a speed argument.
 pub const INTERLEAVE_QUANTUM: u64 = 64;
 
 /// Stride (in pages) between successive shootdown victims inside a
@@ -197,8 +201,11 @@ struct EpochSlot {
 /// Sense-reversing spin barrier. The epoch loop crosses a barrier twice
 /// per 64-instruction quantum (~10 µs of work), so the parking-lot
 /// round-trip of `std::sync::Barrier` would dominate; a short spin
-/// followed by `yield_now` keeps the rendezvous in the hundreds of
-/// nanoseconds without burning a core when a peer is descheduled.
+/// followed by `yield_now` avoids it without burning a core when a peer
+/// is descheduled. Measured on the hostbench `machine` spec at width 2
+/// (2-vCPU host): 0.53–0.57 thread-s of `barrier_wait` over 2 threads ×
+/// 2 crossings × 62 500 epochs, a mean wait of about 2 µs per crossing,
+/// load imbalance included.
 ///
 /// A thread that panics mid-epoch poisons the barrier ([`PoisonOnPanic`]),
 /// and its peers then panic in `wait` instead of spinning forever, so a
