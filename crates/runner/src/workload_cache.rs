@@ -42,9 +42,11 @@ use morrigan_workloads::{fnv1a, InstructionStream, PackedReplay, PackedTrace, RE
 /// Default resident-byte budget for materialized traces (2 GiB).
 ///
 /// At figure scale a trace is a few MiB and the whole suite fits with
-/// room to spare; at paper scale (150 M instructions ≈ 2.4 GB each) the
-/// budget makes oversized workloads fall back to live generation instead
-/// of exhausting host memory. Tunable via `MORRIGAN_WORKLOAD_CACHE_MB`.
+/// room to spare. At paper scale a trace of 150 M instructions takes
+/// about 0.32 GB and is charged 0.38 GB up front
+/// ([`PackedTrace::projected_bytes`]), so five fit; the budget makes
+/// further workloads fall back to live generation instead of exhausting
+/// host memory. Tunable via `MORRIGAN_WORKLOAD_CACHE_MB`.
 const DEFAULT_MAX_RESIDENT_BYTES: u64 = 2 << 30;
 
 /// One cache slot: a build-once cell plus serve accounting.
@@ -155,17 +157,6 @@ impl WorkloadCache {
         warmup + measure + REPLAY_SLACK
     }
 
-    /// The resident bytes a trace of `len` instructions is charged
-    /// against the budget before it is loaded or built: ~17 bytes per
-    /// instruction across the three packed arrays, plus the page-run
-    /// index at 4 bytes per run entry, dominated by d-runs at roughly one
-    /// per eight instructions on the server suite (i-runs are far
-    /// longer). Once the trace exists its actual
-    /// [`PackedTrace::resident_bytes`] replaces the charge.
-    pub fn projected_bytes(len: u64) -> u64 {
-        len * 16 + len / 8 + len / 2
-    }
-
     /// The cache's counters so far.
     pub fn stats(&self) -> WorkloadCacheStats {
         let (build_seconds, saved_seconds) = *self.seconds.lock().unwrap();
@@ -246,10 +237,12 @@ impl WorkloadCache {
         len: u64,
         build: &impl Fn() -> Box<dyn InstructionStream>,
     ) -> Option<Materialized> {
-        // Reserve before loading or building: concurrent materializations
-        // of different keys each see the others' reservations, so
-        // together they never pass the budget.
-        let projected = Self::projected_bytes(len);
+        // Reserve the projected size before loading or building:
+        // concurrent materializations of different keys each see the
+        // others' reservations, so together they never pass the budget.
+        // Once the trace exists its actual resident bytes replace the
+        // charge.
+        let projected = PackedTrace::projected_bytes(len);
         let reserved =
             self.resident_bytes
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |resident| {

@@ -5,13 +5,13 @@
 use std::sync::Barrier;
 
 use morrigan_runner::WorkloadCache;
-use morrigan_workloads::{InstructionStream, ServerWorkload, ServerWorkloadConfig};
+use morrigan_workloads::{InstructionStream, PackedTrace, ServerWorkload, ServerWorkloadConfig};
 
 const LEN: u64 = 20_000;
 
 #[test]
 fn concurrent_builds_share_one_budget() {
-    let budget = WorkloadCache::projected_bytes(LEN) * 3 / 2;
+    let budget = PackedTrace::projected_bytes(LEN) * 3 / 2;
     let cache = WorkloadCache::in_memory().with_max_resident_bytes(budget);
     // Each build closure waits for the other thread's, so both requests
     // are in flight together. The one that fits builds; the other falls

@@ -122,46 +122,43 @@ pub fn scan_page_runs(
     irun_ends: &mut Vec<u32>,
     drun_ends: &mut Vec<u32>,
 ) {
-    scan_runs(
-        instrs.iter().map(|instr| {
-            (
-                instr.pc.raw() >> PAGE_SHIFT,
-                instr.mem.map(|mem| mem.addr.raw() >> PAGE_SHIFT),
-            )
-        }),
-        irun_ends,
-        drun_ends,
-    );
-}
-
-/// The page-run rules of [`scan_page_runs`] over `(fetch page, data
-/// page)` items, one per instruction; the packed trace builds its
-/// persisted run index with them too.
-pub(crate) fn scan_runs(
-    pages: impl ExactSizeIterator<Item = (u64, Option<u64>)>,
-    irun_ends: &mut Vec<u32>,
-    drun_ends: &mut Vec<u32>,
-) {
-    let len = pages.len();
-    let mut ipage = u64::MAX;
-    let mut dpage = None::<u64>;
-    for (i, (fetch, data)) in pages.enumerate() {
-        if fetch != ipage {
-            if i > 0 {
-                irun_ends.push(i as u32);
-            }
-            ipage = fetch;
+    let mut runs = RunScanner::default();
+    for (i, instr) in instrs.iter().enumerate() {
+        let (irun, drun) = runs.step(
+            instr.pc.raw() >> PAGE_SHIFT,
+            instr.mem.map(|mem| mem.addr.raw() >> PAGE_SHIFT),
+        );
+        if irun {
+            irun_ends.push(i as u32);
         }
-        if let Some(page) = data {
-            if dpage.is_some_and(|p| p != page) {
-                drun_ends.push(i as u32);
-            }
-            dpage = Some(page);
+        if drun {
+            drun_ends.push(i as u32);
         }
     }
-    if len > 0 {
-        irun_ends.push(len as u32);
-        drun_ends.push(len as u32);
+    if !instrs.is_empty() {
+        irun_ends.push(instrs.len() as u32);
+        drun_ends.push(instrs.len() as u32);
+    }
+}
+
+/// The page-run rules of [`scan_page_runs`], one instruction at a time;
+/// the packed trace builds its run bitmaps with them too.
+#[derive(Debug, Default)]
+pub(crate) struct RunScanner {
+    fetch_page: Option<u64>,
+    data_page: Option<u64>,
+}
+
+impl RunScanner {
+    /// Steps over the next instruction's fetch page and data page (if
+    /// it has an access); returns whether an i-run and a d-run start at
+    /// it. Neither starts at the first instruction.
+    #[inline]
+    pub(crate) fn step(&mut self, fetch: u64, data: Option<u64>) -> (bool, bool) {
+        let irun = self.fetch_page.is_some_and(|p| p != fetch);
+        self.fetch_page = Some(fetch);
+        let drun = data.is_some_and(|page| self.data_page.replace(page).is_some_and(|p| p != page));
+        (irun, drun)
     }
 }
 

@@ -107,6 +107,10 @@ pub struct ScheduledStream {
     active: usize,
     issued_in_quantum: u64,
     name: String,
+    /// One quantum chunk's run ends, before they are rebased into the
+    /// block (reused across refills).
+    chunk_iruns: Vec<u32>,
+    chunk_druns: Vec<u32>,
 }
 
 impl ScheduledStream {
@@ -130,6 +134,8 @@ impl ScheduledStream {
             active: 0,
             issued_in_quantum: 0,
             name,
+            chunk_iruns: Vec::new(),
+            chunk_druns: Vec::new(),
         }
     }
 
@@ -174,6 +180,40 @@ impl InstructionStream for ScheduledStream {
             self.tenants[self.active].fill_block(out, run as usize);
             self.issued_in_quantum += run;
             remaining -= run;
+        }
+    }
+
+    /// Forwards each quantum chunk to the active tenant's own run-aware
+    /// refill (a replay cursor reads its run bitmaps instead of
+    /// rescanning) and rebases the chunk's run ends into the block. Every
+    /// chunk edge is a run edge: a valid partition, since runs may be
+    /// split finer than a fresh scan would (see
+    /// [`fill_block_runs`](InstructionStream::fill_block_runs)).
+    fn fill_block_runs(
+        &mut self,
+        out: &mut Vec<TraceInstruction>,
+        irun_ends: &mut Vec<u32>,
+        drun_ends: &mut Vec<u32>,
+        n: usize,
+    ) {
+        irun_ends.clear();
+        drun_ends.clear();
+        out.reserve(n);
+        let mut done = 0u64;
+        while done < n as u64 {
+            self.rotate_if_expired();
+            let run = (n as u64 - done).min(self.quantum - self.issued_in_quantum);
+            self.tenants[self.active].fill_block_runs(
+                out,
+                &mut self.chunk_iruns,
+                &mut self.chunk_druns,
+                run as usize,
+            );
+            let base = done as u32;
+            irun_ends.extend(self.chunk_iruns.iter().map(|&end| base + end));
+            drun_ends.extend(self.chunk_druns.iter().map(|&end| base + end));
+            self.issued_in_quantum += run;
+            done += run;
         }
     }
 
@@ -263,6 +303,45 @@ mod tests {
         bulk.fill_block(&mut block, 200);
         for (n, want) in block.iter().enumerate() {
             assert_eq!(single.next_instruction(), *want, "instruction {n}");
+        }
+    }
+
+    #[test]
+    fn fill_block_runs_partitions_each_quantum_chunk() {
+        let build = || {
+            let tenants: Vec<Box<dyn InstructionStream>> = vec![
+                Box::new(AsidStream::new(tenant("a", 1), 1)),
+                Box::new(AsidStream::new(tenant("b", 2), 2)),
+            ];
+            ScheduledStream::new(tenants, 300)
+        };
+        let mut runs = build();
+        let mut plain = build();
+        let (mut out, mut iruns, mut druns) = (Vec::new(), Vec::new(), Vec::new());
+        let mut expected = Vec::new();
+        for n in [1024usize, 77, 1, 700] {
+            out.clear();
+            expected.clear();
+            runs.fill_block_runs(&mut out, &mut iruns, &mut druns, n);
+            plain.fill_block(&mut expected, n);
+            assert_eq!(out, expected, "block of {n}");
+            let (mut scan_i, mut scan_d) = (Vec::new(), Vec::new());
+            crate::scan_page_runs(&out, &mut scan_i, &mut scan_d);
+            // Tenants live in disjoint address spaces, so every chunk edge
+            // is a page change and the i-runs are exactly a fresh scan's.
+            // A d-run ends at each chunk edge instead, before the next
+            // tenant's first access, so only the span invariant holds.
+            assert_eq!(iruns, scan_i, "block of {n}");
+            assert_eq!(druns.last(), Some(&(n as u32)));
+            let mut begin = 0;
+            for &end in &druns {
+                let mut pages = out[begin..end as usize]
+                    .iter()
+                    .filter_map(|i| i.mem.map(|m| m.addr.virt_page()));
+                let first = pages.next();
+                assert!(pages.all(|p| Some(p) == first), "d-run {begin}..{end}");
+                begin = end as usize;
+            }
         }
     }
 

@@ -7,84 +7,97 @@
 //! *generation* from stream *consumption*, the same way ChampSim-style
 //! evaluations replay pre-materialized trace files across
 //! configurations: capture a workload's instruction stream once into a
-//! compact struct-of-arrays buffer, then hand out any number of
-//! [`PackedReplay`] cursors over it. A replay's
-//! [`fill_block`](crate::InstructionStream::fill_block) is a
-//! bounds-checked sequential decode of three flat arrays — no RNG, no
-//! chain bookkeeping, no virtual dispatch per instruction.
+//! compact buffer, then hand out any number of [`PackedReplay`] cursors
+//! over it. A replay's
+//! [`fill_block`](crate::InstructionStream::fill_block) decodes whole
+//! 64-instruction words — no RNG, no chain bookkeeping, no virtual
+//! dispatch per instruction.
 //!
-//! ## In-memory layout
+//! ## Layout
 //!
-//! Struct-of-arrays, 16 bytes + 1 bit per instruction (vs. 24 bytes for
-//! `Vec<TraceInstruction>`, whose `Option<MemAccess>` padding the
-//! simulator would drag through the cache on every copy):
+//! One layout serves in memory and on disk, about 2 bytes per
+//! instruction on the server and SPEC suites. Instructions are grouped
+//! into 64-instruction words; bit `i` of each of a word's five bitmaps
+//! describes instruction `64·w + i`:
 //!
-//! * `pcs:   Vec<u64>` — fetch addresses;
-//! * `mems:  Vec<u64>` — data addresses, [`NO_MEM`] when absent;
-//! * `writes: Vec<u64>` — store flags, one bit per instruction.
+//! * `jump` — the PC is not the previous PC + 4, and always bit 0. The
+//!   PCs at set bits go whole, in order, into `jumps: Vec<u64>`; every
+//!   other PC is its predecessor's + 4.
+//! * `mem` — the instruction has a data access. The accesses go, in
+//!   order, into `mems: Vec<u32>` as byte offsets from the first byte
+//!   of the stream's data region.
+//! * `write` — that access is a store.
+//! * `irun`, `drun` — the page-run index (below).
+//!
+//! Each word also carries `u32` counts of the jumps and accesses before
+//! it, so [`PackedTrace::get`] is O(1): one word, two popcounts, one
+//! load from each array. The counts are recomputed on load, never
+//! stored.
+//!
+//! The layout rests on one contract: every data access lies inside its
+//! stream's data region. Every generator meets it, because the page
+//! table maps only regions; [`PackedTrace::capture`] asserts it, naming
+//! the stream.
 //!
 //! ## Page-run index
 //!
 //! Instruction fetch is overwhelmingly sequential within a page, so one
-//! iTLB probe can vouch for a whole run of same-page fetches. The trace
-//! carries a run-length index computed once at capture — maximal spans
-//! of same-page PCs (`irun_ends`) and spans whose data accesses all
-//! touch one page (`drun_ends`), each stored as strictly increasing
-//! exclusive end positions with the last entry equal to the trace
-//! length. The simulator consumes runs through
+//! iTLB probe can vouch for a whole run of same-page fetches. The
+//! `irun` bitmap marks each instruction that starts a maximal same-page
+//! fetch span, and `drun` each whose data access starts a span of
+//! accesses to one page (instructions with no access extend whichever
+//! span they fall in); the first instruction is never marked. These are
+//! the boundaries [`scan_page_runs`](crate::scan_page_runs) finds. The
+//! simulator consumes runs through
 //! [`fill_block_runs`](crate::InstructionStream::fill_block_runs),
 //! issuing a single translation per run and reconciling statistics and
 //! LRU recency in bulk at run end.
 //!
 //! ## On-disk format (`MORRIGAN_WORKLOAD_CACHE`)
 //!
-//! Little-endian, versioned by magic, self-verified:
+//! Little-endian, versioned by magic, self-verified. The sections are
+//! the resident arrays verbatim, less the per-word counts:
 //!
 //! ```text
-//! magic      "MRGNPKT2"                                8 bytes
+//! magic      "MRGNPKT3"                                8 bytes
 //! key_hash   FNV-1a 64 of the cache key string         u64
 //! len        instruction count                         u64
 //! code_base, code_pages, data_base, data_pages         4 × u64
 //! build_seconds (f64 bits; provenance, informational)  u64
+//! jumps, mems  entries in the two arrays               2 × u64
 //! name_len + name bytes (UTF-8)
-//! pcs        zigzag(delta) LEB128 varints              len entries
-//! mem bitset (1 = instruction has a data access)       ⌈len/64⌉ × u64
-//! mem addrs  zigzag(delta) varints, present entries only
-//! write bitset                                         ⌈len/64⌉ × u64
-//! irun count u64, then end-position deltas as varints
-//! drun count u64, then end-position deltas as varints
+//! words      jump, mem, write, irun, drun bitmaps      ⌈len/64⌉ × 5 × u64
+//! jumps      whole PCs                                 jumps × u64
+//! mems       data-region byte offsets                  mems × u32
 //! hash       FNV-1a 64 of every preceding byte         u64
 //! ```
 //!
-//! Version 1 files (magic `MRGNPKT1`, no run index) fail the magic
-//! check and take the caller's existing rebuild-non-fatal path.
-//!
-//! Page-level control flow makes consecutive-PC deltas small most of the
-//! time (straight-line fetch advances by 4 bytes), so the delta-varint
-//! sections compress a trace to a fraction of its in-memory size while
-//! staying trivially seekless to decode. The trailing hash (and the key
-//! hash, which binds the file to the workload config + length that
-//! produced it) means a corrupted or stale cache file is *detected and
-//! regenerated*, never silently replayed.
+//! The header fixes every section's length, so the loader checks the
+//! file size before it allocates. It then checks that each word starts
+//! with a jump, that the popcounts match the array lengths, that no bit
+//! lies past `len`, and that a rescan of the decoded instructions
+//! reproduces every bitmap and array (which also puts every access in
+//! the data region), plus the content hash. The key hash binds the file
+//! to the workload config and length that produced it. Any failure is
+//! `InvalidData`, never a panic, and the caller rebuilds: a corrupted
+//! or stale cache file is never silently replayed. Files of older
+//! versions (`MRGNPKT1`, `MRGNPKT2`) fail the magic check with an error
+//! naming their version.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::mem::size_of_val;
 use std::path::Path;
 
 use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
 
-use crate::instruction::{scan_runs, InstructionStream, MemAccess, TraceInstruction};
-
-/// Sentinel in the `mems` array for "no data access" (real virtual
-/// addresses are ≤ 2^52).
-const NO_MEM: u64 = u64::MAX;
+use crate::instruction::{InstructionStream, MemAccess, RunScanner, TraceInstruction};
 
 /// On-disk magic; bump the trailing digit on any format change so stale
 /// cache files from older revisions fail the magic check and rebuild.
-const MAGIC: &[u8; 8] = b"MRGNPKT2";
+const MAGIC: &[u8; 8] = b"MRGNPKT3";
 
-/// The previous on-disk magic (no page-run index). Recognized only to
-/// produce a precise "older format" error; the file is rebuilt.
-const MAGIC_V1: &[u8; 8] = b"MRGNPKT1";
+/// Header fields after the magic, each a `u64`.
+const HEADER_FIELDS: usize = 10;
 
 /// Extra instructions captured beyond a run's `warmup + measure` length.
 ///
@@ -110,107 +123,227 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A workload's instruction stream, materialized into a compact
-/// struct-of-arrays buffer. Immutable once captured; share it across
-/// worker threads as `Arc<PackedTrace>` and replay it through any number
-/// of independent [`PackedReplay`] cursors.
+/// One 64-instruction word of the layout: bit `i` of each bitmap
+/// describes instruction `64·w + i`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Word {
+    /// The PC is not the previous PC + 4; always set on bit 0.
+    jump: u64,
+    /// The instruction has a data access.
+    mem: u64,
+    /// The access is a store.
+    write: u64,
+    /// An i-run starts here.
+    irun: u64,
+    /// A d-run starts here.
+    drun: u64,
+    /// Jumps in earlier words: the index into `jumps` of this word's
+    /// first.
+    jumps_before: u32,
+    /// Accesses in earlier words: the index into `mems` of this word's
+    /// first.
+    mems_before: u32,
+}
+
+impl Word {
+    /// The five bitmaps in on-disk order.
+    fn bitmaps(&self) -> [u64; 5] {
+        [self.jump, self.mem, self.write, self.irun, self.drun]
+    }
+}
+
+/// Entries of `jumps` and `mems` a `len`-instruction trace holds at the
+/// densest rates the server, Java-server and SPEC suites reach (3.8 % of
+/// instructions start a jump, word starts included, and 34.8 % access
+/// data), rounded up to 4 % and 36 %. Capture reserves them up front, so
+/// a suite trace never regrows an array (and briefly holds two copies)
+/// mid-capture; reserved pages that are never written stay
+/// non-resident.
+fn array_bounds(len: usize) -> (usize, usize) {
+    (len / 25, len * 9 / 25)
+}
+
+/// The mask of bits `0..n`, for `n` in `1..=64`.
+fn below(n: usize) -> u64 {
+    u64::MAX >> (64 - n)
+}
+
+/// A workload's instruction stream, materialized into the compact
+/// layout. Immutable once captured; share it across worker threads as
+/// `Arc<PackedTrace>` and replay it through any number of independent
+/// [`PackedReplay`] cursors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedTrace {
     name: String,
     code_region: (VirtPage, u64),
     data_region: (VirtPage, u64),
-    pcs: Vec<u64>,
-    /// Data address per instruction; [`NO_MEM`] when the instruction has
-    /// no access. Kept index-aligned with `pcs` so replay is one
-    /// sequential pass over both arrays.
-    mems: Vec<u64>,
-    /// Store flags, one bit per instruction (bit i of word i/64).
-    writes: Vec<u64>,
-    /// Page-run index over `pcs`: exclusive end positions of maximal
-    /// same-page fetch spans, strictly increasing, last entry == `len`.
-    /// `u32` holds any plausible trace (the capture asserts the bound).
-    irun_ends: Vec<u32>,
-    /// Page-run index over `mems`: exclusive end positions of spans
-    /// whose data accesses all touch one page (instructions with no
-    /// access extend whichever span they fall in).
-    drun_ends: Vec<u32>,
+    len: usize,
+    words: Vec<Word>,
+    /// The PC at every `jump` bit, in order.
+    jumps: Vec<u64>,
+    /// Every data access, in order, as a byte offset from the first
+    /// byte of `data_region`.
+    mems: Vec<u32>,
 }
 
-/// Builds both page-run indices from the packed arrays in one pass.
-fn build_page_runs(pcs: &[u64], mems: &[u64]) -> (Vec<u32>, Vec<u32>) {
-    assert!(
-        pcs.len() <= u32::MAX as usize,
-        "page-run index stores end positions as u32; trace of {} instructions overflows",
-        pcs.len()
-    );
-    let (mut irun_ends, mut drun_ends) = (Vec::new(), Vec::new());
-    scan_runs(
-        pcs.iter().zip(mems).map(|(&pc, &mem)| {
-            (
-                pc >> PAGE_SHIFT,
-                (mem != NO_MEM).then_some(mem >> PAGE_SHIFT),
-            )
-        }),
-        &mut irun_ends,
-        &mut drun_ends,
-    );
-    (irun_ends, drun_ends)
+/// Packs instructions one at a time into the layout: capture feeds it a
+/// live stream, the loader's rescan a decoded one.
+struct Packer {
+    trace: PackedTrace,
+    word: Word,
+    prev_pc: u64,
+    runs: RunScanner,
+    data_start: u64,
+    data_bytes: u64,
+}
+
+impl Packer {
+    fn new(
+        name: String,
+        code_region: (VirtPage, u64),
+        data_region: (VirtPage, u64),
+        len: usize,
+    ) -> Self {
+        let (jumps, mems) = array_bounds(len);
+        Self {
+            trace: PackedTrace {
+                name,
+                code_region,
+                data_region,
+                len: 0,
+                words: Vec::with_capacity(len.div_ceil(64)),
+                jumps: Vec::with_capacity(jumps),
+                mems: Vec::with_capacity(mems),
+            },
+            word: Word::default(),
+            prev_pc: 0,
+            runs: RunScanner::default(),
+            data_start: data_region.0.raw() << PAGE_SHIFT,
+            data_bytes: data_region.1 << PAGE_SHIFT,
+        }
+    }
+
+    /// Appends one instruction. `Err` carries a data address outside the
+    /// data region (or past the 4 GiB an offset holds); nothing is
+    /// appended then.
+    #[inline]
+    fn push(&mut self, instr: &TraceInstruction) -> Result<(), u64> {
+        let trace = &mut self.trace;
+        let bit = trace.len % 64;
+        let access = match instr.mem {
+            Some(access) => {
+                let offset = access.addr.raw().wrapping_sub(self.data_start);
+                if offset >= self.data_bytes || offset > u32::MAX as u64 {
+                    return Err(access.addr.raw());
+                }
+                Some((offset as u32, access.write))
+            }
+            None => None,
+        };
+        if bit == 0 {
+            self.word = Word {
+                jumps_before: trace.jumps.len() as u32,
+                mems_before: trace.mems.len() as u32,
+                ..Word::default()
+            };
+        }
+        let word = &mut self.word;
+        let pc = instr.pc.raw();
+        if bit == 0 || pc != self.prev_pc.wrapping_add(4) {
+            word.jump |= 1 << bit;
+            trace.jumps.push(pc);
+        }
+        self.prev_pc = pc;
+        if let Some((offset, write)) = access {
+            word.mem |= 1 << bit;
+            word.write |= (write as u64) << bit;
+            trace.mems.push(offset);
+        }
+        let (irun, drun) = self.runs.step(
+            pc >> PAGE_SHIFT,
+            instr.mem.map(|access| access.addr.raw() >> PAGE_SHIFT),
+        );
+        word.irun |= (irun as u64) << bit;
+        word.drun |= (drun as u64) << bit;
+        trace.len += 1;
+        if bit == 63 {
+            trace.words.push(self.word);
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> PackedTrace {
+        if !self.trace.len.is_multiple_of(64) {
+            self.trace.words.push(self.word);
+        }
+        self.trace.jumps.shrink_to_fit();
+        self.trace.mems.shrink_to_fit();
+        self.trace
+    }
 }
 
 impl PackedTrace {
     /// Captures the next `len` instructions of `stream`.
     ///
     /// The stream is drained through its native
-    /// [`fill_block`](InstructionStream::fill_block) in large chunks, so
-    /// capture runs at the generator's best bulk speed; everything after
-    /// is pure replay.
+    /// [`fill_block`](InstructionStream::fill_block) in large chunks and
+    /// packed in the same pass, run bitmaps included; no full-length
+    /// intermediate is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `u32::MAX`, or if the stream makes a data
+    /// access outside its data region.
     pub fn capture(stream: &mut dyn InstructionStream, len: u64) -> Self {
+        assert!(
+            len <= u32::MAX as u64,
+            "packed traces count positions in u32; a trace of {len} instructions overflows"
+        );
         let n = len as usize;
-        let mut pcs = Vec::with_capacity(n);
-        let mut mems = Vec::with_capacity(n);
-        let mut writes = vec![0u64; n.div_ceil(64)];
+        let mut packer = Packer::new(
+            stream.name().to_string(),
+            stream.code_region(),
+            stream.data_region(),
+            n,
+        );
         let mut scratch: Vec<TraceInstruction> = Vec::with_capacity(8192);
-        let mut filled = 0usize;
-        while filled < n {
-            let chunk = 8192.min(n - filled);
+        while packer.trace.len < n {
             scratch.clear();
-            stream.fill_block(&mut scratch, chunk);
-            for (j, instr) in scratch.iter().enumerate() {
-                let i = filled + j;
-                pcs.push(instr.pc.raw());
-                match instr.mem {
-                    Some(mem) => {
-                        mems.push(mem.addr.raw());
-                        if mem.write {
-                            writes[i / 64] |= 1 << (i % 64);
-                        }
-                    }
-                    None => mems.push(NO_MEM),
+            stream.fill_block(&mut scratch, 8192.min(n - packer.trace.len));
+            for instr in &scratch {
+                if let Err(addr) = packer.push(instr) {
+                    let (page, pages) = stream.data_region();
+                    panic!(
+                        "stream '{}' accessed {addr:#x}, outside its data region of {pages} \
+                         pages at {:#x}; packed traces store accesses as offsets into it",
+                        stream.name(),
+                        page.raw() << PAGE_SHIFT,
+                    );
                 }
             }
-            filled += chunk;
         }
-        let (irun_ends, drun_ends) = build_page_runs(&pcs, &mems);
-        Self {
-            name: stream.name().to_string(),
-            code_region: stream.code_region(),
-            data_region: stream.data_region(),
-            pcs,
-            mems,
-            writes,
-            irun_ends,
-            drun_ends,
-        }
+        packer.finish()
+    }
+
+    /// The resident bytes a trace of `len` instructions is projected to
+    /// take before it exists: its words, plus as many `jumps` and `mems`
+    /// entries as the densest suite trace needs, rounded up. That is
+    /// 2.51 bytes per instruction against the suites' 2.05–2.36.
+    /// [`resident_bytes`](Self::resident_bytes) gives the actual figure
+    /// once the trace is built.
+    pub fn projected_bytes(len: u64) -> u64 {
+        let (jumps, mems) = array_bounds(len as usize);
+        (len.div_ceil(64) as usize * size_of::<Word>() + jumps * 8 + mems * 4) as u64
     }
 
     /// Number of instructions captured.
     pub fn len(&self) -> u64 {
-        self.pcs.len() as u64
+        self.len as u64
     }
 
     /// Whether the trace holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.len == 0
     }
 
     /// Workload name the trace was captured from.
@@ -218,43 +351,96 @@ impl PackedTrace {
         &self.name
     }
 
-    /// Resident size of the packed arrays in bytes, page-run index
-    /// included (it lives in the same `WorkloadCache` resident budget
-    /// as the instruction arrays it accelerates).
+    /// Resident size of the trace's arrays in bytes, page-run index and
+    /// per-word counts included (they live in the same `WorkloadCache`
+    /// resident budget as the instructions they index).
     pub fn resident_bytes(&self) -> u64 {
-        (self.pcs.len() * 8
-            + self.mems.len() * 8
-            + self.writes.len() * 8
-            + self.irun_ends.len() * 4
-            + self.drun_ends.len() * 4) as u64
+        (size_of_val(self.words.as_slice())
+            + size_of_val(self.jumps.as_slice())
+            + size_of_val(self.mems.as_slice())) as u64
     }
 
     /// The page-run index over fetch addresses: exclusive end positions
-    /// of maximal same-page PC spans.
-    pub fn irun_ends(&self) -> &[u32] {
-        &self.irun_ends
+    /// of maximal same-page PC spans, the last equal to the length.
+    pub fn irun_ends(&self) -> Vec<u32> {
+        self.run_ends(|w| w.irun)
     }
 
     /// The page-run index over data addresses: exclusive end positions
-    /// of spans whose accesses all touch one page.
-    pub fn drun_ends(&self) -> &[u32] {
-        &self.drun_ends
+    /// of spans whose accesses all touch one page, the last equal to
+    /// the length.
+    pub fn drun_ends(&self) -> Vec<u32> {
+        self.run_ends(|w| w.drun)
     }
 
-    /// Decodes instruction `i`.
+    fn run_ends(&self, field: fn(&Word) -> u64) -> Vec<u32> {
+        let mut ends = Vec::new();
+        if self.len > 0 {
+            self.push_run_ends(0, self.len, field, &mut ends);
+        }
+        ends
+    }
+
+    /// Appends, relative to `start`, the end of every run the `field`
+    /// bitmap starts inside `start + 1..end`, then `end` itself: the
+    /// runs of `start..end` with the block edges as extra boundaries.
+    fn push_run_ends(
+        &self,
+        start: usize,
+        end: usize,
+        field: impl Fn(&Word) -> u64,
+        ends: &mut Vec<u32>,
+    ) {
+        let first = start + 1;
+        let mut w = first / 64;
+        let mut mask = u64::MAX << (first % 64);
+        while w * 64 < end {
+            let mut bits = field(&self.words[w]) & mask & below((end - w * 64).min(64));
+            while bits != 0 {
+                ends.push((w * 64 + bits.trailing_zeros() as usize - start) as u32);
+                bits &= bits - 1;
+            }
+            w += 1;
+            mask = u64::MAX;
+        }
+        ends.push((end - start) as u32);
+    }
+
+    fn data_start(&self) -> u64 {
+        self.data_region.0.raw() << PAGE_SHIFT
+    }
+
+    /// Decodes instruction `i` in constant time.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn get(&self, i: usize) -> TraceInstruction {
-        let mem_raw = self.mems[i];
+        assert!(
+            i < self.len,
+            "instruction {i} of a {}-instruction trace",
+            self.len
+        );
+        let word = &self.words[i / 64];
+        let bit = i % 64;
+        // Bit 0 is always a jump, so `upto` is never zero.
+        let upto = word.jump & below(bit + 1);
+        let jump = word.jumps_before as usize + upto.count_ones() as usize - 1;
+        let since = bit - (63 - upto.leading_zeros() as usize);
+        let pc = self.jumps[jump].wrapping_add(4 * since as u64);
+        // Loaded whether or not `i` has an access, so that the presence
+        // test selects rather than branches; without an access, `m` may
+        // be one past the last entry.
+        let m = word.mems_before as usize + (word.mem & !(u64::MAX << bit)).count_ones() as usize;
+        let offset = self.mems.get(m).copied().unwrap_or_default();
+        let mem = (word.mem >> bit & 1 != 0).then_some(MemAccess {
+            addr: VirtAddr::new(self.data_start().wrapping_add(offset as u64)),
+            write: word.write >> bit & 1 != 0,
+        });
         TraceInstruction {
-            pc: VirtAddr::new(self.pcs[i]),
-            mem: (mem_raw != NO_MEM).then(|| MemAccess {
-                addr: VirtAddr::new(mem_raw),
-                write: self.writes[i / 64] >> (i % 64) & 1 != 0,
-            }),
+            pc: VirtAddr::new(pc),
+            mem,
         }
     }
 
@@ -284,7 +470,7 @@ impl PackedTrace {
         let file = std::fs::File::create(path)?;
         let mut out = Hashing::new(BufWriter::new(file));
         out.write_all(MAGIC)?;
-        for v in [
+        let header: [u64; HEADER_FIELDS] = [
             key_hash,
             self.len(),
             self.code_region.0.raw(),
@@ -292,45 +478,24 @@ impl PackedTrace {
             self.data_region.0.raw(),
             self.data_region.1,
             build_seconds.to_bits(),
+            self.jumps.len() as u64,
+            self.mems.len() as u64,
             self.name.len() as u64,
-        ] {
+        ];
+        for v in header {
             out.write_all(&v.to_le_bytes())?;
         }
         out.write_all(self.name.as_bytes())?;
-
-        let mut prev = 0u64;
-        for &pc in &self.pcs {
-            write_varint(&mut out, zigzag(pc.wrapping_sub(prev) as i64))?;
-            prev = pc;
-        }
-        let mut present = vec![0u64; self.pcs.len().div_ceil(64)];
-        for (i, &mem) in self.mems.iter().enumerate() {
-            if mem != NO_MEM {
-                present[i / 64] |= 1 << (i % 64);
+        for word in &self.words {
+            for bitmap in word.bitmaps() {
+                out.write_all(&bitmap.to_le_bytes())?;
             }
         }
-        for &word in &present {
-            out.write_all(&word.to_le_bytes())?;
+        for &pc in &self.jumps {
+            out.write_all(&pc.to_le_bytes())?;
         }
-        let mut prev = 0u64;
-        for &mem in &self.mems {
-            if mem != NO_MEM {
-                write_varint(&mut out, zigzag(mem.wrapping_sub(prev) as i64))?;
-                prev = mem;
-            }
-        }
-        for &word in &self.writes {
-            out.write_all(&word.to_le_bytes())?;
-        }
-        for ends in [&self.irun_ends, &self.drun_ends] {
-            out.write_all(&(ends.len() as u64).to_le_bytes())?;
-            let mut prev = 0u32;
-            for &end in ends.iter() {
-                // Strictly increasing, so the delta is ≥ 1 and a plain
-                // (unsigned) varint; runs are short, so most are 1 byte.
-                write_varint(&mut out, (end - prev) as u64)?;
-                prev = end;
-            }
+        for &offset in &self.mems {
+            out.write_all(&offset.to_le_bytes())?;
         }
 
         let hash = out.hash;
@@ -340,14 +505,16 @@ impl PackedTrace {
     }
 
     /// Loads a trace from `path`, verifying the magic, the binding to
-    /// `key_hash`, and the whole-file content hash.
+    /// `key_hash`, the layout's invariants and the whole-file content
+    /// hash.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on a version/magic mismatch, a key-hash
     /// mismatch (the file was built for a different workload config or
-    /// length), a content-hash mismatch (corruption), or truncation —
-    /// all of which callers treat as "rebuild, non-fatal".
+    /// length), a size or layout inconsistency, or a content-hash
+    /// mismatch (corruption) — all of which callers treat as "rebuild,
+    /// non-fatal".
     pub fn read_from(path: impl AsRef<Path>, key_hash: u64) -> io::Result<(Self, f64)> {
         let file = std::fs::File::open(path)?;
         let file_bytes = file.metadata()?.len();
@@ -355,176 +522,126 @@ impl PackedTrace {
     }
 
     /// [`read_from`](Self::read_from) over any reader of a
-    /// `file_bytes`-byte encoding. The header's trace length is checked
-    /// against `file_bytes` before anything is sized from it.
+    /// `file_bytes`-byte encoding. The header's section lengths are
+    /// checked against `file_bytes` before anything is sized from them.
     fn decode(input: impl Read, file_bytes: u64, key_hash: u64) -> io::Result<(Self, f64)> {
         let mut input = Hashing::new(input);
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic)?;
-        if &magic == MAGIC_V1 {
-            return Err(bad(
-                "packed trace is format v1 (no page-run index); rebuilding as v2",
-            ));
-        }
         if &magic != MAGIC {
-            return Err(bad("not a Morrigan packed trace (or an older format)"));
+            return Err(bad(&match magic.strip_prefix(b"MRGNPKT") {
+                Some(&[v]) if v.is_ascii_digit() => {
+                    format!("packed trace is format v{}; this build reads v3", v as char)
+                }
+                _ => "not a Morrigan packed trace".to_string(),
+            }));
         }
-        let stored_key = read_u64(&mut input)?;
+        let [stored_key, len, code_base, code_pages, data_base, data_pages, build_bits, jump_count, mem_count, name_len] =
+            read_u64s::<HEADER_FIELDS>(&mut input)?;
         if stored_key != key_hash {
             return Err(bad("packed trace was built for a different cache key"));
         }
-        let len = read_u64(&mut input)?;
-        // Each instruction costs at least one PC-varint byte, so a longer
-        // trace than the file is corruption (e.g. a flipped high bit),
-        // not an allocation to attempt.
-        if len > file_bytes {
-            return Err(bad("trace length exceeds the file size"));
+        let words = len.div_ceil(64);
+        // Magic, header and hash, then the variable-length sections.
+        let expected_bytes = [
+            (8 + 8 * HEADER_FIELDS as u64 + 8, 1),
+            (name_len, 1),
+            (words, 5 * 8),
+            (jump_count, 8),
+            (mem_count, 4),
+        ]
+        .into_iter()
+        .try_fold(0u64, |sum, (count, size)| {
+            count.checked_mul(size)?.checked_add(sum)
+        });
+        if expected_bytes != Some(file_bytes) {
+            return Err(bad(
+                "section lengths in the header disagree with the file size",
+            ));
+        }
+        if len > u32::MAX as u64 {
+            return Err(bad("trace longer than u32::MAX instructions"));
         }
         let len = len as usize;
-        let code_base = read_u64(&mut input)?;
-        let code_pages = read_u64(&mut input)?;
-        let data_base = read_u64(&mut input)?;
-        let data_pages = read_u64(&mut input)?;
-        let build_seconds = f64::from_bits(read_u64(&mut input)?);
-        let name_len = read_u64(&mut input)? as usize;
-        if name_len > 4096 {
-            return Err(bad("implausible workload name length"));
-        }
-        let mut name = vec![0u8; name_len];
+        let mut name = vec![0u8; name_len as usize];
         input.read_exact(&mut name)?;
         let name = String::from_utf8(name).map_err(|_| bad("workload name is not valid UTF-8"))?;
 
-        let mut pcs = Vec::with_capacity(len);
-        let mut prev = 0u64;
-        for _ in 0..len {
-            prev = prev.wrapping_add(unzigzag(read_varint(&mut input)?) as u64);
-            pcs.push(prev);
+        let mut word_list = Vec::with_capacity(words as usize);
+        let (mut jumps_before, mut mems_before) = (0u64, 0u64);
+        for _ in 0..words {
+            let [jump, mem, write, irun, drun] = read_u64s(&mut input)?;
+            word_list.push(Word {
+                jump,
+                mem,
+                write,
+                irun,
+                drun,
+                jumps_before: jumps_before as u32,
+                mems_before: mems_before as u32,
+            });
+            jumps_before += jump.count_ones() as u64;
+            mems_before += mem.count_ones() as u64;
         }
-        let words = len.div_ceil(64);
-        let mut present = vec![0u64; words];
-        for word in &mut present {
-            *word = read_u64(&mut input)?;
+        let mut jumps = Vec::with_capacity(jump_count as usize);
+        for _ in 0..jump_count {
+            jumps.push(read_u64(&mut input)?);
         }
-        let mut mems = Vec::with_capacity(len);
-        let mut prev = 0u64;
-        for (i, mem) in mems.spare_capacity_mut().iter_mut().enumerate().take(len) {
-            if present[i / 64] >> (i % 64) & 1 != 0 {
-                prev = prev.wrapping_add(unzigzag(read_varint(&mut input)?) as u64);
-                if prev == NO_MEM {
-                    return Err(bad("data address collides with the no-access sentinel"));
-                }
-                mem.write(prev);
-            } else {
-                mem.write(NO_MEM);
-            }
+        let mut mems = Vec::with_capacity(mem_count as usize);
+        for _ in 0..mem_count {
+            let mut buf = [0u8; 4];
+            input.read_exact(&mut buf)?;
+            mems.push(u32::from_le_bytes(buf));
         }
-        // SAFETY: the loop above initialized exactly `len` elements.
-        unsafe { mems.set_len(len) };
-        let mut writes = vec![0u64; words];
-        for word in &mut writes {
-            *word = read_u64(&mut input)?;
-        }
-        let mut run_sections = [Vec::new(), Vec::new()];
-        for ends in &mut run_sections {
-            let count = read_u64(&mut input)? as usize;
-            if count > len {
-                return Err(bad("page-run index longer than the trace"));
-            }
-            ends.reserve_exact(count);
-            let mut prev = 0u64;
-            for _ in 0..count {
-                prev = prev
-                    .checked_add(read_varint(&mut input)?)
-                    .filter(|&end| end <= len as u64)
-                    .ok_or_else(|| bad("page-run end position past the end of the trace"))?;
-                ends.push(prev as u32);
-            }
-            if ends.last().is_some_and(|&last| last as usize != len) || (len > 0 && ends.is_empty())
-            {
-                return Err(bad("page-run index does not cover the trace"));
-            }
-        }
-        let [irun_ends, drun_ends] = run_sections;
-
         let computed = input.hash;
-        let mut trailer = [0u8; 8];
-        input.inner.read_exact(&mut trailer)?;
-        if u64::from_le_bytes(trailer) != computed {
+        if read_u64(&mut input.inner)? != computed {
             return Err(bad("packed trace content hash mismatch (corrupted file)"));
         }
 
-        Ok((
-            Self {
-                name,
-                code_region: (VirtPage::new(code_base), code_pages),
-                data_region: (VirtPage::new(data_base), data_pages),
-                pcs,
-                mems,
-                writes,
-                irun_ends,
-                drun_ends,
-            },
-            build_seconds,
-        ))
-    }
-
-    /// Writes the trace in the retired v1 format (no page-run index) —
-    /// test support for exercising the v1 → v2 rebuild fallback.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    #[doc(hidden)]
-    pub fn write_v1_for_tests(
-        &self,
-        path: impl AsRef<Path>,
-        key_hash: u64,
-        build_seconds: f64,
-    ) -> io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut out = Hashing::new(BufWriter::new(file));
-        out.write_all(MAGIC_V1)?;
-        for v in [
-            key_hash,
-            self.len(),
-            self.code_region.0.raw(),
-            self.code_region.1,
-            self.data_region.0.raw(),
-            self.data_region.1,
-            build_seconds.to_bits(),
-            self.name.len() as u64,
-        ] {
-            out.write_all(&v.to_le_bytes())?;
+        if (jumps_before, mems_before) != (jump_count, mem_count) {
+            return Err(bad("bitmap popcounts disagree with the array lengths"));
         }
-        out.write_all(self.name.as_bytes())?;
-        let mut prev = 0u64;
-        for &pc in &self.pcs {
-            write_varint(&mut out, zigzag(pc.wrapping_sub(prev) as i64))?;
-            prev = pc;
+        if word_list.iter().any(|w| w.jump & 1 == 0) {
+            return Err(bad("a word does not start with a jump"));
         }
-        let mut present = vec![0u64; self.pcs.len().div_ceil(64)];
-        for (i, &mem) in self.mems.iter().enumerate() {
-            if mem != NO_MEM {
-                present[i / 64] |= 1 << (i % 64);
-            }
+        let past_len = if len.is_multiple_of(64) {
+            0
+        } else {
+            !below(len % 64)
+        };
+        if word_list
+            .last()
+            .is_some_and(|w| w.bitmaps().iter().any(|b| b & past_len != 0))
+        {
+            return Err(bad("bits set past the end of the trace"));
         }
-        for &word in &present {
-            out.write_all(&word.to_le_bytes())?;
+        let trace = Self {
+            name,
+            code_region: (VirtPage::new(code_base), code_pages),
+            data_region: (VirtPage::new(data_base), data_pages),
+            len,
+            words: word_list,
+            jumps,
+            mems,
+        };
+        // The checks above make every `get` in bounds.
+        let mut rescan = Packer::new(
+            trace.name.clone(),
+            trace.code_region,
+            trace.data_region,
+            len,
+        );
+        for i in 0..len {
+            rescan
+                .push(&trace.get(i))
+                .map_err(|_| bad("a data access lies outside the data region"))?;
         }
-        let mut prev = 0u64;
-        for &mem in &self.mems {
-            if mem != NO_MEM {
-                write_varint(&mut out, zigzag(mem.wrapping_sub(prev) as i64))?;
-                prev = mem;
-            }
+        if rescan.finish() != trace {
+            return Err(bad(
+                "packed trace disagrees with a rescan of its instructions (run or jump bitmaps)",
+            ));
         }
-        for &word in &self.writes {
-            out.write_all(&word.to_le_bytes())?;
-        }
-        let hash = out.hash;
-        let mut inner = out.inner;
-        inner.write_all(&hash.to_le_bytes())?;
-        inner.flush()
+        Ok((trace, f64::from_bits(build_bits)))
     }
 }
 
@@ -538,40 +655,12 @@ fn read_u64(input: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn write_varint(out: &mut impl Write, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return out.write_all(&[byte]);
-        }
-        out.write_all(&[byte | 0x80])?;
+fn read_u64s<const N: usize>(input: &mut impl Read) -> io::Result<[u64; N]> {
+    let mut values = [0u64; N];
+    for v in &mut values {
+        *v = read_u64(input)?;
     }
-}
-
-fn read_varint(input: &mut impl Read) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        input.read_exact(&mut byte)?;
-        if shift >= 64 {
-            return Err(bad("varint overflows 64 bits"));
-        }
-        v |= ((byte[0] & 0x7f) as u64) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
+    Ok(values)
 }
 
 /// An adapter hashing every byte that passes through it (FNV-1a), so
@@ -627,23 +716,12 @@ impl<T: Read> Read for Hashing<T> {
 pub struct PackedReplay {
     trace: std::sync::Arc<PackedTrace>,
     cursor: usize,
-    /// Positions into the trace's run indices of the first run ending
-    /// after `cursor`. Replay is strictly forward, so these only ever
-    /// advance — `fill_block_runs` slices the persisted index instead
-    /// of rescanning the block.
-    irun_pos: usize,
-    drun_pos: usize,
 }
 
 impl PackedReplay {
     /// A replay cursor positioned at the start of `trace`.
     pub fn new(trace: std::sync::Arc<PackedTrace>) -> Self {
-        Self {
-            trace,
-            cursor: 0,
-            irun_pos: 0,
-            drun_pos: 0,
-        }
+        Self { trace, cursor: 0 }
     }
 
     /// Instructions consumed so far.
@@ -672,7 +750,7 @@ impl InstructionStream for PackedReplay {
     }
 
     fn next_instruction(&mut self) -> TraceInstruction {
-        if self.cursor >= self.trace.pcs.len() {
+        if self.cursor >= self.trace.len {
             self.exhausted(1);
         }
         let instr = self.trace.get(self.cursor);
@@ -680,44 +758,71 @@ impl InstructionStream for PackedReplay {
         instr
     }
 
-    /// Bounds-checked sequential decode: one pass over the `pcs`/`mems`
-    /// arrays, no RNG and no per-instruction branching beyond the
-    /// presence test — the whole point of materializing. The bounds
-    /// check happens once up front; the loop itself runs over slices
-    /// through `extend`'s exact-size fast path, so the hot refill is a
-    /// branch-predictable linear scan.
+    /// Word-at-a-time decode with one up-front bounds check: per word,
+    /// the +4 stretches between jumps go out as straight-line stores,
+    /// then the set bits of `mem` patch in the data accesses.
     fn fill_block(&mut self, out: &mut Vec<TraceInstruction>, n: usize) {
         let trace = &*self.trace;
-        let Some(end) = self.cursor.checked_add(n).filter(|&e| e <= trace.pcs.len()) else {
+        let Some(end) = self.cursor.checked_add(n).filter(|&e| e <= trace.len) else {
             self.exhausted(n);
         };
-        let start = self.cursor;
-        let pcs = &trace.pcs[start..end];
-        let mems = &trace.mems[start..end];
-        let writes = &trace.writes;
-        // The write bit is fetched unconditionally through `get` so the
-        // closure has no panic edge; a fall-through zero for a
-        // hypothetical out-of-range word is harmless because the
-        // up-front bounds check already proved every index is in range.
-        let mut bit = start;
-        out.extend(pcs.iter().zip(mems).map(|(&pc, &mem)| {
-            let write = writes.get(bit >> 6).map_or(0, |&w| w >> (bit & 63)) & 1 != 0;
-            bit += 1;
-            TraceInstruction {
-                pc: VirtAddr::new(pc),
-                mem: (mem != NO_MEM).then(|| MemAccess {
-                    addr: VirtAddr::new(mem),
-                    write,
-                }),
+        out.reserve(n);
+        let data_start = trace.data_start();
+        let mut i = self.cursor;
+        while i < end {
+            let w = i / 64;
+            let word = &trace.words[w];
+            let (lo, hi) = (i % 64, (end - w * 64).min(64));
+            let first = out.len();
+
+            let upto = word.jump & below(lo + 1);
+            let mut jump = word.jumps_before as usize + upto.count_ones() as usize - 1;
+            let mut pc = trace.jumps[jump]
+                .wrapping_add(4 * (lo - (63 - upto.leading_zeros() as usize)) as u64);
+            let mut at = lo;
+            // Jump bits strictly inside the word's `lo..hi` slice.
+            let mut later = word.jump & !below(lo + 1) & below(hi);
+            loop {
+                let stop = if later == 0 {
+                    hi
+                } else {
+                    later.trailing_zeros() as usize
+                };
+                let base = pc;
+                out.extend((0..(stop - at) as u64).map(|k| TraceInstruction {
+                    pc: VirtAddr::new(base.wrapping_add(4 * k)),
+                    mem: None,
+                }));
+                if later == 0 {
+                    break;
+                }
+                jump += 1;
+                pc = trace.jumps[jump];
+                at = stop;
+                later &= later - 1;
             }
-        }));
+
+            let from_lo = u64::MAX << lo;
+            let mut m = word.mems_before as usize + (word.mem & !from_lo).count_ones() as usize;
+            let mut bits = word.mem & from_lo & below(hi);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                out[first + b - lo].mem = Some(MemAccess {
+                    addr: VirtAddr::new(data_start.wrapping_add(trace.mems[m] as u64)),
+                    write: word.write >> b & 1 != 0,
+                });
+                m += 1;
+                bits &= bits - 1;
+            }
+            i = w * 64 + hi;
+        }
         self.cursor = end;
     }
 
     /// Run-aware refill: the instructions come from [`fill_block`]'s
-    /// slice fast path, the run boundaries from the index persisted at
-    /// capture — clipped to the block and rebased to it — so no rescan
-    /// of the delivered instructions happens at all.
+    /// word decode, the run boundaries from the trace's run bitmaps —
+    /// clipped to the block and rebased to it — so no rescan of the
+    /// delivered instructions happens at all.
     ///
     /// [`fill_block`]: InstructionStream::fill_block
     fn fill_block_runs(
@@ -729,38 +834,13 @@ impl InstructionStream for PackedReplay {
     ) {
         let start = self.cursor;
         self.fill_block(out, n);
-        let end = self.cursor;
         irun_ends.clear();
         drun_ends.clear();
-        if start == end {
-            return;
-        }
-        for (ends, pos, out_ends) in [
-            (&self.trace.irun_ends, &mut self.irun_pos, irun_ends),
-            (&self.trace.drun_ends, &mut self.drun_pos, drun_ends),
-        ] {
-            // The cursor only moves forward (next_instruction/fill_block
-            // included), so catching the run position up is a short —
-            // usually zero-iteration — skip, not a search.
-            while *pos < ends.len() && ends[*pos] as usize <= start {
-                *pos += 1;
-            }
-            let mut i = *pos;
-            loop {
-                let e = if i < ends.len() {
-                    ends[i] as usize
-                } else {
-                    end
-                };
-                if e >= end {
-                    // Block boundaries clip runs; the tail resumes next
-                    // refill (`*pos` stays on the clipped run).
-                    out_ends.push((end - start) as u32);
-                    break;
-                }
-                out_ends.push((e - start) as u32);
-                i += 1;
-            }
+        if n > 0 {
+            self.trace
+                .push_run_ends(start, start + n, |w| w.irun, irun_ends);
+            self.trace
+                .push_run_ends(start, start + n, |w| w.drun, drun_ends);
         }
     }
 
@@ -827,7 +907,8 @@ mod tests {
         assert_eq!(trace.data_region(), live.data_region());
         assert_eq!(trace.name(), live.name());
         assert_eq!(trace.len(), 100);
-        assert!(trace.resident_bytes() >= 100 * 16);
+        // Two words, and at least their two leading jumps.
+        assert!(trace.resident_bytes() >= 2 * size_of::<Word>() as u64 + 2 * 8);
     }
 
     #[test]
@@ -839,6 +920,62 @@ mod tests {
         for _ in 0..10_000 {
             assert_eq!(replay.next_instruction(), live.next_instruction());
         }
+    }
+
+    #[test]
+    fn suite_traces_stay_within_two_and_a_half_bytes_per_instruction() {
+        let len = 200_000u64;
+        let server_cfg = &crate::suites::qmm_suite()[0];
+        let spec_cfg = &crate::suites::spec_suite()[0];
+        for trace in [
+            PackedTrace::capture(&mut ServerWorkload::new(server_cfg.clone()), len),
+            PackedTrace::capture(&mut SpecWorkload::new(spec_cfg.clone()), len),
+        ] {
+            let per_instr = trace.resident_bytes() as f64 / len as f64;
+            assert!(
+                per_instr <= 2.5,
+                "{}: {per_instr:.2} bytes per instruction",
+                trace.name()
+            );
+            assert!(
+                trace.resident_bytes() <= PackedTrace::projected_bytes(len),
+                "{}: the projection must not undercharge",
+                trace.name()
+            );
+        }
+    }
+
+    /// A stream whose every access lies one byte past its data region.
+    struct Stray;
+
+    impl InstructionStream for Stray {
+        fn name(&self) -> &str {
+            "stray"
+        }
+
+        fn next_instruction(&mut self) -> TraceInstruction {
+            TraceInstruction {
+                pc: VirtAddr::new(0x40_0000),
+                mem: Some(MemAccess {
+                    addr: VirtAddr::new(0x20_0000),
+                    write: false,
+                }),
+            }
+        }
+
+        fn code_region(&self) -> (VirtPage, u64) {
+            (VirtPage::new(0x400), 1)
+        }
+
+        fn data_region(&self) -> (VirtPage, u64) {
+            (VirtPage::new(0x100), 0x100)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 'stray' accessed 0x200000, outside its data region")]
+    fn capture_rejects_accesses_outside_the_data_region() {
+        PackedTrace::capture(&mut Stray, 10);
     }
 
     #[test]
@@ -859,12 +996,13 @@ mod tests {
         let (loaded, build_seconds) = PackedTrace::read_from(&path, key).expect("read");
         assert_eq!(loaded, trace);
         assert_eq!(build_seconds, 1.25);
+        // One layout: the file is the resident sections, less the two
+        // per-word counts, plus the header and the hash.
         let file_bytes = std::fs::metadata(&path).expect("stat").len();
-        assert!(
-            file_bytes < trace.resident_bytes() / 2,
-            "delta-varint encoding should at least halve the resident size: \
-             {file_bytes} vs {}",
-            trace.resident_bytes()
+        let header = 8 + 8 * HEADER_FIELDS + trace.name().len() + 8;
+        assert_eq!(
+            file_bytes,
+            trace.resident_bytes() - 8 * trace.words.len() as u64 + header as u64
         );
         std::fs::remove_file(&path).ok();
     }
@@ -880,17 +1018,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
         let err = PackedTrace::read_from(&path, key).expect_err("corruption must be detected");
-        // A flipped byte usually trips the content hash (InvalidData),
-        // but can also derail a varint into reading past the end of the
-        // file (UnexpectedEof). Either way the load fails and the caller
-        // regenerates.
-        assert!(
-            matches!(
-                err.kind(),
-                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-            ),
-            "unexpected error kind: {err}"
-        );
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -911,8 +1039,8 @@ mod tests {
             (0..trace.len() as usize).map(|i| trace.get(i)).collect();
         let (mut iruns, mut druns) = (Vec::new(), Vec::new());
         crate::instruction::scan_page_runs(&instrs, &mut iruns, &mut druns);
-        assert_eq!(trace.irun_ends(), &iruns[..]);
-        assert_eq!(trace.drun_ends(), &druns[..]);
+        assert_eq!(trace.irun_ends(), iruns);
+        assert_eq!(trace.drun_ends(), druns);
         assert_eq!(*iruns.last().unwrap() as u64, trace.len());
         assert_eq!(*druns.last().unwrap() as u64, trace.len());
     }
@@ -960,23 +1088,31 @@ mod tests {
         let trace = capture(23, 2_000);
         let key = fnv1a(b"v1-key");
         let path = std::env::temp_dir().join(format!("morrigan-pk-v1-{}.mpt", std::process::id()));
-        trace.write_v1_for_tests(&path, key, 0.5).expect("write v1");
-        let err = PackedTrace::read_from(&path, key).expect_err("v1 must be rejected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("v1"),
-            "error names the version: {err}"
-        );
+        trace.write_to(&path, key, 0.5).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        for old in [b"MRGNPKT1", b"MRGNPKT2"] {
+            bytes[..8].copy_from_slice(old);
+            std::fs::write(&path, &bytes).expect("rewrite");
+            let err = PackedTrace::read_from(&path, key).expect_err("old formats are rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let version = format!("v{}", old[7] as char);
+            assert!(
+                err.to_string().contains(&version),
+                "error names {version}: {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn resident_bytes_counts_the_run_index() {
         let trace = capture(29, 10_000);
-        let arrays = (trace.pcs.len() * 8 + trace.mems.len() * 8 + trace.writes.len() * 8) as u64;
-        let index = (trace.irun_ends.len() * 4 + trace.drun_ends.len() * 4) as u64;
-        assert!(index > 0);
-        assert_eq!(trace.resident_bytes(), arrays + index);
+        // The run bitmaps live in the words, beside the instruction bits.
+        assert!(trace.words.iter().any(|w| w.irun != 0));
+        assert!(trace.words.iter().any(|w| w.drun != 0));
+        let words = (trace.len() as usize).div_ceil(64) * size_of::<Word>();
+        let arrays = trace.jumps.len() * 8 + trace.mems.len() * 4;
+        assert_eq!(trace.resident_bytes(), (words + arrays) as u64);
     }
 
     #[test]
@@ -993,9 +1129,9 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "truncated to {cut} bytes");
         }
-        // Magic plus the eight u64 header fields; byte 23 is the top
-        // byte of the length.
-        let header = 8 + 8 * 8;
+        // Magic, the header fields and the name; byte 23 is the top byte
+        // of the length.
+        let header = 8 + 8 * HEADER_FIELDS + trace.name().len();
         let flipped = |bit: usize| {
             let mut b = bytes.clone();
             b[bit / 8] ^= 1 << (bit % 8);
@@ -1009,14 +1145,43 @@ mod tests {
         }
     }
 
+    /// Files whose content hash is made to match still fail the layout
+    /// checks: each check catches one kind of inconsistency.
     #[test]
-    fn zigzag_varint_round_trips_extremes() {
-        for v in [0i64, 1, -1, 4, -4, i64::MAX, i64::MIN, 1 << 40, -(1 << 40)] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-            let mut buf = Vec::new();
-            write_varint(&mut buf, zigzag(v)).expect("write");
-            let got = read_varint(&mut &buf[..]).expect("read");
-            assert_eq!(unzigzag(got), v);
+    fn layout_checks_reject_consistent_looking_files() {
+        let trace = capture(37, 1_000);
+        let key = fnv1a(b"layout-key");
+        let encode = |t: &PackedTrace| {
+            let path =
+                std::env::temp_dir().join(format!("morrigan-pk-ly-{}.mpt", std::process::id()));
+            t.write_to(&path, key, 0.0).expect("write");
+            let bytes = std::fs::read(&path).expect("read back");
+            std::fs::remove_file(&path).ok();
+            bytes
+        };
+        let mut cases: Vec<(&str, PackedTrace)> = Vec::new();
+        let mut t = trace.clone();
+        t.words[3].jump &= !1;
+        t.jumps.remove(t.words[3].jumps_before as usize);
+        cases.push(("does not start with a jump", t));
+        let mut t = trace.clone();
+        t.words.last_mut().unwrap().write |= 1 << 63;
+        cases.push(("past the end", t));
+        let mut t = trace.clone();
+        t.words[5].irun ^= 1 << 17;
+        cases.push(("rescan", t));
+        let mut t = trace.clone();
+        t.words[5].mem = 0;
+        cases.push(("popcounts", t));
+        let mut t = trace.clone();
+        t.mems[10] = u32::MAX;
+        cases.push(("outside the data region", t));
+        for (expected, t) in cases {
+            let bytes = encode(&t);
+            let err = PackedTrace::decode(&bytes[..], bytes.len() as u64, key)
+                .expect_err("inconsistent file must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(expected), "{expected}: got {err}");
         }
     }
 }

@@ -138,15 +138,42 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Version migration: a stale v1 file (no page-run index) is rejected
-    /// with an error naming "v1" — the exact signal the workload cache's
-    /// rebuild fallback keys on — and the rebuilt v2 file round-trips
-    /// with the page-run index intact and canonical (equal to a fresh
-    /// scan of the decoded instructions).
+    /// Random access: `get(i)` decodes the instruction sequential replay
+    /// delivers at `i`, for random positions, the edges of every
+    /// 64-instruction word the draw lands in, and the last instruction.
     #[test]
-    fn v1_files_trigger_rebuild_and_v2_keeps_run_index(
+    fn get_equals_sequential_replay(
+        seed in 0u64..1_000_000,
+        n in 1usize..3_000,
+        picks in prop::collection::vec(0usize..1_000_000, 1..40),
+    ) {
+        let cfg = ServerWorkloadConfig::qmm_like(format!("prop-get-{seed}"), seed);
+        let trace = Arc::new(PackedTrace::capture(
+            &mut ServerWorkload::new(cfg),
+            n as u64,
+        ));
+        let replayed = drain(&mut PackedReplay::new(Arc::clone(&trace)), n);
+        let mut positions = vec![0, n - 1];
+        for pick in picks {
+            let i = pick % n;
+            let word = i / 64 * 64;
+            positions.extend([i, word, (word + 63).min(n - 1)]);
+        }
+        for i in positions {
+            prop_assert_eq!(trace.get(i), replayed[i], "position {} of {}", i, n);
+        }
+    }
+
+    /// Version migration: a stale v1 or v2 file is rejected with an error
+    /// naming its version — the exact signal the workload cache's rebuild
+    /// fallback keys on — and the rebuilt v3 file round-trips with the
+    /// page-run index intact and canonical (equal to a fresh scan of the
+    /// decoded instructions).
+    #[test]
+    fn old_formats_trigger_rebuild_and_v3_keeps_run_index(
         seed in 0u64..100_000,
         n in 500usize..2_500,
+        version in 1u8..3,
     ) {
         let cfg = ServerWorkloadConfig::qmm_like(format!("prop-v12-{seed}"), seed);
         let trace = PackedTrace::capture(&mut ServerWorkload::new(cfg.clone()), n as u64);
@@ -155,16 +182,20 @@ proptest! {
             "morrigan-prop-v12-{}-{seed}-{n}.mpt",
             std::process::id()
         ));
-        trace.write_v1_for_tests(&path, key, 0.5).expect("write v1");
-        let err = PackedTrace::read_from(&path, key).expect_err("v1 must be rejected");
+        // An older file differs from a v3 one in its magic first.
+        trace.write_to(&path, key, 0.5).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        bytes[7] = b'0' + version;
+        std::fs::write(&path, &bytes).expect("write old magic");
+        let err = PackedTrace::read_from(&path, key).expect_err("old formats must be rejected");
         prop_assert!(
-            err.to_string().contains("v1"),
+            err.to_string().contains(&format!("v{version}")),
             "rebuild trigger must name the stale version, got: {}", err
         );
 
-        // The cache's fallback path: rebuild in place and persist as v2.
-        trace.write_to(&path, key, 0.5).expect("write v2");
-        let (loaded, _) = PackedTrace::read_from(&path, key).expect("read v2");
+        // The cache's fallback path: rebuild in place and persist as v3.
+        trace.write_to(&path, key, 0.5).expect("write v3");
+        let (loaded, _) = PackedTrace::read_from(&path, key).expect("read v3");
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(loaded.irun_ends(), trace.irun_ends());
         prop_assert_eq!(loaded.drun_ends(), trace.drun_ends());
@@ -176,7 +207,7 @@ proptest! {
         let instrs: Vec<_> = (0..n).map(|i| loaded.get(i)).collect();
         let (mut si, mut sd) = (Vec::new(), Vec::new());
         scan_page_runs(&instrs, &mut si, &mut sd);
-        prop_assert_eq!(loaded.irun_ends(), si.as_slice());
-        prop_assert_eq!(loaded.drun_ends(), sd.as_slice());
+        prop_assert_eq!(loaded.irun_ends(), si);
+        prop_assert_eq!(loaded.drun_ends(), sd);
     }
 }
