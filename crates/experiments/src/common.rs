@@ -1,22 +1,24 @@
 //! Shared infrastructure for the figure runners: run-length scaling,
-//! run options, spec builders for the shapes every figure declares, and
-//! table rendering.
+//! run options, spec builders for the shapes every figure declares, the
+//! one batch shape and its summaries, and table rendering.
 //!
-//! Every figure module has the same contract: build a batch of
-//! [`RunSpec`]s, hand it to the shared [`Runner`], and fold the returned
-//! [`RunRecord`]s into its result struct. The spec builders here are the
-//! reason figures share cache entries — two figures that need the same
-//! baseline produce byte-identical specs and the runner simulates them
-//! once.
+//! Every figure module has the same contract: declare its variants, run
+//! them as one batch through [`run_variants`] (or its QMM-suite form
+//! [`suite_runs`]), and fold each variant's [`RunRecord`]s into its
+//! result struct. The spec builders here are the reason figures share
+//! cache entries — two figures that need the same baseline produce
+//! byte-identical specs and the runner simulates them once.
 //!
 //! [`RunOptions`] is the one place the `MORRIGAN_*` variables are read
 //! and the run-level `figures` flags are parsed; every front end builds
 //! its [`Scale`], [`Runner`] and workload cache from it.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use morrigan_runner::WorkloadCache;
-use morrigan_sim::{SamplingConfig, SimConfig, SystemConfig};
+use morrigan_sim::{Metrics, SamplingConfig, SimConfig, SystemConfig};
+use morrigan_types::stats::{geometric_mean, mean};
 use morrigan_workloads::ServerWorkloadConfig;
 
 pub use morrigan_runner::{
@@ -461,13 +463,25 @@ pub fn server_spec(
     RunSpec::server(cfg, SystemConfig::default(), scale.sim(), prefetcher)
 }
 
+/// A variant of a figure's sweep: the system every workload runs on and
+/// its STLB prefetcher.
+pub type Variant = (SystemConfig, PrefetcherSpec);
+
+/// One variant's records, one per workload, in the order the variant
+/// listed its specs.
+pub type Runs = Vec<Arc<RunRecord>>;
+
+/// The no-prefetch baseline on the default system, the variant every
+/// speedup normalizes to. Every figure builds its baseline from this, so
+/// the runner's cache simulates it once per workload.
+pub fn baseline() -> Variant {
+    (SystemConfig::default(), PrefetcherKind::None.into())
+}
+
 /// The canonical no-prefetch baseline spec for a workload.
-///
-/// Every figure that normalizes against the baseline calls this, so the
-/// specs are identical across figures and the runner's cache collapses
-/// them into one simulation per workload.
 pub fn baseline_spec(cfg: &ServerWorkloadConfig, scale: &Scale) -> RunSpec {
-    server_spec(cfg, scale, PrefetcherKind::None)
+    let (system, prefetcher) = baseline();
+    RunSpec::server(cfg, system, scale.sim(), prefetcher)
 }
 
 /// The miss-stream characterization spec for a workload: no prefetching,
@@ -504,6 +518,59 @@ pub fn suite_miss_streams(
             (cfg.name.clone(), stream)
         })
         .collect()
+}
+
+/// Runs every variant's specs as one [`Runner::run_batch`] and returns
+/// each variant's records in the order it listed its specs.
+///
+/// The batch is variant-major, the order the runner journals it and
+/// `figures --json` writes it. Collect the record sets into a
+/// `Vec<Runs>` or name them with an array pattern,
+/// `let [base, mono] = run_variants(..)`; an array of the wrong length
+/// panics.
+pub fn run_variants<R: TryFrom<Vec<Runs>>>(
+    runner: &Runner,
+    variants: impl IntoIterator<Item = Vec<RunSpec>>,
+) -> R {
+    let variants: Vec<Vec<RunSpec>> = variants.into_iter().collect();
+    let mut records = runner.run_batch(&variants.concat()).into_iter();
+    let runs: Vec<Runs> = variants
+        .iter()
+        .map(|specs| records.by_ref().take(specs.len()).collect())
+        .collect();
+    runs.try_into()
+        .unwrap_or_else(|_| panic!("one record set per variant"))
+}
+
+/// [`run_variants`] over `scale`'s QMM suite: each variant runs every
+/// workload of the suite, in suite order.
+pub fn suite_runs<R: TryFrom<Vec<Runs>>>(
+    runner: &Runner,
+    scale: &Scale,
+    variants: impl IntoIterator<Item = Variant>,
+) -> R {
+    let suite = scale.suite();
+    let specs = |(system, prefetcher): Variant| -> Vec<RunSpec> {
+        let spec = |cfg| RunSpec::server(cfg, system, scale.sim(), prefetcher.clone());
+        suite.iter().map(spec).collect()
+    };
+    run_variants(runner, variants.into_iter().map(specs))
+}
+
+/// Geometric-mean speedup of `runs` over `base`, workload by workload.
+pub fn geomean_speedup(runs: &[Arc<RunRecord>], base: &[Arc<RunRecord>]) -> f64 {
+    let speedups: Vec<f64> = runs
+        .iter()
+        .zip(base)
+        .map(|(run, base)| run.metrics.speedup_over(&base.metrics))
+        .collect();
+    geometric_mean(&speedups)
+}
+
+/// Mean of `metric` over `runs`.
+pub fn mean_of(runs: &[Arc<RunRecord>], metric: impl Fn(&Metrics) -> f64) -> f64 {
+    let values: Vec<f64> = runs.iter().map(|run| metric(&run.metrics)).collect();
+    mean(&values)
 }
 
 /// Renders a two-column table of `(label, value)` rows.
@@ -547,6 +614,55 @@ mod tests {
             miss_stream_spec(cfg, &scale).content_key(),
             "stream-collection runs are distinct jobs"
         );
+    }
+
+    #[test]
+    fn one_batch_hands_each_variant_its_records_in_spec_order() {
+        let scale = Scale {
+            warmup: 2_000,
+            measure: 6_000,
+            ..Scale::test()
+        };
+        let suite = scale.suite();
+        let runner = Runner::new(2);
+        let sp: Variant = (SystemConfig::default(), PrefetcherKind::Sp.into());
+        let mp: Variant = (SystemConfig::default(), PrefetcherKind::Mp.into());
+        let variants = [baseline(), sp, baseline(), mp];
+        let [base, sp_runs, again, mp_runs] = suite_runs(&runner, &scale, variants.clone());
+        let journal = runner.journal_since(0);
+        for ((system, prefetcher), runs) in variants.iter().zip([&base, &sp_runs, &again, &mp_runs])
+        {
+            let specs: Vec<RunSpec> = suite
+                .iter()
+                .map(|cfg| RunSpec::server(cfg, *system, scale.sim(), prefetcher.clone()))
+                .collect();
+            let got: Vec<RunSpec> = runs.iter().map(|run| run.spec.clone()).collect();
+            assert_eq!(got, specs);
+        }
+        // The repeated baseline variant is simulated once.
+        assert_eq!(runner.sims_executed(), 3 * suite.len() as u64);
+        assert!(base.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
+        // The journal, which `figures --json` writes, is variant-major.
+        let batch = [&base[..], &sp_runs, &again, &mp_runs].concat();
+        assert_eq!(journal.len(), batch.len());
+        assert!(journal.iter().zip(&batch).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        // Variants of different lengths split where each one ends.
+        let [one, two] = run_variants(
+            &runner,
+            [
+                vec![sp_runs[1].spec.clone()],
+                vec![base[0].spec.clone(), sp_runs[0].spec.clone()],
+            ],
+        );
+        assert!(Arc::ptr_eq(&one[0], &sp_runs[1]));
+        assert!(Arc::ptr_eq(&two[0], &base[0]) && Arc::ptr_eq(&two[1], &sp_runs[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one record set per variant")]
+    fn naming_the_wrong_number_of_variants_panics() {
+        let [_only]: [Runs; 1] = run_variants(&Runner::new(1), [Vec::new(), Vec::new()]);
     }
 
     #[test]

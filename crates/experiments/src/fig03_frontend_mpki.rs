@@ -6,10 +6,11 @@
 
 use std::fmt;
 
-use morrigan_sim::SystemConfig;
-use morrigan_types::stats::mean;
+use morrigan_sim::Metrics;
 
-use crate::common::{baseline_spec, render_table, PrefetcherKind, RunSpec, Runner, Scale};
+use crate::common::{
+    baseline, baseline_spec, mean_of, render_table, run_variants, RunSpec, Runner, Runs, Scale,
+};
 
 /// Mean front-end MPKI rates of one suite.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,46 +34,25 @@ pub struct Fig03Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig03Result {
-    let spec_suite = morrigan_workloads::suites::spec_suite();
-    let qmm_suite = scale.suite();
-    let mut specs: Vec<RunSpec> = spec_suite
+    let (system, prefetcher) = baseline();
+    let spec_specs = morrigan_workloads::suites::spec_suite()
         .iter()
-        .map(|cfg| {
-            RunSpec::spec_cpu(
-                cfg,
-                SystemConfig::default(),
-                scale.sim(),
-                PrefetcherKind::None,
-            )
-        })
+        .map(|cfg| RunSpec::spec_cpu(cfg, system, scale.sim(), prefetcher.clone()))
         .collect();
-    specs.extend(qmm_suite.iter().map(|cfg| baseline_spec(cfg, scale)));
-    let records = runner.run_batch(&specs);
-    let (spec_records, qmm_records) = records.split_at(spec_suite.len());
-
-    let suite_mpki = |records: &[std::sync::Arc<crate::common::RunRecord>]| SuiteMpki {
-        l1i: mean(
-            &records
-                .iter()
-                .map(|r| r.metrics.l1i_mpki())
-                .collect::<Vec<_>>(),
-        ),
-        itlb: mean(
-            &records
-                .iter()
-                .map(|r| r.metrics.itlb_mpki())
-                .collect::<Vec<_>>(),
-        ),
-        istlb: mean(
-            &records
-                .iter()
-                .map(|r| r.metrics.istlb_mpki())
-                .collect::<Vec<_>>(),
-        ),
+    let qmm_specs = scale
+        .suite()
+        .iter()
+        .map(|cfg| baseline_spec(cfg, scale))
+        .collect();
+    let [spec, qmm] = run_variants(runner, [spec_specs, qmm_specs]);
+    let suite_mpki = |runs: &Runs| SuiteMpki {
+        l1i: mean_of(runs, Metrics::l1i_mpki),
+        itlb: mean_of(runs, Metrics::itlb_mpki),
+        istlb: mean_of(runs, Metrics::istlb_mpki),
     };
     Fig03Result {
-        spec: suite_mpki(spec_records),
-        qmm: suite_mpki(qmm_records),
+        spec: suite_mpki(&spec),
+        qmm: suite_mpki(&qmm),
     }
 }
 

@@ -11,10 +11,9 @@
 use std::fmt;
 
 use morrigan_sim::SystemConfig;
-use morrigan_types::stats::geometric_mean;
 
 use crate::common::{
-    baseline_spec, render_table, server_spec, PrefetcherKind, RunSpec, Runner, Scale,
+    baseline, geomean_speedup, render_table, suite_runs, PrefetcherKind, Runner, Runs, Scale,
 };
 
 /// One prefetcher's aggregate result.
@@ -55,45 +54,25 @@ const KINDS: [PrefetcherKind; 6] = [
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig09Result {
-    let suite = scale.suite();
-    let n = suite.len();
-    let mut perfect_system = SystemConfig::default();
-    perfect_system.mmu.perfect_istlb = true;
+    let mut perfect = SystemConfig::default();
+    perfect.mmu.perfect_istlb = true;
 
     // One batch: baselines, then each prefetcher's sweep, then perfect.
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    for kind in KINDS {
-        specs.extend(suite.iter().map(|cfg| server_spec(cfg, scale, kind)));
-    }
-    specs.extend(
-        suite
-            .iter()
-            .map(|cfg| RunSpec::server(cfg, perfect_system, scale.sim(), PrefetcherKind::None)),
-    );
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
-
-    let geomean_vs_baseline = |chunk: &[std::sync::Arc<crate::common::RunRecord>]| {
-        let speedups: Vec<f64> = chunk
-            .iter()
-            .zip(baselines)
-            .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-            .collect();
-        geometric_mean(&speedups)
-    };
-
-    let mut rows = Vec::new();
-    for (k, kind) in KINDS.iter().enumerate() {
-        rows.push(SpeedupRow {
-            prefetcher: kind.name().to_string(),
-            geomean_speedup: geomean_vs_baseline(&records[n * (k + 1)..n * (k + 2)]),
-        });
-    }
-    rows.push(SpeedupRow {
-        prefetcher: "perfect-istlb".to_string(),
-        geomean_speedup: geomean_vs_baseline(&records[n * (KINDS.len() + 1)..]),
-    });
-
+    let variants = std::iter::once(baseline())
+        .chain(KINDS.map(|kind| (SystemConfig::default(), kind.into())))
+        .chain([(perfect, PrefetcherKind::None.into())]);
+    let [base, swept @ ..]: [Runs; KINDS.len() + 2] = suite_runs(runner, scale, variants);
+    let names = KINDS
+        .map(PrefetcherKind::name)
+        .into_iter()
+        .chain(["perfect-istlb"]);
+    let rows = names
+        .zip(&swept)
+        .map(|(name, runs)| SpeedupRow {
+            prefetcher: name.to_string(),
+            geomean_speedup: geomean_speedup(runs, &base),
+        })
+        .collect();
     Fig09Result { rows }
 }
 

@@ -10,9 +10,11 @@
 use std::fmt;
 
 use morrigan_sim::{IcachePrefetcherKind, SystemConfig};
-use morrigan_types::stats::{geometric_mean, mean};
+use morrigan_types::stats::mean;
 
-use crate::common::{baseline_spec, PrefetcherKind, RunSpec, Runner, Scale};
+use crate::common::{
+    baseline, geomean_speedup, mean_of, suite_runs, PrefetcherKind, Runner, Scale,
+};
 
 /// The figure's data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,9 +35,6 @@ pub struct Fig10Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig10Result {
-    let suite = scale.suite();
-    let n = suite.len();
-
     // The IPC-1 view: address translation does not exist. Both sides run
     // with a perfect iSTLB, so the measured gain is purely the I-cache
     // effect — the number the contest reported.
@@ -53,51 +52,28 @@ pub fn run(runner: &Runner, scale: &Scale) -> Fig10Result {
         ..SystemConfig::default()
     };
 
-    // One batch: baselines, perfect pairs, then the costly view.
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    for system in [perfect, perfect_fnl, costly_system] {
-        specs.extend(
-            suite
-                .iter()
-                .map(|cfg| RunSpec::server(cfg, system, scale.sim(), PrefetcherKind::None)),
-        );
-    }
-    let records = runner.run_batch(&specs);
-    let (baselines, rest) = records.split_at(n);
-    let (perfect_base, rest) = rest.split_at(n);
-    let (perfect_with_fnl, costly) = rest.split_at(n);
-
-    let free: Vec<f64> = perfect_with_fnl
-        .iter()
-        .zip(perfect_base)
-        .map(|(fnl, base)| fnl.metrics.speedup_over(&base.metrics))
-        .collect();
-    let costly_speedups: Vec<f64> = costly
-        .iter()
-        .zip(baselines)
-        .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-        .collect();
+    // One batch: baselines, perfect pairs, then the costly view, none
+    // with an STLB prefetcher.
+    let systems = [perfect, perfect_fnl, costly_system];
+    let variants = std::iter::once(baseline())
+        .chain(systems.map(|system| (system, PrefetcherKind::None.into())));
+    let [base, perfect_base, perfect_with_fnl, costly] = suite_runs(runner, scale, variants);
     let walk_reductions: Vec<f64> = costly
         .iter()
-        .zip(baselines)
+        .zip(&base)
         .map(|(record, base)| {
             1.0 - record.metrics.walker.demand_instr_walks as f64
                 / base.metrics.walker.demand_instr_walks.max(1) as f64
         })
         .collect();
-    let crossing: Vec<f64> = costly
-        .iter()
-        .map(|record| {
-            record.metrics.iprefetch_translation_walks as f64 * 1000.0
-                / record.metrics.instructions as f64
-        })
-        .collect();
 
     Fig10Result {
-        speedup_free_translation: geometric_mean(&free),
-        speedup_with_translation: geometric_mean(&costly_speedups),
+        speedup_free_translation: geomean_speedup(&perfect_with_fnl, &perfect_base),
+        speedup_with_translation: geomean_speedup(&costly, &base),
         mean_walk_reduction: mean(&walk_reductions),
-        crossing_walks_pki: mean(&crossing),
+        crossing_walks_pki: mean_of(&costly, |m| {
+            m.iprefetch_translation_walks as f64 * 1000.0 / m.instructions as f64
+        }),
     }
 }
 

@@ -8,9 +8,9 @@
 use std::fmt;
 
 use morrigan::{IripConfig, MorriganConfig};
-use morrigan_types::stats::mean;
+use morrigan_sim::{Metrics, SystemConfig};
 
-use crate::common::{server_spec, RunSpec, Runner, Scale};
+use crate::common::{mean_of, suite_runs, Runner, Runs, Scale};
 
 /// Budget scale factors applied to the default geometry.
 pub const SCALES: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
@@ -33,36 +33,20 @@ pub struct Fig13Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig13Result {
-    let suite = scale.suite();
-    let n = suite.len();
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(SCALES.len() * n);
-    let mut storage_kbs = Vec::with_capacity(SCALES.len());
-    for &factor in &SCALES {
-        let irip = IripConfig::fully_associative().scaled(factor);
-        storage_kbs.push(irip.storage_kb());
-        let mcfg = MorriganConfig {
-            irip,
-            ..MorriganConfig::default()
-        };
-        specs.extend(
-            suite
-                .iter()
-                .map(|cfg| server_spec(cfg, scale, mcfg.clone())),
-        );
-    }
-    let records = runner.run_batch(&specs);
-    let points = storage_kbs
-        .into_iter()
-        .enumerate()
-        .map(|(i, storage_kb)| {
-            let coverages: Vec<f64> = records[i * n..(i + 1) * n]
-                .iter()
-                .map(|record| record.metrics.coverage())
-                .collect();
-            BudgetPoint {
-                storage_kb,
-                coverage: mean(&coverages),
-            }
+    let mcfgs = SCALES.map(|factor| MorriganConfig {
+        irip: IripConfig::fully_associative().scaled(factor),
+        ..MorriganConfig::default()
+    });
+    let variants = mcfgs
+        .iter()
+        .map(|mcfg| (SystemConfig::default(), mcfg.clone().into()));
+    let runs: Vec<Runs> = suite_runs(runner, scale, variants);
+    let points = mcfgs
+        .iter()
+        .zip(&runs)
+        .map(|(mcfg, runs)| BudgetPoint {
+            storage_kb: mcfg.irip.storage_kb(),
+            coverage: mean_of(runs, Metrics::coverage),
         })
         .collect();
     Fig13Result { points }

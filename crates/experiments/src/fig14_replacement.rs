@@ -8,9 +8,9 @@
 use std::fmt;
 
 use morrigan::{IripConfig, MorriganConfig, ReplacementPolicy};
-use morrigan_types::stats::mean;
+use morrigan_sim::{Metrics, SystemConfig};
 
-use crate::common::{server_spec, RunSpec, Runner, Scale};
+use crate::common::{mean_of, suite_runs, Runner, Runs, Scale};
 
 /// Budget scale factors (a subset of Fig 13's, for runtime).
 pub const SCALES: [f64; 3] = [0.5, 1.0, 4.0];
@@ -54,40 +54,29 @@ impl Fig14Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig14Result {
-    let suite = scale.suite();
-    let n = suite.len();
-    let mut specs: Vec<RunSpec> = Vec::new();
-    let mut labels = Vec::new();
-    for &factor in &SCALES {
-        for policy in ReplacementPolicy::ALL {
-            let mut irip = IripConfig::fully_associative().scaled(factor);
-            irip.policy = policy;
-            labels.push((policy, irip.storage_kb()));
-            let mcfg = MorriganConfig {
-                irip,
+    let mcfgs: Vec<MorriganConfig> = SCALES
+        .iter()
+        .flat_map(|&factor| {
+            ReplacementPolicy::ALL.map(|policy| MorriganConfig {
+                irip: IripConfig {
+                    policy,
+                    ..IripConfig::fully_associative().scaled(factor)
+                },
                 ..MorriganConfig::default()
-            };
-            specs.extend(
-                suite
-                    .iter()
-                    .map(|cfg| server_spec(cfg, scale, mcfg.clone())),
-            );
-        }
-    }
-    let records = runner.run_batch(&specs);
-    let points = labels
-        .into_iter()
-        .enumerate()
-        .map(|(i, (policy, storage_kb))| {
-            let coverages: Vec<f64> = records[i * n..(i + 1) * n]
-                .iter()
-                .map(|record| record.metrics.coverage())
-                .collect();
-            PolicyPoint {
-                policy: policy.name().to_string(),
-                storage_kb,
-                coverage: mean(&coverages),
-            }
+            })
+        })
+        .collect();
+    let variants = mcfgs
+        .iter()
+        .map(|mcfg| (SystemConfig::default(), mcfg.clone().into()));
+    let runs: Vec<Runs> = suite_runs(runner, scale, variants);
+    let points = mcfgs
+        .iter()
+        .zip(&runs)
+        .map(|(mcfg, runs)| PolicyPoint {
+            policy: mcfg.irip.policy.name().to_string(),
+            storage_kb: mcfg.irip.storage_kb(),
+            coverage: mean_of(runs, Metrics::coverage),
         })
         .collect();
     Fig14Result { points }

@@ -7,10 +7,11 @@
 
 use std::fmt;
 
-use morrigan_types::stats::{geometric_mean, mean};
+use morrigan_sim::{Metrics, SystemConfig};
 
 use crate::common::{
-    baseline_spec, render_table, server_spec, PrefetcherKind, RunSpec, Runner, Scale,
+    baseline, geomean_speedup, mean_of, render_table, suite_runs, PrefetcherKind, Runner, Runs,
+    Scale,
 };
 
 /// One prefetcher's aggregate result.
@@ -49,36 +50,17 @@ pub const KINDS: [PrefetcherKind; 5] = [
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig15Result {
-    let suite = scale.suite();
-    let n = suite.len();
-
     // One batch: baselines, then each competitor's sweep.
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    for kind in KINDS {
-        specs.extend(suite.iter().map(|cfg| server_spec(cfg, scale, kind)));
-    }
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
-
+    let variants =
+        std::iter::once(baseline()).chain(KINDS.map(|kind| (SystemConfig::default(), kind.into())));
+    let [base, swept @ ..]: [Runs; KINDS.len() + 1] = suite_runs(runner, scale, variants);
     let rows = KINDS
         .iter()
-        .enumerate()
-        .map(|(k, kind)| {
-            let chunk = &records[n * (k + 1)..n * (k + 2)];
-            let speedups: Vec<f64> = chunk
-                .iter()
-                .zip(baselines)
-                .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-                .collect();
-            let coverages: Vec<f64> = chunk
-                .iter()
-                .map(|record| record.metrics.coverage())
-                .collect();
-            IsoRow {
-                prefetcher: kind.name().to_string(),
-                geomean_speedup: geometric_mean(&speedups),
-                mean_coverage: mean(&coverages),
-            }
+        .zip(&swept)
+        .map(|(kind, runs)| IsoRow {
+            prefetcher: kind.name().to_string(),
+            geomean_speedup: geomean_speedup(runs, &base),
+            mean_coverage: mean_of(runs, Metrics::coverage),
         })
         .collect();
     Fig15Result { rows }

@@ -9,7 +9,9 @@
 
 use std::fmt;
 
-use crate::common::{baseline_spec, server_spec, PrefetcherKind, RunSpec, Runner, Scale};
+use morrigan_sim::{Metrics, SystemConfig};
+
+use crate::common::{baseline, suite_runs, PrefetcherKind, Runner, Runs, Scale};
 
 /// One prefetcher's normalized walk-reference counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +41,8 @@ impl Fig16Result {
     }
 }
 
-/// The prefetchers compared, in figure order.
+/// The prefetchers compared, in figure order; Morrigan, last, also gets
+/// the served-by panel.
 const KINDS: [PrefetcherKind; 5] = [
     PrefetcherKind::Sp,
     PrefetcherKind::AspIso,
@@ -50,49 +53,34 @@ const KINDS: [PrefetcherKind; 5] = [
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig16Result {
-    let suite = scale.suite();
-    let n = suite.len();
-
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    for kind in KINDS {
-        specs.extend(suite.iter().map(|cfg| server_spec(cfg, scale, kind)));
-    }
-    let records = runner.run_batch(&specs);
-    let base_demand: u64 = records[..n]
+    let variants =
+        std::iter::once(baseline()).chain(KINDS.map(|kind| (SystemConfig::default(), kind.into())));
+    let [base, swept @ ..]: [Runs; KINDS.len() + 1] = suite_runs(runner, scale, variants);
+    let total = |runs: &Runs, refs: fn(&Metrics) -> u64| {
+        runs.iter().map(|record| refs(&record.metrics)).sum::<u64>() as f64
+    };
+    let base_demand = total(&base, Metrics::demand_instr_walk_refs).max(1.0);
+    let rows = KINDS
         .iter()
-        .map(|record| record.metrics.demand_instr_walk_refs())
-        .sum();
-
-    let mut rows = Vec::new();
-    let mut morrigan_levels = [0u64; 4];
-    for (k, kind) in KINDS.iter().enumerate() {
-        let chunk = &records[n * (k + 1)..n * (k + 2)];
-        let mut demand = 0u64;
-        let mut prefetch = 0u64;
-        for record in chunk {
-            demand += record.metrics.demand_instr_walk_refs();
-            prefetch += record.metrics.prefetch_walk_refs();
-            if *kind == PrefetcherKind::Morrigan {
-                for (level, refs) in morrigan_levels
-                    .iter_mut()
-                    .zip(record.metrics.walk_refs_by_level)
-                {
-                    *level += refs;
-                }
-            }
-        }
-        rows.push(WalkRefRow {
+        .zip(&swept)
+        .map(|(kind, runs)| WalkRefRow {
             prefetcher: kind.name().to_string(),
-            demand_normalized: demand as f64 / base_demand.max(1) as f64,
-            prefetch_normalized: prefetch as f64 / base_demand.max(1) as f64,
-        });
-    }
+            demand_normalized: total(runs, Metrics::demand_instr_walk_refs) / base_demand,
+            prefetch_normalized: total(runs, Metrics::prefetch_walk_refs) / base_demand,
+        })
+        .collect();
 
-    let total: u64 = morrigan_levels.iter().sum();
-    let served = morrigan_levels.map(|v| v as f64 / total.max(1) as f64);
+    let [.., morrigan] = &swept;
+    let mut levels = [0u64; 4];
+    for record in morrigan {
+        for (level, refs) in levels.iter_mut().zip(record.metrics.walk_refs_by_level) {
+            *level += refs;
+        }
+    }
+    let served: u64 = levels.iter().sum();
     Fig16Result {
         rows,
-        morrigan_served_by: served,
+        morrigan_served_by: levels.map(|v| v as f64 / served.max(1) as f64),
     }
 }
 

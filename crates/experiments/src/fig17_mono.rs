@@ -7,10 +7,10 @@
 
 use std::fmt;
 
-use morrigan_types::stats::{geometric_mean, mean};
+use morrigan_sim::{Metrics, SystemConfig};
 
 use crate::common::{
-    baseline_spec, server_spec, PrefetcherKind, RunRecord, RunSpec, Runner, Scale,
+    baseline, geomean_speedup, mean_of, suite_runs, PrefetcherKind, Runner, Scale,
 };
 
 /// The figure's data.
@@ -28,35 +28,20 @@ pub struct Fig17Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig17Result {
-    let suite = scale.suite();
-    let n = suite.len();
-
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    for kind in [PrefetcherKind::Morrigan, PrefetcherKind::MorriganMono] {
-        specs.extend(suite.iter().map(|cfg| server_spec(cfg, scale, kind)));
-    }
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
-
-    let measure = |chunk: &[std::sync::Arc<RunRecord>]| {
-        let speedups: Vec<f64> = chunk
-            .iter()
-            .zip(baselines)
-            .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-            .collect();
-        let coverages: Vec<f64> = chunk
-            .iter()
-            .map(|record| record.metrics.coverage())
-            .collect();
-        (geometric_mean(&speedups), mean(&coverages))
-    };
-    let (ensemble_speedup, ensemble_coverage) = measure(&records[n..2 * n]);
-    let (mono_speedup, mono_coverage) = measure(&records[2 * n..]);
+    let [base, ensemble, mono] = suite_runs(
+        runner,
+        scale,
+        [
+            baseline(),
+            (SystemConfig::default(), PrefetcherKind::Morrigan.into()),
+            (SystemConfig::default(), PrefetcherKind::MorriganMono.into()),
+        ],
+    );
     Fig17Result {
-        ensemble_speedup,
-        mono_speedup,
-        ensemble_coverage,
-        mono_coverage,
+        ensemble_speedup: geomean_speedup(&ensemble, &base),
+        mono_speedup: geomean_speedup(&mono, &base),
+        ensemble_coverage: mean_of(&ensemble, Metrics::coverage),
+        mono_coverage: mean_of(&mono, Metrics::coverage),
     }
 }
 

@@ -16,10 +16,11 @@
 use std::fmt;
 
 use morrigan_sim::SystemConfig;
-use morrigan_types::stats::geometric_mean;
 use morrigan_vm::{PrefetchPlacement, TlbConfig};
 
-use crate::common::{baseline_spec, render_table, PrefetcherKind, RunSpec, Runner, Scale};
+use crate::common::{
+    baseline, geomean_speedup, render_table, suite_runs, PrefetcherKind, Runner, Runs, Scale,
+};
 
 /// One approach's aggregate speedup.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,9 +50,6 @@ impl Fig18Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig18Result {
-    let suite = scale.suite();
-    let n = suite.len();
-
     // Enlarged STLB, no prefetching.
     let mut big_stlb = SystemConfig::default();
     big_stlb.mmu.stlb = TlbConfig {
@@ -69,7 +67,7 @@ pub fn run(runner: &Runner, scale: &Scale) -> Fig18Result {
     let mut perfect = SystemConfig::default();
     perfect.mmu.perfect_istlb = true;
 
-    let approaches: Vec<(&str, SystemConfig, PrefetcherKind)> = vec![
+    let approaches = [
         ("enlarged-stlb", big_stlb, PrefetcherKind::None),
         (
             "morrigan",
@@ -83,30 +81,16 @@ pub fn run(runner: &Runner, scale: &Scale) -> Fig18Result {
     ];
 
     // One batch: baselines, then each approach's sweep.
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    for (_, system, kind) in &approaches {
-        specs.extend(
-            suite
-                .iter()
-                .map(|cfg| RunSpec::server(cfg, *system, scale.sim(), *kind)),
-        );
-    }
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
-
+    let variants = std::iter::once(baseline())
+        .chain(approaches.map(|(_, system, kind)| (system, kind.into())));
+    let runs: Vec<Runs> = suite_runs(runner, scale, variants);
+    let (base, swept) = runs.split_first().expect("the baselines lead the batch");
     let rows = approaches
         .iter()
-        .enumerate()
-        .map(|(k, (name, _, _))| {
-            let speedups: Vec<f64> = records[n * (k + 1)..n * (k + 2)]
-                .iter()
-                .zip(baselines)
-                .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-                .collect();
-            ApproachRow {
-                approach: name.to_string(),
-                geomean_speedup: geometric_mean(&speedups),
-            }
+        .zip(swept)
+        .map(|((name, _, _), runs)| ApproachRow {
+            approach: name.to_string(),
+            geomean_speedup: geomean_speedup(runs, base),
         })
         .collect();
 

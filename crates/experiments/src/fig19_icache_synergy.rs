@@ -8,10 +8,10 @@
 
 use std::fmt;
 
+use crate::common::{
+    baseline, geomean_speedup, mean_of, suite_runs, PrefetcherKind, Runner, Scale,
+};
 use morrigan_sim::{IcachePrefetcherKind, SystemConfig};
-use morrigan_types::stats::{geometric_mean, mean};
-
-use crate::common::{baseline_spec, PrefetcherKind, RunSpec, Runner, Scale};
 
 /// The figure's data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,9 +29,6 @@ pub struct Fig19Result {
 
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig19Result {
-    let suite = scale.suite();
-    let n = suite.len();
-
     let fnl_system = SystemConfig {
         icache_prefetcher: IcachePrefetcherKind::FnlMma {
             translation_cost: true,
@@ -40,47 +37,25 @@ pub fn run(runner: &Runner, scale: &Scale) -> Fig19Result {
     };
 
     // One batch: baselines, FNL+MMA alone, Morrigan alone, combined.
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, scale)).collect();
-    let variants: [(SystemConfig, PrefetcherKind); 3] = [
-        (fnl_system, PrefetcherKind::None),
-        (SystemConfig::default(), PrefetcherKind::Morrigan),
-        (fnl_system, PrefetcherKind::Morrigan),
-    ];
-    for (system, kind) in variants {
-        specs.extend(
-            suite
-                .iter()
-                .map(|cfg| RunSpec::server(cfg, system, scale.sim(), kind)),
-        );
-    }
-    let records = runner.run_batch(&specs);
-    let (baselines, rest) = records.split_at(n);
-    let (fnl_records, rest) = rest.split_at(n);
-    let (morrigan_records, combined_records) = rest.split_at(n);
-
-    let geomean_vs_baseline = |chunk: &[std::sync::Arc<crate::common::RunRecord>]| {
-        let speedups: Vec<f64> = chunk
-            .iter()
-            .zip(baselines)
-            .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-            .collect();
-        geometric_mean(&speedups)
-    };
-
-    let ready: Vec<f64> = combined_records
-        .iter()
-        .map(|record| {
-            let m = &record.metrics;
-            let crossings = m.iprefetch_translation_ready + m.iprefetch_translation_walks;
-            m.iprefetch_translation_ready as f64 / crossings.max(1) as f64
-        })
-        .collect();
+    let [base, fnl, morrigan, combined] = suite_runs(
+        runner,
+        scale,
+        [
+            baseline(),
+            (fnl_system, PrefetcherKind::None.into()),
+            (SystemConfig::default(), PrefetcherKind::Morrigan.into()),
+            (fnl_system, PrefetcherKind::Morrigan.into()),
+        ],
+    );
 
     Fig19Result {
-        fnlmma_speedup: geomean_vs_baseline(fnl_records),
-        morrigan_speedup: geomean_vs_baseline(morrigan_records),
-        combined_speedup: geomean_vs_baseline(combined_records),
-        crossing_translation_ready: mean(&ready),
+        fnlmma_speedup: geomean_speedup(&fnl, &base),
+        morrigan_speedup: geomean_speedup(&morrigan, &base),
+        combined_speedup: geomean_speedup(&combined, &base),
+        crossing_translation_ready: mean_of(&combined, |m| {
+            let crossings = m.iprefetch_translation_ready + m.iprefetch_translation_walks;
+            m.iprefetch_translation_ready as f64 / crossings.max(1) as f64
+        }),
     }
 }
 

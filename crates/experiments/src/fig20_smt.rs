@@ -8,11 +8,11 @@
 
 use std::fmt;
 
+use crate::common::{
+    baseline, geomean_speedup, run_variants, PrefetcherKind, RunSpec, Runner, Scale,
+};
 use morrigan::MorriganConfig;
 use morrigan_sim::{IcachePrefetcherKind, SystemConfig};
-use morrigan_types::stats::geometric_mean;
-
-use crate::common::{PrefetcherKind, PrefetcherSpec, RunSpec, Runner, Scale};
 
 /// The figure's data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +31,6 @@ pub struct Fig20Result {
 /// Runs the experiment.
 pub fn run(runner: &Runner, scale: &Scale) -> Fig20Result {
     let pairs = morrigan_workloads::suites::smt_pairs(scale.smt_pairs);
-    let n = pairs.len();
 
     let fnl_system = SystemConfig {
         icache_prefetcher: IcachePrefetcherKind::FnlMma {
@@ -46,38 +45,28 @@ pub fn run(runner: &Runner, scale: &Scale) -> Fig20Result {
     };
 
     // One batch: baselines, then the four prefetched variants.
-    let variants: [(SystemConfig, PrefetcherSpec); 5] = [
-        (SystemConfig::default(), PrefetcherKind::None.into()),
+    let variants = [
+        baseline(),
         (SystemConfig::default(), PrefetcherKind::MorriganSmt.into()),
         (fnl_system, PrefetcherKind::None.into()),
         (fnl_system, PrefetcherKind::MorriganSmt.into()),
         (SystemConfig::default(), undoubled_cfg.into()),
     ];
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(variants.len() * n);
-    for (system, prefetcher) in &variants {
-        specs.extend(
+    let [base, morrigan, fnl, combined, undoubled] = run_variants(
+        runner,
+        variants.map(|(system, prefetcher)| {
             pairs
                 .iter()
-                .map(|pair| RunSpec::smt(pair, *system, scale.sim(), prefetcher.clone())),
-        );
-    }
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
-
-    let geomean_vs_baseline = |k: usize| {
-        let speedups: Vec<f64> = records[n * k..n * (k + 1)]
-            .iter()
-            .zip(baselines)
-            .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-            .collect();
-        geometric_mean(&speedups)
-    };
+                .map(|pair| RunSpec::smt(pair, system, scale.sim(), prefetcher.clone()))
+                .collect()
+        }),
+    );
 
     Fig20Result {
-        morrigan_speedup: geomean_vs_baseline(1),
-        fnlmma_speedup: geomean_vs_baseline(2),
-        combined_speedup: geomean_vs_baseline(3),
-        morrigan_undoubled_speedup: geomean_vs_baseline(4),
+        morrigan_speedup: geomean_speedup(&morrigan, &base),
+        fnlmma_speedup: geomean_speedup(&fnl, &base),
+        combined_speedup: geomean_speedup(&combined, &base),
+        morrigan_undoubled_speedup: geomean_speedup(&undoubled, &base),
     }
 }
 

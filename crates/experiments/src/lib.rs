@@ -2,15 +2,17 @@
 //! the Morrigan paper's motivation (§3) and evaluation (§6).
 //!
 //! Each `figXX` module exposes `run(&Runner, &Scale) -> FigXXResult`: it
-//! declares its simulations as a batch of [`common::RunSpec`]s, hands
-//! them to the shared [`Runner`] (worker pool + content-keyed result
-//! cache, see the `morrigan-runner` crate), and folds the returned
-//! records into its result struct. Results render as aligned text
-//! tables via `Display`. The `figures` binary runs any subset by name
-//! and shares one `Runner` across figures, so common baselines are
-//! simulated exactly once per invocation; `--json` writes the records
-//! themselves (`morrigan_runner::json`). The `stlbsim` binary runs one
-//! workload through one prefetcher on the same `RunSpec` path.
+//! declares its simulations as variants, each a list of
+//! [`common::RunSpec`]s with one per workload. [`common::run_variants`]
+//! runs them as one variant-major batch on the shared [`Runner`] (worker
+//! pool + content-keyed result cache, see the `morrigan-runner` crate)
+//! and hands each variant its records in the order it listed its specs;
+//! the module folds them into its result struct. Results render as
+//! aligned text tables via `Display`. The `figures` binary runs any
+//! subset by name and shares one `Runner` across figures, so common
+//! baselines are simulated exactly once per invocation; `--json` writes
+//! the records themselves (`morrigan_runner::json`). The `stlbsim` binary
+//! runs one workload through one prefetcher on the same `RunSpec` path.
 //!
 //! ## Scaling
 //!

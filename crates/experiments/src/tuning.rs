@@ -10,10 +10,9 @@
 use std::fmt;
 
 use morrigan::{IripConfig, MorriganConfig};
-use morrigan_sim::SystemConfig;
-use morrigan_types::stats::mean;
+use morrigan_sim::{Metrics, SystemConfig};
 
-use crate::common::{RunSpec, Runner, Scale};
+use crate::common::{mean_of, suite_runs, Runner, Runs, Scale};
 
 /// One configuration's mean coverage (and prefetch-walk cost).
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +42,6 @@ impl TuningResult {
 
 /// Runs the study.
 pub fn run(runner: &Runner, scale: &Scale) -> TuningResult {
-    let suite = scale.suite();
-    let n = suite.len();
-
     let mut configs: Vec<(String, MorriganConfig, SystemConfig)> = vec![
         // Associativity.
         (
@@ -115,40 +111,21 @@ pub fn run(runner: &Runner, scale: &Scale) -> TuningResult {
     ));
 
     // One batch: every configuration across the whole suite.
-    let mut specs: Vec<RunSpec> = Vec::with_capacity(configs.len() * n);
-    for (_, mcfg, system) in &configs {
-        specs.extend(
-            suite
-                .iter()
-                .map(|cfg| RunSpec::server(cfg, *system, scale.sim(), mcfg.clone())),
-        );
-    }
-    let records = runner.run_batch(&specs);
-
+    let variants = configs
+        .iter()
+        .map(|(_, mcfg, system)| (*system, mcfg.clone().into()));
+    let runs: Vec<Runs> = suite_runs(runner, scale, variants);
     let rows = configs
         .into_iter()
-        .enumerate()
-        .map(|(i, (name, _, _))| {
-            let chunk = &records[i * n..(i + 1) * n];
-            let coverages: Vec<f64> = chunk
-                .iter()
-                .map(|record| record.metrics.coverage())
-                .collect();
-            let refs: Vec<f64> = chunk
-                .iter()
-                .map(|record| {
-                    record.metrics.prefetch_walk_refs() as f64 * 1000.0
-                        / record.metrics.instructions as f64
-                })
-                .collect();
-            TuningRow {
-                config: name,
-                coverage: mean(&coverages),
-                prefetch_refs_pki: mean(&refs),
-            }
+        .zip(&runs)
+        .map(|((name, _, _), runs)| TuningRow {
+            config: name,
+            coverage: mean_of(runs, Metrics::coverage),
+            prefetch_refs_pki: mean_of(runs, |m| {
+                m.prefetch_walk_refs() as f64 * 1000.0 / m.instructions as f64
+            }),
         })
         .collect();
-
     TuningResult { rows }
 }
 

@@ -368,7 +368,7 @@ impl MemoryHierarchy {
     }
 
     /// Software-prefetches the L1I tag array of the set the *next*
-    /// sequential line maps to. The fast-forward front end nearly always
+    /// sequential line maps to. The detailed front end nearly always
     /// probes `line + 1` next (straight-line fetch), so pulling that
     /// set's tags into the host cache hides the set scan's memory
     /// latency; it is a host-side hint with no architectural effect.

@@ -106,7 +106,7 @@ use crate::simulator::{audit_default, ElisionCounters, Simulator};
 /// of simulation at machine width 1, and at width 2 barrier wait plus
 /// replay took about a third of each thread's time. The quantum also
 /// decides fig21's numbers, so changing it needs the fig21 sensitivity
-/// study (ROADMAP item 3), not a speed argument.
+/// study (ROADMAP item 2), not a speed argument.
 pub const INTERLEAVE_QUANTUM: u64 = 64;
 
 /// Stride (in pages) between successive shootdown victims inside a

@@ -1316,7 +1316,7 @@ impl<R: Recorder> Simulator<R> {
             self.iprefetch_lines += 1;
             let page = lp.page();
             let translated = page == cur_page
-                || self.mmu.instr_translation_ready(page, self.fetch_cycle)
+                || self.mmu.instr_translation_ready(page)
                 || !self.icache_translation_cost;
             if translated {
                 self.iprefetch_ready += 1;

@@ -859,16 +859,12 @@ impl<R: Recorder> Mmu<R> {
         hit
     }
 
-    /// Whether the translation for `vpn` is immediately available to an
-    /// instruction fetch (I-TLB, STLB, or a ready PB entry).
-    pub fn instr_translation_ready(&self, vpn: VirtPage, now: u64) -> bool {
-        self.itlb.contains(vpn) || self.stlb_resident(vpn) || self.pb_ready(vpn, now)
-    }
-
-    fn pb_ready(&self, _vpn: VirtPage, _now: u64) -> bool {
-        // `contains` ignores readiness; a staged entry counts as available
-        // because the demand lookup will merge with the in-flight walk.
-        self.pb.contains(_vpn)
+    /// Whether the translation for `vpn` is available to an instruction
+    /// fetch: in the I-TLB, the STLB or the PB. A staged PB entry counts
+    /// even while its walk is in flight, because the demand lookup will
+    /// merge with that walk.
+    pub fn instr_translation_ready(&self, vpn: VirtPage) -> bool {
+        self.itlb.contains(vpn) || self.stlb_resident(vpn) || self.pb.contains(vpn)
     }
 
     /// Simulates a context switch: flushes TLBs, PB, PSCs, and the

@@ -470,16 +470,6 @@ impl InstructionStream for ServerWorkload {
         TraceInstruction { pc, mem }
     }
 
-    /// Native block fill: one concrete-typed loop, so the chain and RNG
-    /// state stay hot across the whole block instead of being re-fetched
-    /// through a `Box<dyn InstructionStream>` per instruction.
-    fn fill_block(&mut self, out: &mut Vec<TraceInstruction>, n: usize) {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.next_instruction());
-        }
-    }
-
     fn code_region(&self) -> (VirtPage, u64) {
         (self.cfg.code_base, self.cfg.code_pages)
     }

@@ -142,15 +142,6 @@ impl InstructionStream for SpecWorkload {
         TraceInstruction { pc, mem }
     }
 
-    /// Native block fill: a concrete-typed loop keeping the loop cursor
-    /// and RNG in registers across the block.
-    fn fill_block(&mut self, out: &mut Vec<TraceInstruction>, n: usize) {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.next_instruction());
-        }
-    }
-
     fn code_region(&self) -> (VirtPage, u64) {
         (self.cfg.code_base, self.cfg.code_pages)
     }
