@@ -6,12 +6,13 @@
 mod reference;
 
 use morrigan_mem::{HierarchyConfig, MemoryHierarchy};
-use morrigan_types::{scan, PhysPage, VirtPage};
+use morrigan_types::{scan, PageDistance, PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
 use morrigan_vm::{
-    PageTable, PagingStructureCaches, PscConfig, Tlb, TlbConfig, WalkKind, Walker, WalkerConfig,
+    PageTable, PagingStructureCaches, PrefetchBuffer, PscConfig, Tlb, TlbConfig, WalkKind, Walker,
+    WalkerConfig,
 };
 use proptest::prelude::*;
-use reference::{RefPsc, RefTlb, RefWalker};
+use reference::{RefPb, RefPsc, RefTlb, RefWalker, Staged};
 
 /// ASIDs the TLB pool spans.
 const ASIDS: u16 = 3;
@@ -261,6 +262,86 @@ proptest! {
             prop_assert_eq!(psc.pd_hits, ref_psc.pd_hits, "after #{}", i);
             prop_assert_eq!(psc.pdp_hits, ref_psc.pdp_hits, "after #{}", i);
             prop_assert_eq!(psc.pml4_hits, ref_psc.pml4_hits, "after #{}", i);
+        }
+    }
+}
+
+/// Four pages in each ASID, twelve in all, more than the buffer ever
+/// holds, so it evicts and the ASIDs share it.
+fn pb_pool() -> Vec<VirtPage> {
+    (0..ASIDS)
+        .flat_map(|asid| (0..4u64).map(move |k| VirtPage::new(0x40 + k).with_asid(asid)))
+        .collect()
+}
+
+/// Prefetch-walk latencies, and the clock steps between operations: a
+/// probe can come before, at or after the cycle a walk completes.
+const PB_CYCLES: [u64; 4] = [0, 3, 40, 200];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every insert's victim, every take's hit, every invalidate and
+    /// contains answer, the occupancy (total and per ASID) and the whole
+    /// `PbStats` ledger agree after every operation, flushes and clock
+    /// steps included. Inserts carry mixed walk latencies, origins and
+    /// components, so re-inserts and in-flight hits are common.
+    #[test]
+    fn prefetch_buffer_matches_reference(
+        capacity in 1usize..6,
+        ops in prop::collection::vec(
+            ((0u8..32, 0usize..1024), (0u64..1 << 20, 0usize..PB_CYCLES.len(), 0usize..16)),
+            1..300,
+        ),
+    ) {
+        let pool = pb_pool();
+        let mut real = PrefetchBuffer::new(capacity, 2);
+        let mut model = RefPb::new(capacity);
+        let mut now = 0u64;
+        for (i, &((op, page), (pfn, cycles, tag))) in ops.iter().enumerate() {
+            let vpn = pool[page % pool.len()];
+            match op {
+                31 => {
+                    real.flush();
+                    model.flush();
+                }
+                _ => match op % 8 {
+                    0..=2 => {
+                        let (pfn, ready_at) = (PhysPage::new(pfn), now + PB_CYCLES[cycles]);
+                        let origin = (tag % 2 == 1).then(|| PrefetchOrigin {
+                            source: pool[tag % pool.len()],
+                            distance: PageDistance(tag as i64 - 8),
+                        });
+                        let component = PrefetchComponent::ALL[tag % PrefetchComponent::ALL.len()];
+                        prop_assert_eq!(
+                            real.insert(vpn, pfn, ready_at, origin, component).map(Staged::from),
+                            model.insert(vpn, pfn, ready_at, origin, component),
+                            "insert #{}",
+                            i
+                        );
+                    }
+                    3 | 4 => prop_assert_eq!(
+                        real.take(vpn, now).map(|h| (h.pfn, h.remaining_latency, h.origin, h.component)),
+                        model.take(vpn, now),
+                        "take #{}",
+                        i
+                    ),
+                    5 => prop_assert_eq!(real.invalidate(vpn), model.invalidate(vpn), "invalidate #{}", i),
+                    6 => prop_assert_eq!(real.contains(vpn), model.contains(vpn), "contains #{}", i),
+                    _ => now += PB_CYCLES[cycles],
+                },
+            }
+            prop_assert_eq!(real.len(), model.len(), "occupancy after #{}", i);
+            for asid in 0..ASIDS {
+                prop_assert_eq!(
+                    real.occupancy_for_asid(asid),
+                    model.occupancy_for_asid(asid),
+                    "ASID {} occupancy after #{}",
+                    asid,
+                    i
+                );
+            }
+            prop_assert_eq!(real.stats, model.stats, "after #{}", i);
         }
     }
 }

@@ -11,12 +11,17 @@
 //!
 //! The PSC model is three such TLBs keyed by VPN prefixes; the walker
 //! model keeps its own slots, pending fills and PSC, and drives the
-//! memory hierarchy it is handed (the hierarchy has its own oracle).
+//! memory hierarchy it is handed (the hierarchy has its own oracle). The
+//! prefetch-buffer model keeps its entries in recency order instead of
+//! stamping them.
+
+use std::collections::VecDeque;
 
 use morrigan_mem::{AccessClass, MemoryHierarchy};
-use morrigan_types::{PhysPage, VirtPage};
+use morrigan_types::{PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
 use morrigan_vm::{
-    PageTable, PscConfig, PscHit, TlbConfig, WalkKind, WalkResult, WalkerConfig, WalkerStats,
+    PageTable, PbEntry, PbStats, PscConfig, PscHit, TlbConfig, WalkKind, WalkResult, WalkerConfig,
+    WalkerStats,
 };
 
 /// One resident translation and the tick of its last use.
@@ -388,5 +393,138 @@ impl RefWalker {
     pub fn flush_psc(&mut self) {
         self.psc.flush();
         self.pending.clear();
+    }
+}
+
+/// A staged prefetch: the page, its translation, the cycle its walk
+/// completes and its provenance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Staged {
+    pub vpn: VirtPage,
+    pub pfn: PhysPage,
+    pub ready_at: u64,
+    pub origin: Option<PrefetchOrigin>,
+    pub component: PrefetchComponent,
+}
+
+impl From<PbEntry> for Staged {
+    fn from(e: PbEntry) -> Self {
+        Self {
+            vpn: e.vpn,
+            pfn: e.pfn,
+            ready_at: e.ready_at,
+            origin: e.origin,
+            component: e.component,
+        }
+    }
+}
+
+/// A demand hit: the translation, the cycles left on its walk, and the
+/// entry's provenance.
+pub type Hit = (PhysPage, u64, Option<PrefetchOrigin>, PrefetchComponent);
+
+/// The fully associative LRU prefetch buffer, least recently staged
+/// entry at the front:
+///
+/// - Staging a new page at capacity evicts the front entry, which never
+///   provided a hit, and returns it.
+/// - Staging a resident page moves it to the back and keeps its
+///   translation and provenance; the first walk to complete supplies the
+///   data, so it keeps the earlier `ready_at`.
+/// - A demand probe at `now` removes a hit and charges the wait left on
+///   its walk, zero once the walk is done.
+/// - A shootdown removes one page; a flush discards every entry as
+///   evicted unused.
+#[derive(Debug, Clone)]
+pub struct RefPb {
+    entries: VecDeque<Staged>,
+    capacity: usize,
+    pub stats: PbStats,
+}
+
+impl RefPb {
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            entries: VecDeque::new(),
+            capacity,
+            stats: PbStats::default(),
+        }
+    }
+
+    fn position(&self, vpn: VirtPage) -> Option<usize> {
+        self.entries.iter().position(|e| e.vpn == vpn)
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn contains(&self, vpn: VirtPage) -> bool {
+        self.position(vpn).is_some()
+    }
+
+    pub fn take(&mut self, vpn: VirtPage, now: u64) -> Option<Hit> {
+        let Some(i) = self.position(vpn) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let e = self.entries.remove(i).expect("a resident entry");
+        let remaining = e.ready_at.saturating_sub(now);
+        if remaining == 0 {
+            self.stats.hits_ready += 1;
+        } else {
+            self.stats.hits_inflight += 1;
+        }
+        Some((e.pfn, remaining, e.origin, e.component))
+    }
+
+    pub fn insert(
+        &mut self,
+        vpn: VirtPage,
+        pfn: PhysPage,
+        ready_at: u64,
+        origin: Option<PrefetchOrigin>,
+        component: PrefetchComponent,
+    ) -> Option<Staged> {
+        if let Some(i) = self.position(vpn) {
+            let mut e = self.entries.remove(i).expect("a resident entry");
+            e.ready_at = e.ready_at.min(ready_at);
+            self.entries.push_back(e);
+            self.stats.refreshes += 1;
+            return None;
+        }
+        self.stats.inserts += 1;
+        let victim = if self.entries.len() == self.capacity {
+            self.stats.evicted_unused += 1;
+            self.entries.pop_front()
+        } else {
+            None
+        };
+        self.entries.push_back(Staged {
+            vpn,
+            pfn,
+            ready_at,
+            origin,
+            component,
+        });
+        victim
+    }
+
+    pub fn invalidate(&mut self, vpn: VirtPage) -> bool {
+        let Some(i) = self.position(vpn) else {
+            return false;
+        };
+        self.entries.remove(i);
+        self.stats.invalidations += 1;
+        true
+    }
+
+    pub fn occupancy_for_asid(&self, asid: u16) -> usize {
+        self.entries.iter().filter(|e| e.vpn.asid() == asid).count()
+    }
+
+    pub fn flush(&mut self) {
+        self.stats.evicted_unused += self.entries.len() as u64;
+        self.entries.clear();
     }
 }

@@ -6,10 +6,11 @@
 //! cargo run --release --example prefetcher_shootout
 //! ```
 
-use morrigan_suite::experiments::common::{baseline_spec, server_spec, RunOptions, Scale};
-use morrigan_suite::runner::{PrefetcherKind, RunSpec};
-use morrigan_suite::sim::SystemConfig;
-use morrigan_suite::types::stats::geometric_mean;
+use morrigan_suite::experiments::common::{
+    baseline, geomean_speedup, mean_of, suite_runs, RunOptions, Runs, Scale,
+};
+use morrigan_suite::runner::PrefetcherKind;
+use morrigan_suite::sim::{Metrics, SystemConfig};
 
 const KINDS: [PrefetcherKind; 8] = [
     PrefetcherKind::Sp,
@@ -31,61 +32,36 @@ fn main() {
         cores: 2,
         tenants: 2,
     };
-    let suite = scale.suite();
-    let n = suite.len();
-
-    // One batch: baselines, each contender, then the perfect-iSTLB bound.
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, &scale)).collect();
-    for kind in KINDS {
-        specs.extend(suite.iter().map(|cfg| server_spec(cfg, &scale, kind)));
-    }
     let mut perfect_system = SystemConfig::default();
     perfect_system.mmu.perfect_istlb = true;
-    specs.extend(
-        suite
-            .iter()
-            .map(|cfg| RunSpec::server(cfg, perfect_system, scale.sim(), PrefetcherKind::None)),
-    );
+    // One batch: baselines, each contender, then the perfect-iSTLB bound.
+    let variants = std::iter::once(baseline())
+        .chain(KINDS.map(|kind| (SystemConfig::default(), kind.into())))
+        .chain([(perfect_system, PrefetcherKind::None.into())]);
 
     println!(
         "running {} workloads x {} prefetchers...",
-        suite.len(),
+        scale.suite().len(),
         KINDS.len()
     );
     let runner = RunOptions::from_env().runner();
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
+    let [base, contenders @ .., perfect]: [Runs; KINDS.len() + 2] =
+        suite_runs(&runner, &scale, variants);
 
     println!("{:<18} {:>9} {:>10}", "prefetcher", "speedup", "coverage");
-    for (k, kind) in KINDS.iter().enumerate() {
-        let chunk = &records[n * (k + 1)..n * (k + 2)];
-        let speedups: Vec<f64> = chunk
-            .iter()
-            .zip(baselines)
-            .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-            .collect();
-        let coverage: f64 = chunk
-            .iter()
-            .map(|record| record.metrics.coverage())
-            .sum::<f64>()
-            / n as f64;
+    for (kind, runs) in KINDS.iter().zip(&contenders) {
         println!(
             "{:<18} {:>8.2}% {:>9.1}%",
             kind.name(),
-            (geometric_mean(&speedups) - 1.0) * 100.0,
-            coverage * 100.0
+            (geomean_speedup(runs, &base) - 1.0) * 100.0,
+            mean_of(runs, Metrics::coverage) * 100.0
         );
     }
 
     // The perfect-iSTLB ceiling for context.
-    let speedups: Vec<f64> = records[n * (KINDS.len() + 1)..]
-        .iter()
-        .zip(baselines)
-        .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-        .collect();
     println!(
         "{:<18} {:>8.2}%",
         "perfect-istlb",
-        (geometric_mean(&speedups) - 1.0) * 100.0
+        (geomean_speedup(&perfect, &base) - 1.0) * 100.0
     );
 }

@@ -5,9 +5,9 @@
 //! tables); run them with `cargo test --release`.
 
 use morrigan_suite::experiments::common::{
-    baseline_spec, server_spec, PrefetcherKind, RunSpec, Runner, Scale,
+    baseline, geomean_speedup, mean_of, suite_runs, PrefetcherKind, Runner, Runs, Scale,
 };
-use morrigan_suite::types::stats::geometric_mean;
+use morrigan_suite::sim::{Metrics, SystemConfig};
 
 fn shape_scale() -> Scale {
     Scale {
@@ -21,34 +21,22 @@ fn shape_scale() -> Scale {
 }
 
 fn measure(kinds: &[PrefetcherKind]) -> Vec<(String, f64, f64)> {
-    let scale = shape_scale();
-    let suite = scale.suite();
-    let n = suite.len();
-    let runner = Runner::new(4);
-
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, &scale)).collect();
-    for &kind in kinds {
-        specs.extend(suite.iter().map(|cfg| server_spec(cfg, &scale, kind)));
-    }
-    let records = runner.run_batch(&specs);
-    let baselines = &records[..n];
-
+    let variants = std::iter::once(baseline()).chain(
+        kinds
+            .iter()
+            .map(|&kind| (SystemConfig::default(), kind.into())),
+    );
+    let runs: Vec<Runs> = suite_runs(&Runner::new(4), &shape_scale(), variants);
+    let (base, swept) = runs.split_first().expect("the baseline's runs");
     kinds
         .iter()
-        .enumerate()
-        .map(|(k, kind)| {
-            let chunk = &records[n * (k + 1)..n * (k + 2)];
-            let speedups: Vec<f64> = chunk
-                .iter()
-                .zip(baselines)
-                .map(|(record, base)| record.metrics.speedup_over(&base.metrics))
-                .collect();
-            let coverage = chunk
-                .iter()
-                .map(|record| record.metrics.coverage())
-                .sum::<f64>()
-                / n as f64;
-            (kind.name().to_string(), geometric_mean(&speedups), coverage)
+        .zip(swept)
+        .map(|(kind, runs)| {
+            (
+                kind.name().to_string(),
+                geomean_speedup(runs, base),
+                mean_of(runs, Metrics::coverage),
+            )
         })
         .collect()
 }
@@ -82,28 +70,13 @@ fn headline_morrigan_beats_every_prior_dstlb_prefetcher() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "needs trained tables; run with --release")]
 fn headline_morrigan_eliminates_demand_walk_references() {
-    let scale = shape_scale();
-    let suite = scale.suite();
-    let n = suite.len();
-    let runner = Runner::new(4);
-
-    let mut specs: Vec<RunSpec> = suite.iter().map(|cfg| baseline_spec(cfg, &scale)).collect();
-    specs.extend(
-        suite
-            .iter()
-            .map(|cfg| server_spec(cfg, &scale, PrefetcherKind::Morrigan)),
-    );
-    let records = runner.run_batch(&specs);
-
-    let base_refs: u64 = records[..n]
-        .iter()
-        .map(|record| record.metrics.demand_instr_walk_refs())
-        .sum();
-    let morrigan_refs: u64 = records[n..]
-        .iter()
-        .map(|record| record.metrics.demand_instr_walk_refs())
-        .sum();
-    let reduction = 1.0 - morrigan_refs as f64 / base_refs as f64;
+    let variants = [
+        baseline(),
+        (SystemConfig::default(), PrefetcherKind::Morrigan.into()),
+    ];
+    let [base, morrigan]: [Runs; 2] = suite_runs(&Runner::new(4), &shape_scale(), variants);
+    let demand_refs = |m: &Metrics| m.demand_instr_walk_refs() as f64;
+    let reduction = 1.0 - mean_of(&morrigan, demand_refs) / mean_of(&base, demand_refs);
     // The paper reports 69 %; the synthetic substrate attenuates this (see
     // EXPERIMENTS.md) but the reduction must be substantial.
     assert!(reduction > 0.15, "demand walk-ref reduction {reduction:.3}");
