@@ -61,7 +61,8 @@ use std::fmt::Display;
 pub struct Figure {
     /// The name `figures` accepts on its command line.
     pub name: &'static str,
-    /// simbench's row label (its committed baseline keys on it).
+    /// simbench's row label; simbench's rows and `simbench_ab.py`'s
+    /// per-figure ratios key on it.
     pub label: &'static str,
     /// Regenerates the figure; the result renders as its text table.
     pub run: fn(&Runner, &Scale) -> Box<dyn Display>,

@@ -43,8 +43,8 @@ use morrigan_workloads::{fnv1a, InstructionStream, PackedReplay, PackedTrace, RE
 ///
 /// At figure scale a trace is a few MiB and the whole suite fits with
 /// room to spare. At paper scale a trace of 150 M instructions takes
-/// about 0.32 GB and is charged 0.38 GB up front
-/// ([`PackedTrace::projected_bytes`]), so five fit; the budget makes
+/// about 0.25 GB and is charged 0.30 GB up front
+/// ([`PackedTrace::projected_bytes`]), so seven fit; the budget makes
 /// further workloads fall back to live generation instead of exhausting
 /// host memory. Tunable via `MORRIGAN_WORKLOAD_CACHE_MB`.
 const DEFAULT_MAX_RESIDENT_BYTES: u64 = 2 << 30;

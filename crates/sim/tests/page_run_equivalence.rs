@@ -1,8 +1,8 @@
 //! Page-run stepping properties that the stepping pin's fixed grid does
-//! not cover: delivery independence (a persisted run index may split
-//! spans a fresh per-block scan merges, and both must give the same
-//! results) and the fetch-side probe conservation law under SMT, whose
-//! blocks are clipped at every `smt_block` rotation.
+//! not cover: delivery independence (a packed replay derives its runs
+//! while it decodes, a live generator's refill scans them, and both must
+//! give the same results) and the fetch-side probe conservation law
+//! under SMT, whose blocks are clipped at every `smt_block` rotation.
 
 use morrigan::{Morrigan, MorriganConfig};
 use morrigan_sim::{SimConfig, Simulator, SystemConfig};
@@ -50,9 +50,9 @@ fn run_one(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Replay through a persisted `.mpt` run index must match live
-    /// generation with a fresh per-block scan: two deliveries of the
-    /// same instruction stream, one set of results.
+    /// Replay of a packed trace, with runs derived in its decode, must
+    /// match live generation with a fresh per-block scan: two deliveries
+    /// of the same instruction stream, one set of results.
     #[test]
     fn persisted_index_replay_matches_live_generation(
         seed in 0u64..500,

@@ -228,7 +228,7 @@ fn cases() -> Vec<Case> {
         ..Case::new("spec sampled (50, 50)", spec())
     });
 
-    // A persisted run index may split spans a fresh scan merges.
+    // Replay derives its page runs while it decodes, not by a scan.
     let total =
         SHORT.warmup_instructions + SHORT.measure_instructions + morrigan_workloads::REPLAY_SLACK;
     let trace = Arc::new(PackedTrace::capture(&mut *server(9), total));

@@ -64,15 +64,15 @@ pub trait InstructionStream: Send {
     /// cleared first; `out` is appended to, like [`fill_block`].
     ///
     /// The default implementation delegates to [`fill_block`] and scans
-    /// the delivered block with [`scan_page_runs`]; replay streams with
-    /// a persisted run index override it to skip the rescan.
+    /// the delivered block with [`scan_page_runs`]; a packed replay
+    /// derives the same partition while it decodes, with no scan.
     ///
-    /// The partition is valid but **not canonical**: an override backed
-    /// by a whole-trace index may split a span the fresh scan merges
-    /// (a data span continuing across a refill boundary whose in-block
-    /// prefix has no access). Consumers must rely only on the span
-    /// invariants — same fetch page within an i-run, at most one data
-    /// page within a d-run — never on a particular split.
+    /// The partition is valid but **not canonical**: a composite stream
+    /// may split a span the fresh scan merges. Only `ScheduledStream`
+    /// does, at the edges of its context-switch quantum chunks.
+    /// Consumers must rely only on the span invariants — same fetch page
+    /// within an i-run, at most one data page within a d-run — never on
+    /// a particular split.
     ///
     /// [`fill_block`]: InstructionStream::fill_block
     fn fill_block_runs(
@@ -122,43 +122,22 @@ pub fn scan_page_runs(
     irun_ends: &mut Vec<u32>,
     drun_ends: &mut Vec<u32>,
 ) {
-    let mut runs = RunScanner::default();
+    let (mut fetch_page, mut data_page) = (None, None);
     for (i, instr) in instrs.iter().enumerate() {
-        let (irun, drun) = runs.step(
-            instr.pc.raw() >> PAGE_SHIFT,
-            instr.mem.map(|mem| mem.addr.raw() >> PAGE_SHIFT),
-        );
-        if irun {
+        let page = instr.pc.raw() >> PAGE_SHIFT;
+        if fetch_page.replace(page).is_some_and(|p| p != page) {
             irun_ends.push(i as u32);
         }
-        if drun {
-            drun_ends.push(i as u32);
+        if let Some(mem) = instr.mem {
+            let page = mem.addr.raw() >> PAGE_SHIFT;
+            if data_page.replace(page).is_some_and(|p| p != page) {
+                drun_ends.push(i as u32);
+            }
         }
     }
     if !instrs.is_empty() {
         irun_ends.push(instrs.len() as u32);
         drun_ends.push(instrs.len() as u32);
-    }
-}
-
-/// The page-run rules of [`scan_page_runs`], one instruction at a time;
-/// the packed trace builds its run bitmaps with them too.
-#[derive(Debug, Default)]
-pub(crate) struct RunScanner {
-    fetch_page: Option<u64>,
-    data_page: Option<u64>,
-}
-
-impl RunScanner {
-    /// Steps over the next instruction's fetch page and data page (if
-    /// it has an access); returns whether an i-run and a d-run start at
-    /// it. Neither starts at the first instruction.
-    #[inline]
-    pub(crate) fn step(&mut self, fetch: u64, data: Option<u64>) -> (bool, bool) {
-        let irun = self.fetch_page.is_some_and(|p| p != fetch);
-        self.fetch_page = Some(fetch);
-        let drun = data.is_some_and(|page| self.data_page.replace(page).is_some_and(|p| p != page));
-        (irun, drun)
     }
 }
 

@@ -184,10 +184,10 @@ impl InstructionStream for ScheduledStream {
     }
 
     /// Forwards each quantum chunk to the active tenant's own run-aware
-    /// refill (a replay cursor reads its run bitmaps instead of
-    /// rescanning) and rebases the chunk's run ends into the block. Every
-    /// chunk edge is a run edge: a valid partition, since runs may be
-    /// split finer than a fresh scan would (see
+    /// refill (a replay cursor derives its runs while it decodes) and
+    /// rebases the chunk's run ends into the block. Every chunk edge is a
+    /// run edge: a valid partition, since runs may be split finer than a
+    /// fresh scan would (see
     /// [`fill_block_runs`](InstructionStream::fill_block_runs)).
     fn fill_block_runs(
         &mut self,

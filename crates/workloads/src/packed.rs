@@ -15,43 +15,53 @@
 //!
 //! ## Layout
 //!
-//! One layout serves in memory and on disk, about 2 bytes per
+//! One layout serves in memory and on disk, about 1.6 bytes per
 //! instruction on the server and SPEC suites. Instructions are grouped
-//! into 64-instruction words; bit `i` of each of a word's five bitmaps
+//! into 64-instruction words; bit `i` of each of a word's two bitmaps
 //! describes instruction `64·w + i`:
 //!
 //! * `jump` — the PC is not the previous PC + 4, and always bit 0. The
-//!   PCs at set bits go whole, in order, into `jumps: Vec<u64>`; every
+//!   PCs at set bits go, in order, into `jumps: Vec<u32>` as byte
+//!   offsets from the first byte of the stream's code region; every
 //!   other PC is its predecessor's + 4.
 //! * `mem` — the instruction has a data access. The accesses go, in
-//!   order, into `mems: Vec<u32>` as byte offsets from the first byte
-//!   of the stream's data region.
-//! * `write` — that access is a store.
-//! * `irun`, `drun` — the page-run index (below).
+//!   order, into `mems: Vec<u32>`: the store flag in bit 31, above a
+//!   31-bit byte offset from the first byte of the stream's data region.
 //!
 //! Each word also carries `u32` counts of the jumps and accesses before
 //! it, so [`PackedTrace::get`] is O(1): one word, two popcounts, one
 //! load from each array. The counts are recomputed on load, never
 //! stored.
 //!
-//! The layout rests on one contract: every data access lies inside its
-//! stream's data region. Every generator meets it, because the page
-//! table maps only regions; [`PackedTrace::capture`] asserts it, naming
-//! the stream.
+//! The layout rests on two region contracts. Every generator meets
+//! both, because the page table maps only regions, and
+//! [`PackedTrace::capture`] asserts both, naming the stream:
 //!
-//! ## Page-run index
+//! * every PC lies in its stream's code region (a `u32` offset reaches
+//!   its first 4 GiB);
+//! * every data access lies in the first 2 GiB of its stream's data
+//!   region.
+//!
+//! ## Page runs
 //!
 //! Instruction fetch is overwhelmingly sequential within a page, so one
 //! iTLB probe can vouch for a whole run of same-page fetches. The
-//! `irun` bitmap marks each instruction that starts a maximal same-page
-//! fetch span, and `drun` each whose data access starts a span of
-//! accesses to one page (instructions with no access extend whichever
-//! span they fall in); the first instruction is never marked. These are
-//! the boundaries [`scan_page_runs`](crate::scan_page_runs) finds. The
 //! simulator consumes runs through
 //! [`fill_block_runs`](crate::InstructionStream::fill_block_runs),
 //! issuing a single translation per run and reconciling statistics and
-//! LRU recency in bulk at run end.
+//! LRU recency in bulk at run end. A replay derives each block's runs
+//! while it decodes, so the layout stores no run index:
+//!
+//! * an i-run starts at each jump whose page differs from the previous
+//!   PC's, and where a +4 stretch crosses a 4 KiB boundary (at most
+//!   once, as a stretch lies within one word);
+//! * a d-run starts at each access whose page differs from the block's
+//!   previous access.
+//!
+//! The block's first instruction starts no run. That is exactly the
+//! partition [`scan_page_runs`](crate::scan_page_runs) finds for the
+//! delivered block, for the cost of one page compare per jump and per
+//! access.
 //!
 //! ## On-disk format (`MORRIGAN_WORKLOAD_CACHE`)
 //!
@@ -59,16 +69,16 @@
 //! the resident arrays verbatim, less the per-word counts:
 //!
 //! ```text
-//! magic      "MRGNPKT3"                                8 bytes
+//! magic      "MRGNPKT4"                                8 bytes
 //! key_hash   FNV-1a 64 of the cache key string         u64
 //! len        instruction count                         u64
 //! code_base, code_pages, data_base, data_pages         4 × u64
 //! build_seconds (f64 bits; provenance, informational)  u64
 //! jumps, mems  entries in the two arrays               2 × u64
 //! name_len + name bytes (UTF-8)
-//! words      jump, mem, write, irun, drun bitmaps      ⌈len/64⌉ × 5 × u64
-//! jumps      whole PCs                                 jumps × u64
-//! mems       data-region byte offsets                  mems × u32
+//! words      jump, mem bitmaps                         ⌈len/64⌉ × 2 × u64
+//! jumps      code-region byte offsets                  jumps × u32
+//! mems       store flag | data-region byte offset      mems × u32
 //! hash       FNV-1a 64 of every preceding byte         u64
 //! ```
 //!
@@ -76,28 +86,41 @@
 //! file size before it allocates. It then checks that each word starts
 //! with a jump, that the popcounts match the array lengths, that no bit
 //! lies past `len`, and that a rescan of the decoded instructions
-//! reproduces every bitmap and array (which also puts every access in
-//! the data region), plus the content hash. The key hash binds the file
-//! to the workload config and length that produced it. Any failure is
+//! reproduces every bitmap and array (which also holds both region
+//! contracts), plus the content hash. The key hash binds the file to
+//! the workload config and length that produced it. Any failure is
 //! `InvalidData`, never a panic, and the caller rebuilds: a corrupted
 //! or stale cache file is never silently replayed. Files of older
-//! versions (`MRGNPKT1`, `MRGNPKT2`) fail the magic check with an error
-//! naming their version.
+//! versions (`MRGNPKT1` through `MRGNPKT3`) fail the magic check with an
+//! error naming their version.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::mem::size_of_val;
 use std::path::Path;
 
+use morrigan_types::addr::PAGE_SIZE;
 use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
 
-use crate::instruction::{InstructionStream, MemAccess, RunScanner, TraceInstruction};
+use crate::instruction::{InstructionStream, MemAccess, TraceInstruction};
 
 /// On-disk magic; bump the trailing digit on any format change so stale
 /// cache files from older revisions fail the magic check and rebuild.
-const MAGIC: &[u8; 8] = b"MRGNPKT3";
+const MAGIC: &[u8; 8] = b"MRGNPKT4";
 
 /// Header fields after the magic, each a `u64`.
 const HEADER_FIELDS: usize = 10;
+
+/// The store flag of a `mems` entry; the bits below it hold the access's
+/// data-region offset.
+const STORE: u32 = 1 << 31;
+
+/// How far into its code region a PC may lie: a `jumps` entry is a
+/// `u32`.
+const CODE_REACH: u64 = 1 << 32;
+
+/// How far into its data region an access may lie: the offset below
+/// [`STORE`].
+const DATA_REACH: u64 = STORE as u64;
 
 /// Extra instructions captured beyond a run's `warmup + measure` length.
 ///
@@ -131,25 +154,12 @@ struct Word {
     jump: u64,
     /// The instruction has a data access.
     mem: u64,
-    /// The access is a store.
-    write: u64,
-    /// An i-run starts here.
-    irun: u64,
-    /// A d-run starts here.
-    drun: u64,
     /// Jumps in earlier words: the index into `jumps` of this word's
     /// first.
     jumps_before: u32,
     /// Accesses in earlier words: the index into `mems` of this word's
     /// first.
     mems_before: u32,
-}
-
-impl Word {
-    /// The five bitmaps in on-disk order.
-    fn bitmaps(&self) -> [u64; 5] {
-        [self.jump, self.mem, self.write, self.irun, self.drun]
-    }
 }
 
 /// Entries of `jumps` and `mems` a `len`-instruction trace holds at the
@@ -179,11 +189,50 @@ pub struct PackedTrace {
     data_region: (VirtPage, u64),
     len: usize,
     words: Vec<Word>,
-    /// The PC at every `jump` bit, in order.
-    jumps: Vec<u64>,
-    /// Every data access, in order, as a byte offset from the first
-    /// byte of `data_region`.
+    /// The PC at every `jump` bit, in order, as a byte offset from the
+    /// first byte of `code_region`.
+    jumps: Vec<u32>,
+    /// Every data access, in order: [`STORE`] for a store, or'ed with
+    /// the byte offset from the first byte of `data_region`.
     mems: Vec<u32>,
+}
+
+/// An instruction that breaks a region contract, with the offending
+/// address.
+enum Misfit {
+    /// A PC outside the code region.
+    Fetch(u64),
+    /// An access outside the data region.
+    Access(u64),
+    /// An access 2 GiB or more into the data region.
+    FarAccess(u64),
+}
+
+impl Misfit {
+    /// Names the stream, the address and the contract it breaks.
+    fn message(&self, trace: &PackedTrace) -> String {
+        let region = |(page, pages): (VirtPage, u64)| {
+            format!("{pages} pages at {:#x}", page.raw() << PAGE_SHIFT)
+        };
+        let name = &trace.name;
+        match *self {
+            Misfit::Fetch(pc) => format!(
+                "stream '{name}' fetched {pc:#x}, outside its code region of {}; packed \
+                 traces store PCs as 32-bit offsets into it",
+                region(trace.code_region)
+            ),
+            Misfit::Access(addr) => format!(
+                "stream '{name}' accessed {addr:#x}, outside its data region of {}; packed \
+                 traces store accesses as offsets into it",
+                region(trace.data_region)
+            ),
+            Misfit::FarAccess(addr) => format!(
+                "stream '{name}' accessed {addr:#x}, 2 GiB or more into its data region of \
+                 {}; packed traces store accesses as 31-bit offsets into it",
+                region(trace.data_region)
+            ),
+        }
+    }
 }
 
 /// Packs instructions one at a time into the layout: capture feeds it a
@@ -192,7 +241,8 @@ struct Packer {
     trace: PackedTrace,
     word: Word,
     prev_pc: u64,
-    runs: RunScanner,
+    code_start: u64,
+    code_bytes: u64,
     data_start: u64,
     data_bytes: u64,
 }
@@ -217,29 +267,38 @@ impl Packer {
             },
             word: Word::default(),
             prev_pc: 0,
-            runs: RunScanner::default(),
+            code_start: code_region.0.raw() << PAGE_SHIFT,
+            code_bytes: (code_region.1 << PAGE_SHIFT).min(CODE_REACH),
             data_start: data_region.0.raw() << PAGE_SHIFT,
             data_bytes: data_region.1 << PAGE_SHIFT,
         }
     }
 
-    /// Appends one instruction. `Err` carries a data address outside the
-    /// data region (or past the 4 GiB an offset holds); nothing is
-    /// appended then.
+    /// Appends one instruction, or nothing if it breaks a region
+    /// contract.
     #[inline]
-    fn push(&mut self, instr: &TraceInstruction) -> Result<(), u64> {
-        let trace = &mut self.trace;
-        let bit = trace.len % 64;
-        let access = match instr.mem {
+    fn push(&mut self, instr: &TraceInstruction) -> Result<(), Misfit> {
+        let pc = instr.pc.raw();
+        let code_offset = pc.wrapping_sub(self.code_start);
+        if code_offset >= self.code_bytes {
+            return Err(Misfit::Fetch(pc));
+        }
+        let entry = match instr.mem {
             Some(access) => {
-                let offset = access.addr.raw().wrapping_sub(self.data_start);
-                if offset >= self.data_bytes || offset > u32::MAX as u64 {
-                    return Err(access.addr.raw());
+                let addr = access.addr.raw();
+                let offset = addr.wrapping_sub(self.data_start);
+                if offset >= self.data_bytes {
+                    return Err(Misfit::Access(addr));
                 }
-                Some((offset as u32, access.write))
+                if offset >= DATA_REACH {
+                    return Err(Misfit::FarAccess(addr));
+                }
+                Some(offset as u32 | if access.write { STORE } else { 0 })
             }
             None => None,
         };
+        let trace = &mut self.trace;
+        let bit = trace.len % 64;
         if bit == 0 {
             self.word = Word {
                 jumps_before: trace.jumps.len() as u32,
@@ -247,24 +306,15 @@ impl Packer {
                 ..Word::default()
             };
         }
-        let word = &mut self.word;
-        let pc = instr.pc.raw();
         if bit == 0 || pc != self.prev_pc.wrapping_add(4) {
-            word.jump |= 1 << bit;
-            trace.jumps.push(pc);
+            self.word.jump |= 1 << bit;
+            trace.jumps.push(code_offset as u32);
         }
         self.prev_pc = pc;
-        if let Some((offset, write)) = access {
-            word.mem |= 1 << bit;
-            word.write |= (write as u64) << bit;
-            trace.mems.push(offset);
+        if let Some(entry) = entry {
+            self.word.mem |= 1 << bit;
+            trace.mems.push(entry);
         }
-        let (irun, drun) = self.runs.step(
-            pc >> PAGE_SHIFT,
-            instr.mem.map(|access| access.addr.raw() >> PAGE_SHIFT),
-        );
-        word.irun |= (irun as u64) << bit;
-        word.drun |= (drun as u64) << bit;
         trace.len += 1;
         if bit == 63 {
             trace.words.push(self.word);
@@ -287,13 +337,13 @@ impl PackedTrace {
     ///
     /// The stream is drained through its native
     /// [`fill_block`](InstructionStream::fill_block) in large chunks and
-    /// packed in the same pass, run bitmaps included; no full-length
-    /// intermediate is built.
+    /// packed in the same pass; no full-length intermediate is built.
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds `u32::MAX`, or if the stream makes a data
-    /// access outside its data region.
+    /// Panics if `len` exceeds `u32::MAX`, or if the stream breaks a
+    /// region contract: a PC outside its code region, or a data access
+    /// outside the first 2 GiB of its data region.
     pub fn capture(stream: &mut dyn InstructionStream, len: u64) -> Self {
         assert!(
             len <= u32::MAX as u64,
@@ -311,14 +361,8 @@ impl PackedTrace {
             scratch.clear();
             stream.fill_block(&mut scratch, 8192.min(n - packer.trace.len));
             for instr in &scratch {
-                if let Err(addr) = packer.push(instr) {
-                    let (page, pages) = stream.data_region();
-                    panic!(
-                        "stream '{}' accessed {addr:#x}, outside its data region of {pages} \
-                         pages at {:#x}; packed traces store accesses as offsets into it",
-                        stream.name(),
-                        page.raw() << PAGE_SHIFT,
-                    );
+                if let Err(misfit) = packer.push(instr) {
+                    panic!("{}", misfit.message(&packer.trace));
                 }
             }
         }
@@ -328,12 +372,12 @@ impl PackedTrace {
     /// The resident bytes a trace of `len` instructions is projected to
     /// take before it exists: its words, plus as many `jumps` and `mems`
     /// entries as the densest suite trace needs, rounded up. That is
-    /// 2.51 bytes per instruction against the suites' 2.05–2.36.
+    /// 1.98 bytes per instruction against the suites' 1.49–1.87.
     /// [`resident_bytes`](Self::resident_bytes) gives the actual figure
     /// once the trace is built.
     pub fn projected_bytes(len: u64) -> u64 {
         let (jumps, mems) = array_bounds(len as usize);
-        (len.div_ceil(64) as usize * size_of::<Word>() + jumps * 8 + mems * 4) as u64
+        (len.div_ceil(64) as usize * size_of::<Word>() + (jumps + mems) * 4) as u64
     }
 
     /// Number of instructions captured.
@@ -351,63 +395,30 @@ impl PackedTrace {
         &self.name
     }
 
-    /// Resident size of the trace's arrays in bytes, page-run index and
-    /// per-word counts included (they live in the same `WorkloadCache`
-    /// resident budget as the instructions they index).
+    /// Resident size of the trace's arrays in bytes, per-word counts
+    /// included (they live in the same `WorkloadCache` resident budget as
+    /// the instructions they index).
     pub fn resident_bytes(&self) -> u64 {
         (size_of_val(self.words.as_slice())
             + size_of_val(self.jumps.as_slice())
             + size_of_val(self.mems.as_slice())) as u64
     }
 
-    /// The page-run index over fetch addresses: exclusive end positions
-    /// of maximal same-page PC spans, the last equal to the length.
-    pub fn irun_ends(&self) -> Vec<u32> {
-        self.run_ends(|w| w.irun)
-    }
-
-    /// The page-run index over data addresses: exclusive end positions
-    /// of spans whose accesses all touch one page, the last equal to
-    /// the length.
-    pub fn drun_ends(&self) -> Vec<u32> {
-        self.run_ends(|w| w.drun)
-    }
-
-    fn run_ends(&self, field: fn(&Word) -> u64) -> Vec<u32> {
-        let mut ends = Vec::new();
-        if self.len > 0 {
-            self.push_run_ends(0, self.len, field, &mut ends);
-        }
-        ends
-    }
-
-    /// Appends, relative to `start`, the end of every run the `field`
-    /// bitmap starts inside `start + 1..end`, then `end` itself: the
-    /// runs of `start..end` with the block edges as extra boundaries.
-    fn push_run_ends(
-        &self,
-        start: usize,
-        end: usize,
-        field: impl Fn(&Word) -> u64,
-        ends: &mut Vec<u32>,
-    ) {
-        let first = start + 1;
-        let mut w = first / 64;
-        let mut mask = u64::MAX << (first % 64);
-        while w * 64 < end {
-            let mut bits = field(&self.words[w]) & mask & below((end - w * 64).min(64));
-            while bits != 0 {
-                ends.push((w * 64 + bits.trailing_zeros() as usize - start) as u32);
-                bits &= bits - 1;
-            }
-            w += 1;
-            mask = u64::MAX;
-        }
-        ends.push((end - start) as u32);
+    fn code_start(&self) -> u64 {
+        self.code_region.0.raw() << PAGE_SHIFT
     }
 
     fn data_start(&self) -> u64 {
         self.data_region.0.raw() << PAGE_SHIFT
+    }
+
+    /// The access a `mems` entry holds.
+    #[inline]
+    fn access(&self, entry: u32) -> MemAccess {
+        MemAccess {
+            addr: VirtAddr::new(self.data_start().wrapping_add((entry & !STORE) as u64)),
+            write: entry & STORE != 0,
+        }
     }
 
     /// Decodes instruction `i` in constant time.
@@ -428,19 +439,17 @@ impl PackedTrace {
         let upto = word.jump & below(bit + 1);
         let jump = word.jumps_before as usize + upto.count_ones() as usize - 1;
         let since = bit - (63 - upto.leading_zeros() as usize);
-        let pc = self.jumps[jump].wrapping_add(4 * since as u64);
+        let pc = self
+            .code_start()
+            .wrapping_add(self.jumps[jump] as u64 + 4 * since as u64);
         // Loaded whether or not `i` has an access, so that the presence
         // test selects rather than branches; without an access, `m` may
         // be one past the last entry.
         let m = word.mems_before as usize + (word.mem & !(u64::MAX << bit)).count_ones() as usize;
-        let offset = self.mems.get(m).copied().unwrap_or_default();
-        let mem = (word.mem >> bit & 1 != 0).then_some(MemAccess {
-            addr: VirtAddr::new(self.data_start().wrapping_add(offset as u64)),
-            write: word.write >> bit & 1 != 0,
-        });
+        let entry = self.mems.get(m).copied().unwrap_or_default();
         TraceInstruction {
             pc: VirtAddr::new(pc),
-            mem,
+            mem: (word.mem >> bit & 1 != 0).then(|| self.access(entry)),
         }
     }
 
@@ -487,15 +496,11 @@ impl PackedTrace {
         }
         out.write_all(self.name.as_bytes())?;
         for word in &self.words {
-            for bitmap in word.bitmaps() {
-                out.write_all(&bitmap.to_le_bytes())?;
-            }
+            out.write_all(&word.jump.to_le_bytes())?;
+            out.write_all(&word.mem.to_le_bytes())?;
         }
-        for &pc in &self.jumps {
-            out.write_all(&pc.to_le_bytes())?;
-        }
-        for &offset in &self.mems {
-            out.write_all(&offset.to_le_bytes())?;
+        for &entry in self.jumps.iter().chain(&self.mems) {
+            out.write_all(&entry.to_le_bytes())?;
         }
 
         let hash = out.hash;
@@ -531,7 +536,7 @@ impl PackedTrace {
         if &magic != MAGIC {
             return Err(bad(&match magic.strip_prefix(b"MRGNPKT") {
                 Some(&[v]) if v.is_ascii_digit() => {
-                    format!("packed trace is format v{}; this build reads v3", v as char)
+                    format!("packed trace is format v{}; this build reads v4", v as char)
                 }
                 _ => "not a Morrigan packed trace".to_string(),
             }));
@@ -546,8 +551,8 @@ impl PackedTrace {
         let expected_bytes = [
             (8 + 8 * HEADER_FIELDS as u64 + 8, 1),
             (name_len, 1),
-            (words, 5 * 8),
-            (jump_count, 8),
+            (words, 2 * 8),
+            (jump_count, 4),
             (mem_count, 4),
         ]
         .into_iter()
@@ -570,29 +575,18 @@ impl PackedTrace {
         let mut word_list = Vec::with_capacity(words as usize);
         let (mut jumps_before, mut mems_before) = (0u64, 0u64);
         for _ in 0..words {
-            let [jump, mem, write, irun, drun] = read_u64s(&mut input)?;
+            let [jump, mem] = read_u64s(&mut input)?;
             word_list.push(Word {
                 jump,
                 mem,
-                write,
-                irun,
-                drun,
                 jumps_before: jumps_before as u32,
                 mems_before: mems_before as u32,
             });
             jumps_before += jump.count_ones() as u64;
             mems_before += mem.count_ones() as u64;
         }
-        let mut jumps = Vec::with_capacity(jump_count as usize);
-        for _ in 0..jump_count {
-            jumps.push(read_u64(&mut input)?);
-        }
-        let mut mems = Vec::with_capacity(mem_count as usize);
-        for _ in 0..mem_count {
-            let mut buf = [0u8; 4];
-            input.read_exact(&mut buf)?;
-            mems.push(u32::from_le_bytes(buf));
-        }
+        let jumps = read_u32s(&mut input, jump_count)?;
+        let mems = read_u32s(&mut input, mem_count)?;
         let computed = input.hash;
         if read_u64(&mut input.inner)? != computed {
             return Err(bad("packed trace content hash mismatch (corrupted file)"));
@@ -611,7 +605,7 @@ impl PackedTrace {
         };
         if word_list
             .last()
-            .is_some_and(|w| w.bitmaps().iter().any(|b| b & past_len != 0))
+            .is_some_and(|w| (w.jump | w.mem) & past_len != 0)
         {
             return Err(bad("bits set past the end of the trace"));
         }
@@ -634,11 +628,12 @@ impl PackedTrace {
         for i in 0..len {
             rescan
                 .push(&trace.get(i))
-                .map_err(|_| bad("a data access lies outside the data region"))?;
+                .map_err(|misfit| bad(&misfit.message(&trace)))?;
         }
         if rescan.finish() != trace {
             return Err(bad(
-                "packed trace disagrees with a rescan of its instructions (run or jump bitmaps)",
+                "packed trace disagrees with a rescan of its instructions (a jump bit on a \
+                 PC + 4)",
             ));
         }
         Ok((trace, f64::from_bits(build_bits)))
@@ -659,6 +654,18 @@ fn read_u64s<const N: usize>(input: &mut impl Read) -> io::Result<[u64; N]> {
     let mut values = [0u64; N];
     for v in &mut values {
         *v = read_u64(input)?;
+    }
+    Ok(values)
+}
+
+/// Reads `count` `u32`s; the caller has checked `count` against the file
+/// size.
+fn read_u32s(input: &mut impl Read, count: u64) -> io::Result<Vec<u32>> {
+    let mut values = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let mut buf = [0u8; 4];
+        input.read_exact(&mut buf)?;
+        values.push(u32::from_le_bytes(buf));
     }
     Ok(values)
 }
@@ -742,6 +749,106 @@ impl PackedReplay {
             self.trace.len(),
         );
     }
+
+    /// Word-at-a-time decode of the next `n` instructions into `out`,
+    /// with one up-front bounds check: per word, the +4 stretches between
+    /// jumps go out as straight-line stores, then the set bits of `mem`
+    /// patch in the data accesses. With `RUNS`, each stretch and each
+    /// access also checks its page against its predecessor's and appends
+    /// the block-relative start of every run it opens to `irun_ends` or
+    /// `drun_ends`, then the block length to both (the module docs give
+    /// the rules).
+    #[inline(always)]
+    fn decode<const RUNS: bool>(
+        &mut self,
+        out: &mut Vec<TraceInstruction>,
+        irun_ends: &mut Vec<u32>,
+        drun_ends: &mut Vec<u32>,
+        n: usize,
+    ) {
+        let trace = &*self.trace;
+        let start = self.cursor;
+        let Some(end) = start.checked_add(n).filter(|&e| e <= trace.len) else {
+            self.exhausted(n);
+        };
+        out.reserve(n);
+        let code_start = trace.code_start();
+        // Pages of the previous PC and of the block's previous access.
+        let mut ipage: Option<u64> = None;
+        let mut dpage: Option<u32> = None;
+        let mut i = start;
+        while i < end {
+            let w = i / 64;
+            let word = &trace.words[w];
+            let (lo, hi) = (i % 64, (end - w * 64).min(64));
+            let first = out.len();
+            // Block-relative position of bit `b` of this word.
+            let at_block = |b: usize| (w * 64 + b - start) as u32;
+
+            let upto = word.jump & below(lo + 1);
+            let mut jump = word.jumps_before as usize + upto.count_ones() as usize - 1;
+            let mut pc = code_start.wrapping_add(
+                trace.jumps[jump] as u64 + 4 * (lo - (63 - upto.leading_zeros() as usize)) as u64,
+            );
+            let mut at = lo;
+            // Jump bits strictly inside the word's `lo..hi` slice.
+            let mut later = word.jump & !below(lo + 1) & below(hi);
+            loop {
+                let stop = if later == 0 {
+                    hi
+                } else {
+                    later.trailing_zeros() as usize
+                };
+                let base = pc;
+                let len = stop - at;
+                if RUNS {
+                    if ipage.is_some_and(|page| page != base >> PAGE_SHIFT) {
+                        irun_ends.push(at_block(at));
+                    }
+                    let cross = (PAGE_SIZE - (base & (PAGE_SIZE - 1))).div_ceil(4) as usize;
+                    if cross < len {
+                        irun_ends.push(at_block(at + cross));
+                    }
+                    ipage = Some(base.wrapping_add(4 * (len - 1) as u64) >> PAGE_SHIFT);
+                }
+                out.extend((0..len as u64).map(|k| TraceInstruction {
+                    pc: VirtAddr::new(base.wrapping_add(4 * k)),
+                    mem: None,
+                }));
+                if later == 0 {
+                    break;
+                }
+                jump += 1;
+                pc = code_start.wrapping_add(trace.jumps[jump] as u64);
+                at = stop;
+                later &= later - 1;
+            }
+
+            let from_lo = u64::MAX << lo;
+            let mut m = word.mems_before as usize + (word.mem & !from_lo).count_ones() as usize;
+            let mut bits = word.mem & from_lo & below(hi);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                let entry = trace.mems[m];
+                if RUNS {
+                    let page = (entry & !STORE) >> PAGE_SHIFT;
+                    if dpage.is_some_and(|p| p != page) {
+                        drun_ends.push(at_block(b));
+                    }
+                    dpage = Some(page);
+                }
+                out[first + b - lo].mem = Some(trace.access(entry));
+                m += 1;
+                bits &= bits - 1;
+            }
+            i = w * 64 + hi;
+        }
+        if RUNS && n > 0 {
+            irun_ends.push(n as u32);
+            drun_ends.push(n as u32);
+        }
+        self.cursor = end;
+    }
 }
 
 impl InstructionStream for PackedReplay {
@@ -758,73 +865,12 @@ impl InstructionStream for PackedReplay {
         instr
     }
 
-    /// Word-at-a-time decode with one up-front bounds check: per word,
-    /// the +4 stretches between jumps go out as straight-line stores,
-    /// then the set bits of `mem` patch in the data accesses.
     fn fill_block(&mut self, out: &mut Vec<TraceInstruction>, n: usize) {
-        let trace = &*self.trace;
-        let Some(end) = self.cursor.checked_add(n).filter(|&e| e <= trace.len) else {
-            self.exhausted(n);
-        };
-        out.reserve(n);
-        let data_start = trace.data_start();
-        let mut i = self.cursor;
-        while i < end {
-            let w = i / 64;
-            let word = &trace.words[w];
-            let (lo, hi) = (i % 64, (end - w * 64).min(64));
-            let first = out.len();
-
-            let upto = word.jump & below(lo + 1);
-            let mut jump = word.jumps_before as usize + upto.count_ones() as usize - 1;
-            let mut pc = trace.jumps[jump]
-                .wrapping_add(4 * (lo - (63 - upto.leading_zeros() as usize)) as u64);
-            let mut at = lo;
-            // Jump bits strictly inside the word's `lo..hi` slice.
-            let mut later = word.jump & !below(lo + 1) & below(hi);
-            loop {
-                let stop = if later == 0 {
-                    hi
-                } else {
-                    later.trailing_zeros() as usize
-                };
-                let base = pc;
-                out.extend((0..(stop - at) as u64).map(|k| TraceInstruction {
-                    pc: VirtAddr::new(base.wrapping_add(4 * k)),
-                    mem: None,
-                }));
-                if later == 0 {
-                    break;
-                }
-                jump += 1;
-                pc = trace.jumps[jump];
-                at = stop;
-                later &= later - 1;
-            }
-
-            let from_lo = u64::MAX << lo;
-            let mut m = word.mems_before as usize + (word.mem & !from_lo).count_ones() as usize;
-            let mut bits = word.mem & from_lo & below(hi);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out[first + b - lo].mem = Some(MemAccess {
-                    addr: VirtAddr::new(data_start.wrapping_add(trace.mems[m] as u64)),
-                    write: word.write >> b & 1 != 0,
-                });
-                m += 1;
-                bits &= bits - 1;
-            }
-            i = w * 64 + hi;
-        }
-        self.cursor = end;
+        self.decode::<false>(out, &mut Vec::new(), &mut Vec::new(), n);
     }
 
-    /// Run-aware refill: the instructions come from [`fill_block`]'s
-    /// word decode, the run boundaries from the trace's run bitmaps —
-    /// clipped to the block and rebased to it — so no rescan of the
-    /// delivered instructions happens at all.
-    ///
-    /// [`fill_block`]: InstructionStream::fill_block
+    /// Run-aware refill: the runs are derived during the word decode, so
+    /// no pass over the delivered instructions happens at all.
     fn fill_block_runs(
         &mut self,
         out: &mut Vec<TraceInstruction>,
@@ -832,16 +878,9 @@ impl InstructionStream for PackedReplay {
         drun_ends: &mut Vec<u32>,
         n: usize,
     ) {
-        let start = self.cursor;
-        self.fill_block(out, n);
         irun_ends.clear();
         drun_ends.clear();
-        if n > 0 {
-            self.trace
-                .push_run_ends(start, start + n, |w| w.irun, irun_ends);
-            self.trace
-                .push_run_ends(start, start + n, |w| w.drun, drun_ends);
-        }
+        self.decode::<true>(out, irun_ends, drun_ends, n);
     }
 
     fn code_region(&self) -> (VirtPage, u64) {
@@ -908,7 +947,7 @@ mod tests {
         assert_eq!(trace.name(), live.name());
         assert_eq!(trace.len(), 100);
         // Two words, and at least their two leading jumps.
-        assert!(trace.resident_bytes() >= 2 * size_of::<Word>() as u64 + 2 * 8);
+        assert!(trace.resident_bytes() >= 2 * size_of::<Word>() as u64 + 2 * 4);
     }
 
     #[test]
@@ -923,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn suite_traces_stay_within_two_and_a_half_bytes_per_instruction() {
+    fn suite_traces_stay_within_two_bytes_per_instruction() {
         let len = 200_000u64;
         let server_cfg = &crate::suites::qmm_suite()[0];
         let spec_cfg = &crate::suites::spec_suite()[0];
@@ -933,7 +972,7 @@ mod tests {
         ] {
             let per_instr = trace.resident_bytes() as f64 / len as f64;
             assert!(
-                per_instr <= 2.5,
+                per_instr <= 2.0,
                 "{}: {per_instr:.2} bytes per instruction",
                 trace.name()
             );
@@ -945,8 +984,14 @@ mod tests {
         }
     }
 
-    /// A stream whose every access lies one byte past its data region.
-    struct Stray;
+    /// A stream that fetches `pc` and stores to `addr` on every
+    /// instruction, with a one-page code region at 0x400000 and a data
+    /// region of `data_pages` pages at 0x100000.
+    struct Stray {
+        pc: u64,
+        addr: u64,
+        data_pages: u64,
+    }
 
     impl InstructionStream for Stray {
         fn name(&self) -> &str {
@@ -955,10 +1000,10 @@ mod tests {
 
         fn next_instruction(&mut self) -> TraceInstruction {
             TraceInstruction {
-                pc: VirtAddr::new(0x40_0000),
+                pc: VirtAddr::new(self.pc),
                 mem: Some(MemAccess {
-                    addr: VirtAddr::new(0x20_0000),
-                    write: false,
+                    addr: VirtAddr::new(self.addr),
+                    write: true,
                 }),
             }
         }
@@ -968,14 +1013,53 @@ mod tests {
         }
 
         fn data_region(&self) -> (VirtPage, u64) {
-            (VirtPage::new(0x100), 0x100)
+            (VirtPage::new(0x100), self.data_pages)
         }
     }
 
     #[test]
     #[should_panic(expected = "stream 'stray' accessed 0x200000, outside its data region")]
     fn capture_rejects_accesses_outside_the_data_region() {
-        PackedTrace::capture(&mut Stray, 10);
+        // One byte past the region's 256 pages.
+        PackedTrace::capture(
+            &mut Stray {
+                pc: 0x40_0000,
+                addr: 0x20_0000,
+                data_pages: 0x100,
+            },
+            10,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 'stray' fetched 0x401000, outside its code region")]
+    fn capture_rejects_pcs_outside_the_code_region() {
+        let mut stray = Stray {
+            pc: 0x40_0ffc,
+            addr: 0x10_0000,
+            data_pages: 0x100,
+        };
+        // The region's last PC packs; the next page's first does not.
+        PackedTrace::capture(&mut stray, 10);
+        stray.pc = 0x40_1000;
+        PackedTrace::capture(&mut stray, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 'stray' accessed 0x80100000, 2 GiB or more into its data")]
+    fn capture_rejects_accesses_two_gib_into_the_data_region() {
+        // A 4 GiB data region: the store just below 2 GiB into it packs,
+        // its flag apart from its offset.
+        let mut stray = Stray {
+            pc: 0x40_0000,
+            addr: 0x10_0000 + (1 << 31) - 8,
+            data_pages: 1 << 20,
+        };
+        let trace = PackedTrace::capture(&mut stray, 10);
+        let access = trace.get(9).mem.unwrap();
+        assert_eq!((access.addr.raw(), access.write), (stray.addr, true));
+        stray.addr = 0x10_0000 + (1 << 31);
+        PackedTrace::capture(&mut stray, 10);
     }
 
     #[test]
@@ -1033,19 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn page_run_index_matches_fresh_scan() {
-        let trace = capture(17, 40_000);
-        let instrs: Vec<TraceInstruction> =
-            (0..trace.len() as usize).map(|i| trace.get(i)).collect();
-        let (mut iruns, mut druns) = (Vec::new(), Vec::new());
-        crate::instruction::scan_page_runs(&instrs, &mut iruns, &mut druns);
-        assert_eq!(trace.irun_ends(), iruns);
-        assert_eq!(trace.drun_ends(), druns);
-        assert_eq!(*iruns.last().unwrap() as u64, trace.len());
-        assert_eq!(*druns.last().unwrap() as u64, trace.len());
-    }
-
-    #[test]
     fn fill_block_runs_agrees_with_default_scan() {
         let trace = Arc::new(capture(19, 30_000));
         let mut replay = PackedReplay::new(trace.clone());
@@ -1060,25 +1131,8 @@ mod tests {
             replay.fill_block_runs(&mut out, &mut iruns, &mut druns, n);
             let (mut si, mut sd) = (Vec::new(), Vec::new());
             crate::instruction::scan_page_runs(&out, &mut si, &mut sd);
-            // i-runs are canonical: every instruction has a PC, so a
-            // fresh scan and the persisted index agree exactly.
             assert_eq!(iruns, si, "iruns at offset {consumed}, block {n}");
-            // d-runs may be split finer by the index when a span crosses
-            // a refill boundary; the fresh scan's boundaries (real page
-            // changes) must all be present, and every indexed span must
-            // still touch at most one data page.
-            assert_eq!(*druns.last().unwrap() as usize, n);
-            assert!(druns.windows(2).all(|w| w[0] < w[1]));
-            assert!(sd.iter().all(|b| druns.contains(b)), "at offset {consumed}");
-            let mut begin = 0usize;
-            for &e in &druns {
-                let pages: std::collections::HashSet<u64> = out[begin..e as usize]
-                    .iter()
-                    .filter_map(|i| i.mem.map(|m| m.addr.raw() >> 12))
-                    .collect();
-                assert!(pages.len() <= 1, "d-run spans {} pages", pages.len());
-                begin = e as usize;
-            }
+            assert_eq!(druns, sd, "druns at offset {consumed}, block {n}");
             consumed += n;
         }
     }
@@ -1090,7 +1144,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("morrigan-pk-v1-{}.mpt", std::process::id()));
         trace.write_to(&path, key, 0.5).expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
-        for old in [b"MRGNPKT1", b"MRGNPKT2"] {
+        for old in [b"MRGNPKT1", b"MRGNPKT2", b"MRGNPKT3"] {
             bytes[..8].copy_from_slice(old);
             std::fs::write(&path, &bytes).expect("rewrite");
             let err = PackedTrace::read_from(&path, key).expect_err("old formats are rejected");
@@ -1105,13 +1159,12 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_counts_the_run_index() {
+    fn resident_bytes_counts_words_and_arrays() {
         let trace = capture(29, 10_000);
-        // The run bitmaps live in the words, beside the instruction bits.
-        assert!(trace.words.iter().any(|w| w.irun != 0));
-        assert!(trace.words.iter().any(|w| w.drun != 0));
+        // Two bitmaps and two counts per word; `u32` jumps and accesses.
+        assert_eq!(size_of::<Word>(), 24);
         let words = (trace.len() as usize).div_ceil(64) * size_of::<Word>();
-        let arrays = trace.jumps.len() * 8 + trace.mems.len() * 4;
+        let arrays = (trace.jumps.len() + trace.mems.len()) * 4;
         assert_eq!(trace.resident_bytes(), (words + arrays) as u64);
     }
 
@@ -1165,17 +1218,28 @@ mod tests {
         t.jumps.remove(t.words[3].jumps_before as usize);
         cases.push(("does not start with a jump", t));
         let mut t = trace.clone();
-        t.words.last_mut().unwrap().write |= 1 << 63;
+        t.words.last_mut().unwrap().jump |= 1 << 63;
+        t.jumps.push(0);
         cases.push(("past the end", t));
+        // A jump bit on a PC that is its predecessor's + 4: every count
+        // agrees and every instruction decodes as before.
         let mut t = trace.clone();
-        t.words[5].irun ^= 1 << 17;
+        let w = &mut t.words[5];
+        let b = (1..64).find(|b| w.jump >> b & 1 == 0).unwrap();
+        let at = w.jumps_before as usize + (w.jump & below(b)).count_ones() as usize;
+        w.jump |= 1 << b;
+        let pc = trace.get(5 * 64 + b).pc.raw() - trace.code_start();
+        t.jumps.insert(at, pc as u32);
         cases.push(("rescan", t));
         let mut t = trace.clone();
         t.words[5].mem = 0;
         cases.push(("popcounts", t));
         let mut t = trace.clone();
         t.mems[10] = u32::MAX;
-        cases.push(("outside the data region", t));
+        cases.push(("outside its data region", t));
+        let mut t = trace.clone();
+        t.jumps[10] = u32::MAX;
+        cases.push(("outside its code region", t));
         for (expected, t) in cases {
             let bytes = encode(&t);
             let err = PackedTrace::decode(&bytes[..], bytes.len() as u64, key)

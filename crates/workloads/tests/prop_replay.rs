@@ -164,25 +164,23 @@ proptest! {
         }
     }
 
-    /// Version migration: a stale v1 or v2 file is rejected with an error
-    /// naming its version — the exact signal the workload cache's rebuild
-    /// fallback keys on — and the rebuilt v3 file round-trips with the
-    /// page-run index intact and canonical (equal to a fresh scan of the
-    /// decoded instructions).
+    /// Version migration: a stale v1, v2 or v3 file is rejected with an
+    /// error naming its version — the exact signal the workload cache's
+    /// rebuild fallback keys on — and the rebuilt v4 file round-trips.
     #[test]
-    fn old_formats_trigger_rebuild_and_v3_keeps_run_index(
+    fn old_formats_trigger_rebuild_and_v4_round_trips(
         seed in 0u64..100_000,
         n in 500usize..2_500,
-        version in 1u8..3,
+        version in 1u8..4,
     ) {
-        let cfg = ServerWorkloadConfig::qmm_like(format!("prop-v12-{seed}"), seed);
+        let cfg = ServerWorkloadConfig::qmm_like(format!("prop-old-{seed}"), seed);
         let trace = PackedTrace::capture(&mut ServerWorkload::new(cfg.clone()), n as u64);
         let key = morrigan_workloads::fnv1a(format!("{cfg:?}|{n}").as_bytes());
         let path = std::env::temp_dir().join(format!(
-            "morrigan-prop-v12-{}-{seed}-{n}.mpt",
+            "morrigan-prop-old-{}-{seed}-{n}.mpt",
             std::process::id()
         ));
-        // An older file differs from a v3 one in its magic first.
+        // An older file differs from a v4 one in its magic first.
         trace.write_to(&path, key, 0.5).expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
         bytes[7] = b'0' + version;
@@ -193,21 +191,58 @@ proptest! {
             "rebuild trigger must name the stale version, got: {}", err
         );
 
-        // The cache's fallback path: rebuild in place and persist as v3.
-        trace.write_to(&path, key, 0.5).expect("write v3");
-        let (loaded, _) = PackedTrace::read_from(&path, key).expect("read v3");
+        // The cache's fallback path: rebuild in place and persist as v4.
+        trace.write_to(&path, key, 0.5).expect("write v4");
+        let (loaded, _) = PackedTrace::read_from(&path, key).expect("read v4");
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(loaded.irun_ends(), trace.irun_ends());
-        prop_assert_eq!(loaded.drun_ends(), trace.drun_ends());
         prop_assert_eq!(&loaded, &trace);
+    }
 
-        // The persisted index must agree with a fresh scan of the decoded
-        // instructions, so replay-side run consumption sees the same
-        // spans a live generator would produce.
-        let instrs: Vec<_> = (0..n).map(|i| loaded.get(i)).collect();
-        let (mut si, mut sd) = (Vec::new(), Vec::new());
-        scan_page_runs(&instrs, &mut si, &mut sd);
-        prop_assert_eq!(loaded.irun_ends(), si);
-        prop_assert_eq!(loaded.drun_ends(), sd);
+    /// Page runs derived on replay: for server and SPEC captures of any
+    /// length, at any mix of take sizes (single instructions, mid-word
+    /// cuts, the simulator's 1024, and the rest of the trace),
+    /// `fill_block_runs` returns exactly the partition `scan_page_runs`
+    /// finds over the block it delivered.
+    #[test]
+    fn fill_block_runs_equals_a_fresh_scan_of_the_block(
+        seed in 0u64..1_000_000,
+        spec in any::<bool>(),
+        words in 1usize..200,
+        tail in 1usize..64,
+        takes in prop::collection::vec((0u8..4, 2usize..64), 1..12),
+    ) {
+        // Never a whole number of words.
+        let n = words * 64 + tail;
+        let trace = Arc::new(if spec {
+            let cfg = SpecWorkloadConfig::spec_like(format!("prop-runs-{seed}"), seed);
+            PackedTrace::capture(&mut SpecWorkload::new(cfg), n as u64)
+        } else {
+            let cfg = ServerWorkloadConfig::qmm_like(format!("prop-runs-{seed}"), seed);
+            PackedTrace::capture(&mut ServerWorkload::new(cfg), n as u64)
+        });
+        let mut replay = PackedReplay::new(trace);
+        let (mut block, mut iruns, mut druns) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut scan_i, mut scan_d) = (Vec::new(), Vec::new());
+        let mut done = 0;
+        for &(kind, mid_word) in takes.iter().cycle() {
+            if done == n {
+                break;
+            }
+            let take = match kind {
+                0 => 1,
+                1 => mid_word,
+                2 => 1024,
+                _ => n,
+            }
+            .min(n - done);
+            block.clear();
+            replay.fill_block_runs(&mut block, &mut iruns, &mut druns, take);
+            scan_i.clear();
+            scan_d.clear();
+            scan_page_runs(&block, &mut scan_i, &mut scan_d);
+            prop_assert_eq!(&iruns, &scan_i, "i-runs of {} at {} of {}", take, done, n);
+            prop_assert_eq!(&druns, &scan_d, "d-runs of {} at {} of {}", take, done, n);
+            done += take;
+        }
     }
 }
