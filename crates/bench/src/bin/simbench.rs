@@ -262,7 +262,7 @@ fn run_figures(
             workload_gen_seconds: phases.workload_gen(),
             trace_build_seconds: phases.trace_build(),
             simulate_seconds: phases.simulate(),
-            workloads_materialized: workload_stats.built + workload_stats.loaded_from_disk,
+            workloads_materialized: workload_stats.built,
             streams_served: workload_stats.streams_served,
             record_instructions,
             record_istlb_misses,

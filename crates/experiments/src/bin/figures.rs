@@ -232,12 +232,11 @@ fn main() -> ExitCode {
     let workload_stats = runner.workload_cache_stats();
     eprintln!(
         "{} simulations executed, {} served from the record cache; \
-         {} distinct workloads materialized ({} from disk) serving {} streams, \
+         {} distinct workloads materialized serving {} streams, \
          ~{:.2}s of workload generation saved",
         runner.sims_executed(),
         runner.cache_hits(),
-        workload_stats.built + workload_stats.loaded_from_disk,
-        workload_stats.loaded_from_disk,
+        workload_stats.built,
         workload_stats.streams_served,
         workload_stats.saved_seconds,
     );

@@ -19,9 +19,7 @@
 //! ```
 //!
 //! Every run is a [`RunSpec`] executed through the workload cache, the
-//! same path the `figures` binary takes. `MORRIGAN_WORKLOAD_CACHE=<dir>
-//! stlbsim …` freezes the workload as a hash-verified `.mpt` trace under
-//! `<dir>`; later runs with the same arguments replay it.
+//! same path the `figures` binary takes.
 
 use std::process::ExitCode;
 
@@ -148,8 +146,7 @@ fn run() -> Result<(), String> {
     let kind = prefetcher_kind(&opts.prefetcher)?;
     let seed: u64 = opts.workload.parse().map_err(|_| {
         format!(
-            "--workload takes a QMM-like workload seed, got '{}' (to freeze a workload's \
-             trace, set MORRIGAN_WORKLOAD_CACHE=<dir>)",
+            "--workload takes a QMM-like workload seed, got '{}'",
             opts.workload
         )
     })?;

@@ -13,7 +13,6 @@
 //! and the run-level `figures` flags are parsed; every front end builds
 //! its [`Scale`], [`Runner`] and workload cache from it.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use morrigan_runner::WorkloadCache;
@@ -178,9 +177,6 @@ pub struct RunOptions {
     /// Generate every workload live, bypassing the trace cache
     /// (`--no-workload-cache` / `MORRIGAN_NO_WORKLOAD_CACHE`).
     pub no_workload_cache: bool,
-    /// Persist packed traces under this directory
-    /// (`MORRIGAN_WORKLOAD_CACHE`).
-    pub workload_cache_dir: Option<PathBuf>,
     /// Resident trace budget in MiB (`MORRIGAN_WORKLOAD_CACHE_MB`).
     pub workload_cache_mb: Option<u64>,
     /// Event-trace path, `.json` or `.jsonl` (`--trace` /
@@ -228,7 +224,6 @@ impl RunOptions {
             .flatten(),
             machine_threads: env_value(var, "MORRIGAN_MACHINE_THREADS", parse_machine_threads),
             no_workload_cache: switch("MORRIGAN_NO_WORKLOAD_CACHE"),
-            workload_cache_dir: env_value(var, "MORRIGAN_WORKLOAD_CACHE", |v| Ok(v.into())),
             workload_cache_mb: env_value(
                 var,
                 "MORRIGAN_WORKLOAD_CACHE_MB",
@@ -332,16 +327,13 @@ impl RunOptions {
     }
 
     /// The workload-trace cache: disabled under `no_workload_cache`,
-    /// else in memory, persisted under `workload_cache_dir` when set,
-    /// with `workload_cache_mb` as the resident budget when set.
+    /// else in memory, with `workload_cache_mb` as the resident budget
+    /// when set.
     pub fn workload_cache(&self) -> WorkloadCache {
         if self.no_workload_cache {
             return WorkloadCache::disabled();
         }
-        let cache = match &self.workload_cache_dir {
-            Some(dir) => WorkloadCache::with_disk(dir),
-            None => WorkloadCache::in_memory(),
-        };
+        let cache = WorkloadCache::in_memory();
         match self.workload_cache_mb {
             Some(mb) => cache.with_max_resident_bytes(mb.saturating_mul(1 << 20)),
             None => cache,
@@ -718,7 +710,7 @@ mod tests {
         read.sort();
         read.dedup();
         assert_eq!(read.len(), total, "a variable was read twice");
-        assert_eq!(total, 15);
+        assert_eq!(total, 14);
         assert!(read.iter().all(|name| name.starts_with("MORRIGAN_")));
         assert!(
             !read.contains(&"MORRIGAN_AUDIT".to_string()),
@@ -909,12 +901,7 @@ mod tests {
 
     #[test]
     fn workload_cache_variables_configure_the_cache() {
-        let dir = std::env::temp_dir().join("morrigan-options-test");
-        let opts = options(&[
-            ("MORRIGAN_WORKLOAD_CACHE", dir.to_str().unwrap()),
-            ("MORRIGAN_WORKLOAD_CACHE_MB", "64"),
-        ]);
-        assert_eq!(opts.workload_cache_dir, Some(dir));
+        let opts = options(&[("MORRIGAN_WORKLOAD_CACHE_MB", "64")]);
         assert_eq!(opts.workload_cache_mb, Some(64));
         assert!(opts.workload_cache().enabled());
     }

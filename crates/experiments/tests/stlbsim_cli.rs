@@ -10,7 +10,6 @@ use morrigan_workloads::ServerWorkloadConfig;
 fn stlbsim(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_stlbsim"))
         .args(args)
-        .env_remove("MORRIGAN_WORKLOAD_CACHE")
         .output()
         .expect("stlbsim starts")
 }

@@ -63,8 +63,7 @@ pub struct Runner {
     /// Materialized workload traces shared across worker threads: each
     /// distinct workload is generated once per invocation and replayed
     /// by every spec that uses it. Defaults to in-memory; see
-    /// [`Runner::with_workload_cache`] for the disk-backed and disabled
-    /// variants.
+    /// [`Runner::with_workload_cache`] for the disabled variant.
     workloads: WorkloadCache,
 }
 

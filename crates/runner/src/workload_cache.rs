@@ -11,18 +11,13 @@
 //! every consumer an `Arc`-shared [`PackedReplay`] cursor. Aggregate
 //! workload-generation cost drops from O(runs) to O(distinct workloads).
 //!
-//! Three layers, each optional:
+//! Two modes:
 //!
 //! * **off** — [`WorkloadCache::disabled`] (`figures
 //!   --no-workload-cache` / `MORRIGAN_NO_WORKLOAD_CACHE=1`): every
 //!   consumer generates live, exactly as before the cache existed;
 //! * **in-memory** — the default for a [`Runner`](crate::Runner):
-//!   traces live for the invocation, shared across worker threads;
-//! * **on-disk** — [`WorkloadCache::with_disk`], opt-in via
-//!   `MORRIGAN_WORKLOAD_CACHE=<dir>`: traces are also persisted in the
-//!   versioned, hash-verified `.mpt` format for cross-invocation reuse. A corrupted or stale file is detected
-//!   (magic/key/content hash), logged, and rebuilt — never fatal, never
-//!   silently replayed.
+//!   traces live for the invocation, shared across worker threads.
 //!
 //! Correctness does not depend on any of this: replay emits byte-for-byte
 //! the live generator's sequence (pinned by the workloads proptests and
@@ -32,12 +27,11 @@
 //! [`RunSpec`]: crate::RunSpec
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use morrigan_workloads::{fnv1a, InstructionStream, PackedReplay, PackedTrace, REPLAY_SLACK};
+use morrigan_workloads::{InstructionStream, PackedReplay, PackedTrace, REPLAY_SLACK};
 
 /// Default resident-byte budget for materialized traces (2 GiB).
 ///
@@ -62,9 +56,8 @@ struct Slot {
 
 struct Materialized {
     trace: Arc<PackedTrace>,
-    /// Seconds one live generation of this trace costs — measured here
-    /// when built in-process, or carried in the file header when loaded
-    /// from disk. Basis for the "generation seconds saved" estimate.
+    /// Seconds the capture of this trace took: the basis for the
+    /// "generation seconds saved" estimate.
     build_seconds: f64,
 }
 
@@ -75,8 +68,6 @@ pub struct WorkloadCacheStats {
     /// Distinct traces materialized by running a generator this
     /// invocation.
     pub built: u64,
-    /// Distinct traces loaded from the on-disk cache.
-    pub loaded_from_disk: u64,
     /// Replay streams served (every consumer, including the first).
     pub streams_served: u64,
     /// Streams that fell back to live generation (cache disabled or
@@ -96,12 +87,10 @@ pub struct WorkloadCache {
     /// `false` disables the cache entirely: every stream is generated
     /// live.
     enabled: bool,
-    disk_dir: Option<PathBuf>,
     max_resident_bytes: u64,
     slots: Mutex<HashMap<String, Arc<Slot>>>,
     resident_bytes: AtomicU64,
     built: AtomicU64,
-    loaded_from_disk: AtomicU64,
     streams_served: AtomicU64,
     live_fallbacks: AtomicU64,
     seconds: Mutex<(f64, f64)>, // (build_seconds, saved_seconds)
@@ -110,29 +99,20 @@ pub struct WorkloadCache {
 impl WorkloadCache {
     /// A cache that never materializes: every request generates live.
     pub fn disabled() -> Self {
-        Self::with_options(false, None, DEFAULT_MAX_RESIDENT_BYTES)
-    }
-
-    /// The default: materialize in memory, no disk persistence.
-    pub fn in_memory() -> Self {
-        Self::with_options(true, None, DEFAULT_MAX_RESIDENT_BYTES)
-    }
-
-    /// Materialize in memory and persist traces under `dir` for
-    /// cross-invocation reuse (created on first write).
-    pub fn with_disk(dir: impl Into<PathBuf>) -> Self {
-        Self::with_options(true, Some(dir.into()), DEFAULT_MAX_RESIDENT_BYTES)
-    }
-
-    fn with_options(enabled: bool, disk_dir: Option<PathBuf>, max_resident_bytes: u64) -> Self {
         WorkloadCache {
-            enabled,
-            disk_dir,
-            max_resident_bytes,
+            enabled: false,
+            ..Self::in_memory()
+        }
+    }
+
+    /// The default: materialize in memory.
+    pub fn in_memory() -> Self {
+        WorkloadCache {
+            enabled: true,
+            max_resident_bytes: DEFAULT_MAX_RESIDENT_BYTES,
             slots: Mutex::new(HashMap::new()),
             resident_bytes: AtomicU64::new(0),
             built: AtomicU64::new(0),
-            loaded_from_disk: AtomicU64::new(0),
             streams_served: AtomicU64::new(0),
             live_fallbacks: AtomicU64::new(0),
             seconds: Mutex::new((0.0, 0.0)),
@@ -162,7 +142,6 @@ impl WorkloadCache {
         let (build_seconds, saved_seconds) = *self.seconds.lock().unwrap();
         WorkloadCacheStats {
             built: self.built.load(Ordering::Relaxed),
-            loaded_from_disk: self.loaded_from_disk.load(Ordering::Relaxed),
             streams_served: self.streams_served.load(Ordering::Relaxed),
             live_fallbacks: self.live_fallbacks.load(Ordering::Relaxed),
             build_seconds,
@@ -170,9 +149,9 @@ impl WorkloadCache {
         }
     }
 
-    /// Distinct traces materialized (built or disk-loaded) so far.
+    /// Distinct traces built so far.
     pub fn materialized(&self) -> u64 {
-        self.built.load(Ordering::Relaxed) + self.loaded_from_disk.load(Ordering::Relaxed)
+        self.built.load(Ordering::Relaxed)
     }
 
     /// Returns a stream for the workload identified by `key`: a replay
@@ -186,9 +165,8 @@ impl WorkloadCache {
     /// constructs the live generator; it is invoked once to capture the
     /// trace, or once per request when falling back.
     ///
-    /// The first caller for a key materializes (loading from disk when a
-    /// valid file exists); concurrent callers for the same key block on
-    /// that build rather than duplicating it.
+    /// The first caller for a key materializes; concurrent callers for
+    /// the same key block on that build rather than duplicating it.
     pub fn stream_for(
         &self,
         key: &str,
@@ -228,20 +206,18 @@ impl WorkloadCache {
         }
     }
 
-    /// Builds (or disk-loads) the trace for one slot; `None` means the
-    /// trace would exceed the resident budget and this key permanently
-    /// falls back to live generation.
+    /// Builds the trace for one slot; `None` means the trace would
+    /// exceed the resident budget and this key permanently falls back to
+    /// live generation.
     fn materialize(
         &self,
         full_key: &str,
         len: u64,
         build: &impl Fn() -> Box<dyn InstructionStream>,
     ) -> Option<Materialized> {
-        // Reserve the projected size before loading or building:
-        // concurrent materializations of different keys each see the
-        // others' reservations, so together they never pass the budget.
-        // Once the trace exists its actual resident bytes replace the
-        // charge.
+        // Reserve the projected size before building: concurrent
+        // materializations of different keys each see the others'
+        // reservations, so together they never pass the budget.
         let projected = PackedTrace::projected_bytes(len);
         let reserved =
             self.resident_bytes
@@ -259,94 +235,22 @@ impl WorkloadCache {
             return None;
         }
 
-        let key_hash = fnv1a(full_key.as_bytes());
-        let path = self.disk_path(full_key, key_hash);
-        if let Some(path) = &path {
-            match PackedTrace::read_from(path, key_hash) {
-                Ok((trace, build_seconds)) if trace.len() == len => {
-                    self.loaded_from_disk.fetch_add(1, Ordering::Relaxed);
-                    self.settle(projected, &trace);
-                    return Some(Materialized {
-                        trace: Arc::new(trace),
-                        build_seconds,
-                    });
-                }
-                Ok(_) => eprintln!(
-                    "[workload-cache] {} has the right key but the wrong length; rebuilding",
-                    path.display()
-                ),
-                // A missing file is the common cold-cache case; anything
-                // else (corruption, stale format, foreign key) is worth a
-                // line before the non-fatal rebuild.
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-                Err(err) => eprintln!(
-                    "[workload-cache] ignoring {} ({err}); rebuilding",
-                    path.display()
-                ),
-            }
-        }
-
         let start = Instant::now();
-        let mut live = build();
-        let trace = PackedTrace::capture(live.as_mut(), len);
+        let trace = PackedTrace::capture(build().as_mut(), len);
         let build_seconds = start.elapsed().as_secs_f64();
         self.built.fetch_add(1, Ordering::Relaxed);
-        self.settle(projected, &trace);
+        // The actual resident bytes replace the charge, added before the
+        // charge is taken back so the total never dips below what is
+        // really held.
+        self.resident_bytes
+            .fetch_add(trace.resident_bytes(), Ordering::Relaxed);
+        self.resident_bytes.fetch_sub(projected, Ordering::Relaxed);
         self.seconds.lock().unwrap().0 += build_seconds;
-
-        if let Some(path) = &path {
-            if let Err(err) = write_via_parent(path, &trace, key_hash, build_seconds) {
-                eprintln!(
-                    "[workload-cache] could not persist {} ({err}); continuing in-memory",
-                    path.display()
-                );
-            }
-        }
         Some(Materialized {
             trace: Arc::new(trace),
             build_seconds,
         })
     }
-
-    /// Replaces a trace's `projected` reservation with its actual
-    /// resident bytes, adding before subtracting so the total never dips
-    /// below what is really held.
-    fn settle(&self, projected: u64, trace: &PackedTrace) {
-        self.resident_bytes
-            .fetch_add(trace.resident_bytes(), Ordering::Relaxed);
-        self.resident_bytes.fetch_sub(projected, Ordering::Relaxed);
-    }
-
-    /// The on-disk file for a key: `<name-ish prefix>-<key hash>.mpt`.
-    /// The hash alone is the identity (and is verified on load); the
-    /// prefix only keeps the directory human-readable.
-    fn disk_path(&self, full_key: &str, key_hash: u64) -> Option<PathBuf> {
-        let dir = self.disk_dir.as_ref()?;
-        let prefix: String = full_key
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-            .take(24)
-            .collect();
-        let prefix = if prefix.is_empty() {
-            "trace".to_string()
-        } else {
-            prefix
-        };
-        Some(dir.join(format!("{prefix}-{key_hash:016x}.mpt")))
-    }
-}
-
-/// Creates the cache directory if needed, then writes the trace.
-fn write_via_parent(
-    path: &Path,
-    trace: &PackedTrace,
-    key_hash: u64,
-    build_seconds: f64,
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    trace.write_to(path, key_hash, build_seconds)
 }
 
 #[cfg(test)]
@@ -363,12 +267,6 @@ mod tests {
 
     fn drain(stream: &mut dyn InstructionStream, n: usize) -> Vec<TraceInstruction> {
         (0..n).map(|_| stream.next_instruction()).collect()
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("morrigan-wc-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
     }
 
     #[test]
@@ -417,63 +315,6 @@ mod tests {
         // The skip decision is cached too.
         let _ = cache.stream_for("big", 5_000, || live(3));
         assert_eq!(cache.stats().live_fallbacks, 2);
-    }
-
-    #[test]
-    fn disk_cache_round_trips_across_instances() {
-        let dir = tmpdir("rt");
-        let expected = drain(live(5).as_mut(), 3_000);
-
-        let first = WorkloadCache::with_disk(&dir);
-        let mut s = first.stream_for("k5", 4_000, || live(5));
-        assert_eq!(drain(s.as_mut(), 3_000), expected);
-        assert_eq!(first.stats().built, 1);
-        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(files.len(), 1, "one .mpt file persisted");
-
-        // A fresh cache (fresh invocation) loads instead of building.
-        let second = WorkloadCache::with_disk(&dir);
-        let mut s = second.stream_for("k5", 4_000, || live(5));
-        assert_eq!(drain(s.as_mut(), 3_000), expected);
-        let stats = second.stats();
-        assert_eq!(stats.built, 0, "served from disk, not rebuilt");
-        assert_eq!(stats.loaded_from_disk, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupted_disk_file_is_rebuilt_not_fatal() {
-        let dir = tmpdir("corrupt");
-        let expected = drain(live(6).as_mut(), 3_000);
-
-        let first = WorkloadCache::with_disk(&dir);
-        let _ = first.stream_for("k6", 4_000, || live(6));
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let second = WorkloadCache::with_disk(&dir);
-        let mut s = second.stream_for("k6", 4_000, || live(6));
-        assert_eq!(
-            drain(s.as_mut(), 3_000),
-            expected,
-            "rebuild serves correct data"
-        );
-        let stats = second.stats();
-        assert_eq!(stats.loaded_from_disk, 0, "corrupted file must not load");
-        assert_eq!(stats.built, 1);
-        // The rebuild rewrote a valid file.
-        let third = WorkloadCache::with_disk(&dir);
-        let _ = third.stream_for("k6", 4_000, || live(6));
-        assert_eq!(third.stats().loaded_from_disk, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! that for every workload shape the figures use (server, SPEC, SMT
 //! pair, multi-tenant machine), comparing metrics, audit reports (debug
 //! builds always audit), and the rendered record JSON — the same
-//! contract `batching.rs` pins for block delivery. They also cover the
-//! on-disk cache layer: a persisted trace must replay identically across
-//! cache instances, and a corrupted file must be detected and rebuilt,
-//! never silently replayed and never fatal.
+//! contract `batching.rs` pins for block delivery.
 
 use morrigan_runner::json::record_json;
 use morrigan_runner::{PrefetcherKind, RunSpec, Runner, WorkloadCache};
@@ -166,51 +163,4 @@ fn smt_members_share_traces_with_solo_runs() {
         "two distinct member configs, even though three streams were served"
     );
     assert_eq!(stats.streams_served, 3, "solo + two SMT members");
-}
-
-#[test]
-fn disk_cache_preserves_records_across_invocations() {
-    let dir = std::env::temp_dir().join(format!("morrigan-it-disk-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = ServerWorkloadConfig::qmm_like("cache-disk", 24);
-    let spec = RunSpec::server(
-        &cfg,
-        SystemConfig::default(),
-        sim(),
-        PrefetcherKind::Morrigan,
-    );
-
-    let first = Runner::new(1).with_workload_cache(WorkloadCache::with_disk(&dir));
-    let record_first = first.run_one(&spec);
-    assert_eq!(first.workload_cache_stats().built, 1);
-
-    // A fresh runner (fresh invocation) loads the persisted trace and
-    // produces the identical record.
-    let second = Runner::new(1).with_workload_cache(WorkloadCache::with_disk(&dir));
-    let record_second = second.run_one(&spec);
-    let stats = second.workload_cache_stats();
-    assert_eq!(stats.built, 0, "no rebuild: the disk file served");
-    assert_eq!(stats.loaded_from_disk, 1);
-    assert_eq!(record_json(&record_first), record_json(&record_second));
-
-    // Corrupt the persisted trace: the next invocation must detect it
-    // (hash mismatch), rebuild, and still produce the identical record.
-    let path = std::fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .next()
-        .expect("one trace file")
-        .expect("readable entry")
-        .path();
-    let mut bytes = std::fs::read(&path).expect("trace readable");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&path, &bytes).expect("trace writable");
-
-    let third = Runner::new(1).with_workload_cache(WorkloadCache::with_disk(&dir));
-    let record_third = third.run_one(&spec);
-    let stats = third.workload_cache_stats();
-    assert_eq!(stats.loaded_from_disk, 0, "corrupted file must not load");
-    assert_eq!(stats.built, 1, "detected, rebuilt, non-fatal");
-    assert_eq!(record_json(&record_first), record_json(&record_third));
-    std::fs::remove_dir_all(&dir).ok();
 }

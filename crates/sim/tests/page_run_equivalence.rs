@@ -54,7 +54,7 @@ proptest! {
     /// match live generation with a fresh per-block scan: two deliveries
     /// of the same instruction stream, one set of results.
     #[test]
-    fn persisted_index_replay_matches_live_generation(
+    fn derived_run_replay_matches_live_generation(
         seed in 0u64..500,
         cs_sel in 0u64..2,
         cs_raw in 0u64..4_500,

@@ -15,10 +15,9 @@
 //!
 //! ## Layout
 //!
-//! One layout serves in memory and on disk, about 1.6 bytes per
-//! instruction on the server and SPEC suites. Instructions are grouped
-//! into 64-instruction words; bit `i` of each of a word's two bitmaps
-//! describes instruction `64·w + i`:
+//! About 1.6 bytes per instruction on the server and SPEC suites.
+//! Instructions are grouped into 64-instruction words; bit `i` of each
+//! of a word's two bitmaps describes instruction `64·w + i`:
 //!
 //! * `jump` — the PC is not the previous PC + 4, and always bit 0. The
 //!   PCs at set bits go, in order, into `jumps: Vec<u32>` as byte
@@ -30,8 +29,7 @@
 //!
 //! Each word also carries `u32` counts of the jumps and accesses before
 //! it, so [`PackedTrace::get`] is O(1): one word, two popcounts, one
-//! load from each array. The counts are recomputed on load, never
-//! stored.
+//! load from each array.
 //!
 //! The layout rests on two region contracts. Every generator meets
 //! both, because the page table maps only regions, and
@@ -62,53 +60,13 @@
 //! partition [`scan_page_runs`](crate::scan_page_runs) finds for the
 //! delivered block, for the cost of one page compare per jump and per
 //! access.
-//!
-//! ## On-disk format (`MORRIGAN_WORKLOAD_CACHE`)
-//!
-//! Little-endian, versioned by magic, self-verified. The sections are
-//! the resident arrays verbatim, less the per-word counts:
-//!
-//! ```text
-//! magic      "MRGNPKT4"                                8 bytes
-//! key_hash   FNV-1a 64 of the cache key string         u64
-//! len        instruction count                         u64
-//! code_base, code_pages, data_base, data_pages         4 × u64
-//! build_seconds (f64 bits; provenance, informational)  u64
-//! jumps, mems  entries in the two arrays               2 × u64
-//! name_len + name bytes (UTF-8)
-//! words      jump, mem bitmaps                         ⌈len/64⌉ × 2 × u64
-//! jumps      code-region byte offsets                  jumps × u32
-//! mems       store flag | data-region byte offset      mems × u32
-//! hash       FNV-1a 64 of every preceding byte         u64
-//! ```
-//!
-//! The header fixes every section's length, so the loader checks the
-//! file size before it allocates. It then checks that each word starts
-//! with a jump, that the popcounts match the array lengths, that no bit
-//! lies past `len`, and that a rescan of the decoded instructions
-//! reproduces every bitmap and array (which also holds both region
-//! contracts), plus the content hash. The key hash binds the file to
-//! the workload config and length that produced it. Any failure is
-//! `InvalidData`, never a panic, and the caller rebuilds: a corrupted
-//! or stale cache file is never silently replayed. Files of older
-//! versions (`MRGNPKT1` through `MRGNPKT3`) fail the magic check with an
-//! error naming their version.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::mem::size_of_val;
-use std::path::Path;
 
 use morrigan_types::addr::PAGE_SIZE;
 use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
 
 use crate::instruction::{InstructionStream, MemAccess, TraceInstruction};
-
-/// On-disk magic; bump the trailing digit on any format change so stale
-/// cache files from older revisions fail the magic check and rebuild.
-const MAGIC: &[u8; 8] = b"MRGNPKT4";
-
-/// Header fields after the magic, each a `u64`.
-const HEADER_FIELDS: usize = 10;
 
 /// The store flag of a `mems` entry; the bits below it hold the access's
 /// data-region offset.
@@ -134,9 +92,8 @@ const DATA_REACH: u64 = STORE as u64;
 /// [`fill_block`]: crate::InstructionStream::fill_block
 pub const REPLAY_SLACK: u64 = 4096;
 
-/// FNV-1a 64-bit, used for cache keys and file self-verification. Not
-/// cryptographic — it guards against corruption and stale formats, not
-/// adversaries (the cache directory is the user's own disk).
+/// FNV-1a 64-bit, a short digest of a record's bytes (hostbench pins
+/// each rendered record by it). Not cryptographic.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -148,7 +105,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// One 64-instruction word of the layout: bit `i` of each bitmap
 /// describes instruction `64·w + i`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Word {
     /// The PC is not the previous PC + 4; always set on bit 0.
     jump: u64,
@@ -182,7 +139,7 @@ fn below(n: usize) -> u64 {
 /// layout. Immutable once captured; share it across worker threads as
 /// `Arc<PackedTrace>` and replay it through any number of independent
 /// [`PackedReplay`] cursors.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct PackedTrace {
     name: String,
     code_region: (VirtPage, u64),
@@ -197,141 +154,6 @@ pub struct PackedTrace {
     mems: Vec<u32>,
 }
 
-/// An instruction that breaks a region contract, with the offending
-/// address.
-enum Misfit {
-    /// A PC outside the code region.
-    Fetch(u64),
-    /// An access outside the data region.
-    Access(u64),
-    /// An access 2 GiB or more into the data region.
-    FarAccess(u64),
-}
-
-impl Misfit {
-    /// Names the stream, the address and the contract it breaks.
-    fn message(&self, trace: &PackedTrace) -> String {
-        let region = |(page, pages): (VirtPage, u64)| {
-            format!("{pages} pages at {:#x}", page.raw() << PAGE_SHIFT)
-        };
-        let name = &trace.name;
-        match *self {
-            Misfit::Fetch(pc) => format!(
-                "stream '{name}' fetched {pc:#x}, outside its code region of {}; packed \
-                 traces store PCs as 32-bit offsets into it",
-                region(trace.code_region)
-            ),
-            Misfit::Access(addr) => format!(
-                "stream '{name}' accessed {addr:#x}, outside its data region of {}; packed \
-                 traces store accesses as offsets into it",
-                region(trace.data_region)
-            ),
-            Misfit::FarAccess(addr) => format!(
-                "stream '{name}' accessed {addr:#x}, 2 GiB or more into its data region of \
-                 {}; packed traces store accesses as 31-bit offsets into it",
-                region(trace.data_region)
-            ),
-        }
-    }
-}
-
-/// Packs instructions one at a time into the layout: capture feeds it a
-/// live stream, the loader's rescan a decoded one.
-struct Packer {
-    trace: PackedTrace,
-    word: Word,
-    prev_pc: u64,
-    code_start: u64,
-    code_bytes: u64,
-    data_start: u64,
-    data_bytes: u64,
-}
-
-impl Packer {
-    fn new(
-        name: String,
-        code_region: (VirtPage, u64),
-        data_region: (VirtPage, u64),
-        len: usize,
-    ) -> Self {
-        let (jumps, mems) = array_bounds(len);
-        Self {
-            trace: PackedTrace {
-                name,
-                code_region,
-                data_region,
-                len: 0,
-                words: Vec::with_capacity(len.div_ceil(64)),
-                jumps: Vec::with_capacity(jumps),
-                mems: Vec::with_capacity(mems),
-            },
-            word: Word::default(),
-            prev_pc: 0,
-            code_start: code_region.0.raw() << PAGE_SHIFT,
-            code_bytes: (code_region.1 << PAGE_SHIFT).min(CODE_REACH),
-            data_start: data_region.0.raw() << PAGE_SHIFT,
-            data_bytes: data_region.1 << PAGE_SHIFT,
-        }
-    }
-
-    /// Appends one instruction, or nothing if it breaks a region
-    /// contract.
-    #[inline]
-    fn push(&mut self, instr: &TraceInstruction) -> Result<(), Misfit> {
-        let pc = instr.pc.raw();
-        let code_offset = pc.wrapping_sub(self.code_start);
-        if code_offset >= self.code_bytes {
-            return Err(Misfit::Fetch(pc));
-        }
-        let entry = match instr.mem {
-            Some(access) => {
-                let addr = access.addr.raw();
-                let offset = addr.wrapping_sub(self.data_start);
-                if offset >= self.data_bytes {
-                    return Err(Misfit::Access(addr));
-                }
-                if offset >= DATA_REACH {
-                    return Err(Misfit::FarAccess(addr));
-                }
-                Some(offset as u32 | if access.write { STORE } else { 0 })
-            }
-            None => None,
-        };
-        let trace = &mut self.trace;
-        let bit = trace.len % 64;
-        if bit == 0 {
-            self.word = Word {
-                jumps_before: trace.jumps.len() as u32,
-                mems_before: trace.mems.len() as u32,
-                ..Word::default()
-            };
-        }
-        if bit == 0 || pc != self.prev_pc.wrapping_add(4) {
-            self.word.jump |= 1 << bit;
-            trace.jumps.push(code_offset as u32);
-        }
-        self.prev_pc = pc;
-        if let Some(entry) = entry {
-            self.word.mem |= 1 << bit;
-            trace.mems.push(entry);
-        }
-        trace.len += 1;
-        if bit == 63 {
-            trace.words.push(self.word);
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> PackedTrace {
-        if !self.trace.len.is_multiple_of(64) {
-            self.trace.words.push(self.word);
-        }
-        self.trace.jumps.shrink_to_fit();
-        self.trace.mems.shrink_to_fit();
-        self.trace
-    }
-}
-
 impl PackedTrace {
     /// Captures the next `len` instructions of `stream`.
     ///
@@ -341,32 +163,95 @@ impl PackedTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds `u32::MAX`, or if the stream breaks a
-    /// region contract: a PC outside its code region, or a data access
-    /// outside the first 2 GiB of its data region.
+    /// Panics if `len` exceeds `u32::MAX`, or, naming the stream, if the
+    /// stream breaks a region contract: a PC outside its code region, or
+    /// a data access outside the first 2 GiB of its data region.
     pub fn capture(stream: &mut dyn InstructionStream, len: u64) -> Self {
         assert!(
             len <= u32::MAX as u64,
             "packed traces count positions in u32; a trace of {len} instructions overflows"
         );
         let n = len as usize;
-        let mut packer = Packer::new(
-            stream.name().to_string(),
-            stream.code_region(),
-            stream.data_region(),
-            n,
-        );
+        let (jumps, mems) = array_bounds(n);
+        let mut trace = PackedTrace {
+            name: stream.name().to_string(),
+            code_region: stream.code_region(),
+            data_region: stream.data_region(),
+            len: n,
+            words: Vec::with_capacity(n.div_ceil(64)),
+            jumps: Vec::with_capacity(jumps),
+            mems: Vec::with_capacity(mems),
+        };
+        let (code_start, data_start) = (trace.code_start(), trace.data_start());
+        let code_bytes = (trace.code_region.1 << PAGE_SHIFT).min(CODE_REACH);
+        let data_bytes = trace.data_region.1 << PAGE_SHIFT;
+        let region = |(page, pages): (VirtPage, u64)| {
+            format!("{pages} pages at {:#x}", page.raw() << PAGE_SHIFT)
+        };
+        let mut word = Word::default();
+        let mut prev_pc = 0u64;
         let mut scratch: Vec<TraceInstruction> = Vec::with_capacity(8192);
-        while packer.trace.len < n {
+        let mut i = 0;
+        while i < n {
             scratch.clear();
-            stream.fill_block(&mut scratch, 8192.min(n - packer.trace.len));
+            stream.fill_block(&mut scratch, 8192.min(n - i));
             for instr in &scratch {
-                if let Err(misfit) = packer.push(instr) {
-                    panic!("{}", misfit.message(&packer.trace));
+                let pc = instr.pc.raw();
+                let code_offset = pc.wrapping_sub(code_start);
+                assert!(
+                    code_offset < code_bytes,
+                    "stream '{}' fetched {pc:#x}, outside its code region of {}; packed traces \
+                     store PCs as 32-bit offsets into it",
+                    trace.name,
+                    region(trace.code_region)
+                );
+                let bit = i % 64;
+                if bit == 0 {
+                    word = Word {
+                        jumps_before: trace.jumps.len() as u32,
+                        mems_before: trace.mems.len() as u32,
+                        ..Word::default()
+                    };
                 }
+                if bit == 0 || pc != prev_pc.wrapping_add(4) {
+                    word.jump |= 1 << bit;
+                    trace.jumps.push(code_offset as u32);
+                }
+                prev_pc = pc;
+                if let Some(access) = instr.mem {
+                    let addr = access.addr.raw();
+                    let offset = addr.wrapping_sub(data_start);
+                    assert!(
+                        offset < data_bytes,
+                        "stream '{}' accessed {addr:#x}, outside its data region of {}; packed \
+                         traces store accesses as offsets into it",
+                        trace.name,
+                        region(trace.data_region)
+                    );
+                    assert!(
+                        offset < DATA_REACH,
+                        "stream '{}' accessed {addr:#x}, 2 GiB or more into its data region of \
+                         {}; packed traces store accesses as 31-bit offsets into it",
+                        trace.name,
+                        region(trace.data_region)
+                    );
+                    word.mem |= 1 << bit;
+                    trace
+                        .mems
+                        .push(offset as u32 | if access.write { STORE } else { 0 });
+                }
+                if bit == 63 {
+                    trace.words.push(word);
+                }
+                i += 1;
             }
         }
-        packer.finish()
+        if !n.is_multiple_of(64) {
+            trace.words.push(word);
+        }
+        trace.jumps.shrink_to_fit();
+        trace.mems.shrink_to_fit();
+        trace
     }
 
     /// The resident bytes a trace of `len` instructions is projected to
@@ -461,255 +346,6 @@ impl PackedTrace {
     /// The captured stream's data region.
     pub fn data_region(&self) -> (VirtPage, u64) {
         self.data_region
-    }
-
-    /// Writes the trace to `path` in the versioned on-disk format,
-    /// bound to `key_hash` (the FNV-1a of the cache key that produced
-    /// it) and carrying `build_seconds` as provenance.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn write_to(
-        &self,
-        path: impl AsRef<Path>,
-        key_hash: u64,
-        build_seconds: f64,
-    ) -> io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut out = Hashing::new(BufWriter::new(file));
-        out.write_all(MAGIC)?;
-        let header: [u64; HEADER_FIELDS] = [
-            key_hash,
-            self.len(),
-            self.code_region.0.raw(),
-            self.code_region.1,
-            self.data_region.0.raw(),
-            self.data_region.1,
-            build_seconds.to_bits(),
-            self.jumps.len() as u64,
-            self.mems.len() as u64,
-            self.name.len() as u64,
-        ];
-        for v in header {
-            out.write_all(&v.to_le_bytes())?;
-        }
-        out.write_all(self.name.as_bytes())?;
-        for word in &self.words {
-            out.write_all(&word.jump.to_le_bytes())?;
-            out.write_all(&word.mem.to_le_bytes())?;
-        }
-        for &entry in self.jumps.iter().chain(&self.mems) {
-            out.write_all(&entry.to_le_bytes())?;
-        }
-
-        let hash = out.hash;
-        let mut inner = out.inner;
-        inner.write_all(&hash.to_le_bytes())?;
-        inner.flush()
-    }
-
-    /// Loads a trace from `path`, verifying the magic, the binding to
-    /// `key_hash`, the layout's invariants and the whole-file content
-    /// hash.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a version/magic mismatch, a key-hash
-    /// mismatch (the file was built for a different workload config or
-    /// length), a size or layout inconsistency, or a content-hash
-    /// mismatch (corruption) — all of which callers treat as "rebuild,
-    /// non-fatal".
-    pub fn read_from(path: impl AsRef<Path>, key_hash: u64) -> io::Result<(Self, f64)> {
-        let file = std::fs::File::open(path)?;
-        let file_bytes = file.metadata()?.len();
-        Self::decode(BufReader::new(file), file_bytes, key_hash)
-    }
-
-    /// [`read_from`](Self::read_from) over any reader of a
-    /// `file_bytes`-byte encoding. The header's section lengths are
-    /// checked against `file_bytes` before anything is sized from them.
-    fn decode(input: impl Read, file_bytes: u64, key_hash: u64) -> io::Result<(Self, f64)> {
-        let mut input = Hashing::new(input);
-        let mut magic = [0u8; 8];
-        input.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad(&match magic.strip_prefix(b"MRGNPKT") {
-                Some(&[v]) if v.is_ascii_digit() => {
-                    format!("packed trace is format v{}; this build reads v4", v as char)
-                }
-                _ => "not a Morrigan packed trace".to_string(),
-            }));
-        }
-        let [stored_key, len, code_base, code_pages, data_base, data_pages, build_bits, jump_count, mem_count, name_len] =
-            read_u64s::<HEADER_FIELDS>(&mut input)?;
-        if stored_key != key_hash {
-            return Err(bad("packed trace was built for a different cache key"));
-        }
-        let words = len.div_ceil(64);
-        // Magic, header and hash, then the variable-length sections.
-        let expected_bytes = [
-            (8 + 8 * HEADER_FIELDS as u64 + 8, 1),
-            (name_len, 1),
-            (words, 2 * 8),
-            (jump_count, 4),
-            (mem_count, 4),
-        ]
-        .into_iter()
-        .try_fold(0u64, |sum, (count, size)| {
-            count.checked_mul(size)?.checked_add(sum)
-        });
-        if expected_bytes != Some(file_bytes) {
-            return Err(bad(
-                "section lengths in the header disagree with the file size",
-            ));
-        }
-        if len > u32::MAX as u64 {
-            return Err(bad("trace longer than u32::MAX instructions"));
-        }
-        let len = len as usize;
-        let mut name = vec![0u8; name_len as usize];
-        input.read_exact(&mut name)?;
-        let name = String::from_utf8(name).map_err(|_| bad("workload name is not valid UTF-8"))?;
-
-        let mut word_list = Vec::with_capacity(words as usize);
-        let (mut jumps_before, mut mems_before) = (0u64, 0u64);
-        for _ in 0..words {
-            let [jump, mem] = read_u64s(&mut input)?;
-            word_list.push(Word {
-                jump,
-                mem,
-                jumps_before: jumps_before as u32,
-                mems_before: mems_before as u32,
-            });
-            jumps_before += jump.count_ones() as u64;
-            mems_before += mem.count_ones() as u64;
-        }
-        let jumps = read_u32s(&mut input, jump_count)?;
-        let mems = read_u32s(&mut input, mem_count)?;
-        let computed = input.hash;
-        if read_u64(&mut input.inner)? != computed {
-            return Err(bad("packed trace content hash mismatch (corrupted file)"));
-        }
-
-        if (jumps_before, mems_before) != (jump_count, mem_count) {
-            return Err(bad("bitmap popcounts disagree with the array lengths"));
-        }
-        if word_list.iter().any(|w| w.jump & 1 == 0) {
-            return Err(bad("a word does not start with a jump"));
-        }
-        let past_len = if len.is_multiple_of(64) {
-            0
-        } else {
-            !below(len % 64)
-        };
-        if word_list
-            .last()
-            .is_some_and(|w| (w.jump | w.mem) & past_len != 0)
-        {
-            return Err(bad("bits set past the end of the trace"));
-        }
-        let trace = Self {
-            name,
-            code_region: (VirtPage::new(code_base), code_pages),
-            data_region: (VirtPage::new(data_base), data_pages),
-            len,
-            words: word_list,
-            jumps,
-            mems,
-        };
-        // The checks above make every `get` in bounds.
-        let mut rescan = Packer::new(
-            trace.name.clone(),
-            trace.code_region,
-            trace.data_region,
-            len,
-        );
-        for i in 0..len {
-            rescan
-                .push(&trace.get(i))
-                .map_err(|misfit| bad(&misfit.message(&trace)))?;
-        }
-        if rescan.finish() != trace {
-            return Err(bad(
-                "packed trace disagrees with a rescan of its instructions (a jump bit on a \
-                 PC + 4)",
-            ));
-        }
-        Ok((trace, f64::from_bits(build_bits)))
-    }
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn read_u64(input: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    input.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_u64s<const N: usize>(input: &mut impl Read) -> io::Result<[u64; N]> {
-    let mut values = [0u64; N];
-    for v in &mut values {
-        *v = read_u64(input)?;
-    }
-    Ok(values)
-}
-
-/// Reads `count` `u32`s; the caller has checked `count` against the file
-/// size.
-fn read_u32s(input: &mut impl Read, count: u64) -> io::Result<Vec<u32>> {
-    let mut values = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let mut buf = [0u8; 4];
-        input.read_exact(&mut buf)?;
-        values.push(u32::from_le_bytes(buf));
-    }
-    Ok(values)
-}
-
-/// An adapter hashing every byte that passes through it (FNV-1a), so
-/// writer and reader accumulate the content hash in one pass.
-struct Hashing<T> {
-    inner: T,
-    hash: u64,
-}
-
-impl<T> Hashing<T> {
-    fn new(inner: T) -> Self {
-        Self {
-            inner,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl<T: Write> Write for Hashing<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.mix(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl<T: Read> Read for Hashing<T> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.mix(&buf[..n]);
-        Ok(n)
     }
 }
 
@@ -1072,51 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_round_trip_is_lossless() {
-        let trace = capture(11, 25_000);
-        let key = fnv1a(b"round-trip-key");
-        let path = std::env::temp_dir().join(format!("morrigan-pk-rt-{}.mpt", std::process::id()));
-        trace.write_to(&path, key, 1.25).expect("write");
-        let (loaded, build_seconds) = PackedTrace::read_from(&path, key).expect("read");
-        assert_eq!(loaded, trace);
-        assert_eq!(build_seconds, 1.25);
-        // One layout: the file is the resident sections, less the two
-        // per-word counts, plus the header and the hash.
-        let file_bytes = std::fs::metadata(&path).expect("stat").len();
-        let header = 8 + 8 * HEADER_FIELDS + trace.name().len() + 8;
-        assert_eq!(
-            file_bytes,
-            trace.resident_bytes() - 8 * trace.words.len() as u64 + header as u64
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupted_file_is_detected_by_hash() {
-        let trace = capture(13, 5_000);
-        let key = fnv1a(b"corruption-key");
-        let path = std::env::temp_dir().join(format!("morrigan-pk-cr-{}.mpt", std::process::id()));
-        trace.write_to(&path, key, 0.0).expect("write");
-        let mut bytes = std::fs::read(&path).expect("read back");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("rewrite");
-        let err = PackedTrace::read_from(&path, key).expect_err("corruption must be detected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wrong_key_is_rejected() {
-        let trace = capture(13, 1_000);
-        let path = std::env::temp_dir().join(format!("morrigan-pk-key-{}.mpt", std::process::id()));
-        trace.write_to(&path, fnv1a(b"key-a"), 0.0).expect("write");
-        let err = PackedTrace::read_from(&path, fnv1a(b"key-b")).expect_err("key must bind");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn fill_block_runs_agrees_with_default_scan() {
         let trace = Arc::new(capture(19, 30_000));
         let mut replay = PackedReplay::new(trace.clone());
@@ -1138,27 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_file_is_rejected_with_rebuild_error() {
-        let trace = capture(23, 2_000);
-        let key = fnv1a(b"v1-key");
-        let path = std::env::temp_dir().join(format!("morrigan-pk-v1-{}.mpt", std::process::id()));
-        trace.write_to(&path, key, 0.5).expect("write");
-        let mut bytes = std::fs::read(&path).expect("read back");
-        for old in [b"MRGNPKT1", b"MRGNPKT2", b"MRGNPKT3"] {
-            bytes[..8].copy_from_slice(old);
-            std::fs::write(&path, &bytes).expect("rewrite");
-            let err = PackedTrace::read_from(&path, key).expect_err("old formats are rejected");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            let version = format!("v{}", old[7] as char);
-            assert!(
-                err.to_string().contains(&version),
-                "error names {version}: {err}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn resident_bytes_counts_words_and_arrays() {
         let trace = capture(29, 10_000);
         // Two bitmaps and two counts per word; `u32` jumps and accesses.
@@ -1166,86 +736,5 @@ mod tests {
         let words = (trace.len() as usize).div_ceil(64) * size_of::<Word>();
         let arrays = (trace.jumps.len() + trace.mems.len()) * 4;
         assert_eq!(trace.resident_bytes(), (words + arrays) as u64);
-    }
-
-    #[test]
-    fn damaged_encodings_are_errors_not_panics() {
-        let trace = capture(31, 300);
-        let key = fnv1a(b"damage-key");
-        let path = std::env::temp_dir().join(format!("morrigan-pk-dm-{}.mpt", std::process::id()));
-        trace.write_to(&path, key, 0.5).expect("write");
-        let bytes = std::fs::read(&path).expect("read back");
-        std::fs::remove_file(&path).ok();
-        let decode = |b: &[u8]| PackedTrace::decode(b, b.len() as u64, key);
-        assert_eq!(decode(&bytes).expect("intact").0, trace);
-
-        for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "truncated to {cut} bytes");
-        }
-        // Magic, the header fields and the name; byte 23 is the top byte
-        // of the length.
-        let header = 8 + 8 * HEADER_FIELDS + trace.name().len();
-        let flipped = |bit: usize| {
-            let mut b = bytes.clone();
-            b[bit / 8] ^= 1 << (bit % 8);
-            b
-        };
-        for bit in 0..header * 8 {
-            assert!(decode(&flipped(bit)).is_err(), "header bit {bit} flipped");
-        }
-        for bit in (header * 8..bytes.len() * 8).step_by(13) {
-            assert!(decode(&flipped(bit)).is_err(), "body bit {bit} flipped");
-        }
-    }
-
-    /// Files whose content hash is made to match still fail the layout
-    /// checks: each check catches one kind of inconsistency.
-    #[test]
-    fn layout_checks_reject_consistent_looking_files() {
-        let trace = capture(37, 1_000);
-        let key = fnv1a(b"layout-key");
-        let encode = |t: &PackedTrace| {
-            let path =
-                std::env::temp_dir().join(format!("morrigan-pk-ly-{}.mpt", std::process::id()));
-            t.write_to(&path, key, 0.0).expect("write");
-            let bytes = std::fs::read(&path).expect("read back");
-            std::fs::remove_file(&path).ok();
-            bytes
-        };
-        let mut cases: Vec<(&str, PackedTrace)> = Vec::new();
-        let mut t = trace.clone();
-        t.words[3].jump &= !1;
-        t.jumps.remove(t.words[3].jumps_before as usize);
-        cases.push(("does not start with a jump", t));
-        let mut t = trace.clone();
-        t.words.last_mut().unwrap().jump |= 1 << 63;
-        t.jumps.push(0);
-        cases.push(("past the end", t));
-        // A jump bit on a PC that is its predecessor's + 4: every count
-        // agrees and every instruction decodes as before.
-        let mut t = trace.clone();
-        let w = &mut t.words[5];
-        let b = (1..64).find(|b| w.jump >> b & 1 == 0).unwrap();
-        let at = w.jumps_before as usize + (w.jump & below(b)).count_ones() as usize;
-        w.jump |= 1 << b;
-        let pc = trace.get(5 * 64 + b).pc.raw() - trace.code_start();
-        t.jumps.insert(at, pc as u32);
-        cases.push(("rescan", t));
-        let mut t = trace.clone();
-        t.words[5].mem = 0;
-        cases.push(("popcounts", t));
-        let mut t = trace.clone();
-        t.mems[10] = u32::MAX;
-        cases.push(("outside its data region", t));
-        let mut t = trace.clone();
-        t.jumps[10] = u32::MAX;
-        cases.push(("outside its code region", t));
-        for (expected, t) in cases {
-            let bytes = encode(&t);
-            let err = PackedTrace::decode(&bytes[..], bytes.len() as u64, key)
-                .expect_err("inconsistent file must fail");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(expected), "{expected}: got {err}");
-        }
     }
 }

@@ -115,29 +115,6 @@ proptest! {
         prop_assert_eq!(&got_b, &expected);
     }
 
-    /// Disk round-trips preserve replay equality: a trace written to the
-    /// on-disk cache format and read back replays the same sequence.
-    #[test]
-    fn disk_round_trip_replays_identically(
-        seed in 0u64..100_000,
-        n in 500usize..2_500,
-    ) {
-        let cfg = ServerWorkloadConfig::qmm_like(format!("prop-dsk-{seed}"), seed);
-        let trace = PackedTrace::capture(&mut ServerWorkload::new(cfg.clone()), n as u64);
-        let key = morrigan_workloads::fnv1a(format!("{cfg:?}|{n}").as_bytes());
-        let path = std::env::temp_dir().join(format!(
-            "morrigan-prop-{}-{seed}-{n}.mpt",
-            std::process::id()
-        ));
-        trace.write_to(&path, key, 0.5).expect("write");
-        let (loaded, _) = PackedTrace::read_from(&path, key).expect("read");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&loaded, &trace);
-        let expected = drain(&mut ServerWorkload::new(cfg), n);
-        let got = drain(&mut PackedReplay::new(Arc::new(loaded)), n);
-        prop_assert_eq!(got, expected);
-    }
-
     /// Random access: `get(i)` decodes the instruction sequential replay
     /// delivers at `i`, for random positions, the edges of every
     /// 64-instruction word the draw lands in, and the last instruction.
@@ -162,40 +139,6 @@ proptest! {
         for i in positions {
             prop_assert_eq!(trace.get(i), replayed[i], "position {} of {}", i, n);
         }
-    }
-
-    /// Version migration: a stale v1, v2 or v3 file is rejected with an
-    /// error naming its version — the exact signal the workload cache's
-    /// rebuild fallback keys on — and the rebuilt v4 file round-trips.
-    #[test]
-    fn old_formats_trigger_rebuild_and_v4_round_trips(
-        seed in 0u64..100_000,
-        n in 500usize..2_500,
-        version in 1u8..4,
-    ) {
-        let cfg = ServerWorkloadConfig::qmm_like(format!("prop-old-{seed}"), seed);
-        let trace = PackedTrace::capture(&mut ServerWorkload::new(cfg.clone()), n as u64);
-        let key = morrigan_workloads::fnv1a(format!("{cfg:?}|{n}").as_bytes());
-        let path = std::env::temp_dir().join(format!(
-            "morrigan-prop-old-{}-{seed}-{n}.mpt",
-            std::process::id()
-        ));
-        // An older file differs from a v4 one in its magic first.
-        trace.write_to(&path, key, 0.5).expect("write");
-        let mut bytes = std::fs::read(&path).expect("read back");
-        bytes[7] = b'0' + version;
-        std::fs::write(&path, &bytes).expect("write old magic");
-        let err = PackedTrace::read_from(&path, key).expect_err("old formats must be rejected");
-        prop_assert!(
-            err.to_string().contains(&format!("v{version}")),
-            "rebuild trigger must name the stale version, got: {}", err
-        );
-
-        // The cache's fallback path: rebuild in place and persist as v4.
-        trace.write_to(&path, key, 0.5).expect("write v4");
-        let (loaded, _) = PackedTrace::read_from(&path, key).expect("read v4");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&loaded, &trace);
     }
 
     /// Page runs derived on replay: for server and SPEC captures of any
