@@ -11,9 +11,9 @@
 //! yields the `sampled_*` fields — simulate-phase wall time and the iSTLB
 //! MPKI and IPC deviations against the full pass. The figure list ends
 //! with an 8-core scaling row (the fig21 sweep with its ceiling raised
-//! to 8), and every multi-core row records its epoch-driver width
-//! (`machine_threads`). Every row carries the page-run batching
-//! telemetry: `probes_issued` / `probes_elided` / `runs_consumed`.
+//! to 8). Every machine runs on the runner's one thread. Every row
+//! carries the page-run batching telemetry: `probes_issued` /
+//! `probes_elided` / `runs_consumed`.
 //!
 //! No throughput floor lives here: seconds measured on one host say
 //! nothing about another. `simbench_ab.py`, beside this crate's
@@ -24,8 +24,9 @@
 //!
 //! Scale comes from [`bench_scale`]: a reduced profile unless
 //! `MORRIGAN_INSTR`/`MORRIGAN_FULL` override it. Of the other run
-//! options only the workload-cache ones apply: every figure gets a fresh
-//! `Runner::new(1)`.
+//! options only the workload-cache budget applies: every figure gets a
+//! fresh `Runner::new(1)`, and `MORRIGAN_WORKLOAD_CACHE_MB=0` times live
+//! generation.
 
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -34,7 +35,7 @@ use std::time::Instant;
 use morrigan_experiments as exp;
 use morrigan_experiments::{RunOptions, Runner, Scale};
 use morrigan_runner::json::json_f64;
-use morrigan_sim::{machine_width, SamplingConfig};
+use morrigan_sim::SamplingConfig;
 
 /// One measured figure regeneration.
 #[derive(Clone)]
@@ -45,10 +46,6 @@ struct FigureRun {
     /// counts every core's retirement, so `mips` is aggregate throughput
     /// and `per_core_mips` is the per-simulated-core rate.
     cores: usize,
-    /// Effective epoch-driver width of the timed pass:
-    /// min(cores, host parallelism). `1` on single-core figures and on
-    /// hosts without spare cores.
-    machine_threads: usize,
     instructions: u64,
     seconds: f64,
     /// Wall time the figure's simulators spent pulling instructions
@@ -67,6 +64,9 @@ struct FigureRun {
     /// Replay streams served from those traces (the amortization
     /// denominator: served / materialized runs ≥ 1).
     streams_served: u64,
+    /// Streams generated live: every stream under a zero trace budget,
+    /// the over-budget ones otherwise.
+    live_streams: u64,
     /// Measurement-window instructions summed over the figure's journaled
     /// records (duplicates included — both passes journal identically, so
     /// the accuracy ratios line up). Denominator for the MPKI deviation.
@@ -118,7 +118,7 @@ impl FigureRun {
     /// windows, which converges only over several of them, so shorter
     /// figures (reduced-scale runs) are not IPC-gated.
     fn spans_sampling_periods(&self) -> bool {
-        self.instructions / self.streams_served.max(1)
+        self.instructions / (self.streams_served + self.live_streams).max(1)
             >= 4 * SamplingConfig::default_schedule().period()
     }
 }
@@ -228,7 +228,7 @@ fn run_figures(
         let scale = &scale;
         // Fresh per figure so neither the record cache nor the workload
         // cache amortizes *across* figures; the workload cache comes
-        // from the run options so `MORRIGAN_NO_WORKLOAD_CACHE=1` gives
+        // from the run options so `MORRIGAN_WORKLOAD_CACHE_MB=0` gives
         // an honest live-generation A/B against the same binary.
         let runner = Runner::new(1)
             .with_sampling(sampling)
@@ -248,15 +248,9 @@ fn run_figures(
             record_cycles += record.metrics.cycles;
         }
         let elision = runner.elision_totals();
-        let machine_threads = if cores > 1 {
-            machine_width(None, cores)
-        } else {
-            1
-        };
         let fig = FigureRun {
             name,
             cores,
-            machine_threads,
             instructions,
             seconds,
             workload_gen_seconds: phases.workload_gen(),
@@ -264,6 +258,7 @@ fn run_figures(
             simulate_seconds: phases.simulate(),
             workloads_materialized: workload_stats.built,
             streams_served: workload_stats.streams_served,
+            live_streams: workload_stats.live_fallbacks,
             record_instructions,
             record_istlb_misses,
             record_cycles,
@@ -284,12 +279,11 @@ fn run_figures(
         };
         eprintln!(
             "[simbench] {label} {name}: {instructions} instructions in {seconds:.3} s = \
-             {:.2} MIPS over {} core(s) at width {} (workload-gen {:.3} s, trace-build \
-             {:.3} s over {} traces serving {} streams, simulate {:.3} s{epoch_split}, \
-             elided {}/{} probes over {} runs)",
+             {:.2} MIPS over {} core(s) (workload-gen {:.3} s, trace-build {:.3} s over {} \
+             traces serving {} streams, simulate {:.3} s{epoch_split}, elided {}/{} probes \
+             over {} runs)",
             fig.mips(),
             fig.cores,
-            fig.machine_threads,
             fig.workload_gen_seconds,
             fig.trace_build_seconds,
             fig.workloads_materialized,
@@ -309,7 +303,7 @@ fn run_figures(
 /// the SMARTS-sampled pass, aligned with `runs` by index.
 fn render(scale: &Scale, runs: &[FigureRun], sampled: &[FigureRun]) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"morrigan-bench-simloop-v8\",\n");
+    out.push_str("{\n  \"schema\": \"morrigan-bench-simloop-v9\",\n");
     out.push_str(&format!(
         "  \"scale\": {{\"warmup\": {}, \"measure\": {}, \"workloads\": {}, \"smt_pairs\": {}, \
          \"cores\": {}, \"tenants\": {}}},\n",
@@ -322,15 +316,13 @@ fn render(scale: &Scale, runs: &[FigureRun], sampled: &[FigureRun]) -> String {
     out.push_str("  \"figures\": [\n");
     for (i, (f, s)) in runs.iter().zip(sampled).enumerate() {
         out.push_str(&format!(
-            "    {{\"figure\": \"{}\", \"cores\": {}, \"machine_threads\": {}, \
-             \"instructions\": {}, \"seconds\": {}, \
+            "    {{\"figure\": \"{}\", \"cores\": {}, \"instructions\": {}, \"seconds\": {}, \
              \"workload_gen_seconds\": {}, \"trace_build_seconds\": {}, \
              \"simulate_seconds\": {}, \"workloads_materialized\": {}, \
              \"streams_served\": {}, \"probes_issued\": {}, \"probes_elided\": {}, \
              \"runs_consumed\": {}, \"mips\": {}, \"per_core_mips\": {}",
             f.name,
             f.cores,
-            f.machine_threads,
             f.instructions,
             json_f64(f.seconds),
             json_f64(f.workload_gen_seconds),
@@ -456,8 +448,8 @@ const IPC_TOLERANCE: f64 = 0.04;
 /// The checks every run enforces. Each reads records and counters, not
 /// wall time against a floor, so each holds on any host. `runs` is the
 /// full-detail pass and `sampled` the sampled one, aligned by index;
-/// `cache_enabled` says whether the workload cache was on. Returns one
-/// message per failed check.
+/// `cache_enabled` says whether the workload cache had a budget to
+/// materialize into. Returns one message per failed check.
 fn gate_failures(runs: &[FigureRun], sampled: &[FigureRun], cache_enabled: bool) -> Vec<String> {
     let mut failures = Vec::new();
     for f in runs.iter().chain(sampled) {
@@ -561,7 +553,7 @@ fn main() -> ExitCode {
         runs.len()
     );
 
-    let failures = gate_failures(&runs, &sampled, options.workload_cache().enabled());
+    let failures = gate_failures(&runs, &sampled, options.workload_cache_mb != Some(0));
     if !failures.is_empty() {
         for failure in &failures {
             eprintln!("simbench: {failure}");
@@ -591,7 +583,6 @@ mod tests {
         FigureRun {
             name,
             cores: 1,
-            machine_threads: 1,
             instructions: 4_000_000,
             seconds: 1.0,
             workload_gen_seconds: 0.1,
@@ -599,6 +590,7 @@ mod tests {
             simulate_seconds: 0.8,
             workloads_materialized: 2,
             streams_served: 4,
+            live_streams: 0,
             record_instructions: 3_000_000,
             record_istlb_misses: 30_000,
             record_cycles: 3_000_000,
@@ -708,6 +700,13 @@ mod tests {
         short.instructions = 400_000;
         let mut off = short.clone();
         off.record_cycles = 2_857_143;
-        assert!(gate_failures(&[short], &[off], true).is_empty());
+        assert!(gate_failures(&[short.clone()], &[off.clone()], true).is_empty());
+        // Generated live, its streams are as short.
+        for run in [&mut short, &mut off] {
+            run.workloads_materialized = 0;
+            run.streams_served = 0;
+            run.live_streams = 4;
+        }
+        assert!(gate_failures(&[short], &[off], false).is_empty());
     }
 }

@@ -12,10 +12,9 @@
 //! figures --interval 10000 ...    # per-epoch time-series in the JSON
 //! figures --sample 10000:40000 .. # SMARTS sampled simulation (or --sample 1)
 //! figures --cores 8 --tenants 3 fig21  # widen the multicore sweep
-//! figures --machine-threads 4     # host threads per multi-core machine
-//! figures --no-workload-cache     # force live workload generation
 //! MORRIGAN_FULL=1 figures         # paper-scale run lengths (slow)
 //! MORRIGAN_THREADS=4 figures      # worker-pool size override
+//! MORRIGAN_WORKLOAD_CACHE_MB=0 figures  # generate every workload live
 //! MORRIGAN_DIGEST=1 figures       # one-line top-insight digest per figure
 //! ```
 //!
@@ -28,7 +27,9 @@
 //!
 //! All figures share one [`Runner`], so simulations they have in common
 //! (notably the no-prefetch baselines and the Fig 5–8 miss-stream runs)
-//! are executed once and served from the result cache afterwards.
+//! are executed once and served from the result cache afterwards. Its
+//! `MORRIGAN_THREADS` workers run independent simulations, each machine
+//! on one thread.
 //!
 //! `--trace` re-executes the *first* record of the first figure run with
 //! a ring-buffer event recorder attached and writes the capture in the
@@ -83,7 +84,7 @@ fn closest_figure(name: &str) -> &'static str {
 
 /// Every flag the binary accepts, for the "did you mean" hint on
 /// unknown `--…` arguments.
-const FLAGS: [&str; 12] = [
+const FLAGS: [&str; 10] = [
     "--json",
     "--trace",
     "--explain",
@@ -92,8 +93,6 @@ const FLAGS: [&str; 12] = [
     "--sample",
     "--cores",
     "--tenants",
-    "--machine-threads",
-    "--no-workload-cache",
     "--help",
     "-h",
 ];
@@ -121,7 +120,7 @@ fn usage() -> String {
     format!(
         "usage: figures [--json <path>] [--trace <path>.json|.jsonl] [--explain <path>.json] \
          [--interval <n>] [--sample <detail:skip|1>] [--cores <1|2|4|8|…>] [--tenants <n>] \
-         [--machine-threads <n>] [--no-workload-cache] [{}]...\n\
+         [{}]...\n\
          \x20      figures explain <a.json> <b.json> [--out <path>]",
         figure_names().collect::<Vec<_>>().join("|")
     )

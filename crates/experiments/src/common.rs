@@ -145,7 +145,8 @@ pub fn parse_tenants(value: &str) -> Result<usize, String> {
 /// A blank or unset variable leaves its option at the default, and a
 /// switch variable takes `1` or `0`. Two options read `0` by spelling:
 /// `MORRIGAN_INTERVAL=0` and `MORRIGAN_SAMPLE=0` mean off, while
-/// `--interval 0` and `--sample 0` are errors.
+/// `--interval 0` and `--sample 0` are errors. `MORRIGAN_WORKLOAD_CACHE_MB=0`
+/// leaves no room for a trace, so every stream is generated live.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Start from [`Scale::paper`] instead of [`Scale::quick`]
@@ -161,7 +162,8 @@ pub struct RunOptions {
     /// Fig 21's tenants per core (`--tenants` / `MORRIGAN_TENANTS`).
     pub tenants: Option<usize>,
     /// Worker-pool size, `0` meaning 1; unset uses the host's
-    /// parallelism (`MORRIGAN_THREADS`).
+    /// parallelism (`MORRIGAN_THREADS`). The only host-thread setting:
+    /// the runner spends it on independent specs.
     pub threads: Option<usize>,
     /// Narrate each simulation on stderr (`MORRIGAN_VERBOSE`).
     pub verbose: bool,
@@ -171,13 +173,8 @@ pub struct RunOptions {
     /// SMARTS sampled-simulation schedule (`--sample` /
     /// `MORRIGAN_SAMPLE`).
     pub sample: Option<SamplingConfig>,
-    /// Host threads per multi-core machine; unset auto-sizes
-    /// (`--machine-threads` / `MORRIGAN_MACHINE_THREADS`).
-    pub machine_threads: Option<usize>,
-    /// Generate every workload live, bypassing the trace cache
-    /// (`--no-workload-cache` / `MORRIGAN_NO_WORKLOAD_CACHE`).
-    pub no_workload_cache: bool,
-    /// Resident trace budget in MiB (`MORRIGAN_WORKLOAD_CACHE_MB`).
+    /// Resident trace budget in MiB, `0` generating every workload live
+    /// (`MORRIGAN_WORKLOAD_CACHE_MB`).
     pub workload_cache_mb: Option<u64>,
     /// Event-trace path, `.json` or `.jsonl` (`--trace` /
     /// `MORRIGAN_TRACE`).
@@ -222,8 +219,6 @@ impl RunOptions {
                 _ => parse_sample(v).map(Some),
             })
             .flatten(),
-            machine_threads: env_value(var, "MORRIGAN_MACHINE_THREADS", parse_machine_threads),
-            no_workload_cache: switch("MORRIGAN_NO_WORKLOAD_CACHE"),
             workload_cache_mb: env_value(
                 var,
                 "MORRIGAN_WORKLOAD_CACHE_MB",
@@ -250,10 +245,6 @@ impl RunOptions {
             "--tenants" => self.tenants = Some(flag_value(flag, args, parse_tenants)?),
             "--interval" => self.interval = Some(flag_value(flag, args, parse_interval)?),
             "--sample" => self.sample = Some(flag_value(flag, args, parse_sample)?),
-            "--machine-threads" => {
-                self.machine_threads = Some(flag_value(flag, args, parse_machine_threads)?);
-            }
-            "--no-workload-cache" => self.no_workload_cache = true,
             "--trace" => self.trace = Some(flag_value(flag, args, parse_trace)?),
             "--explain" => self.explain = Some(flag_value(flag, args, parse_explain)?),
             _ => return Ok(false),
@@ -322,17 +313,12 @@ impl RunOptions {
             .verbose(self.verbose)
             .with_interval(self.interval)
             .with_sampling(self.sample)
-            .with_machine_threads(self.machine_threads)
             .with_workload_cache(self.workload_cache())
     }
 
-    /// The workload-trace cache: disabled under `no_workload_cache`,
-    /// else in memory, with `workload_cache_mb` as the resident budget
-    /// when set.
+    /// The workload-trace cache: in memory, with `workload_cache_mb` as
+    /// the resident budget when set.
     pub fn workload_cache(&self) -> WorkloadCache {
-        if self.no_workload_cache {
-            return WorkloadCache::disabled();
-        }
         let cache = WorkloadCache::in_memory();
         match self.workload_cache_mb {
             Some(mb) => cache.with_max_resident_bytes(mb.saturating_mul(1 << 20)),
@@ -408,14 +394,6 @@ fn parse_sample(value: &str) -> Result<SamplingConfig, String> {
         schedule => SamplingConfig::parse(schedule).map_err(|_| {
             "expected 1 (the default schedule) or detail:skip with both sides positive".to_string()
         }),
-    }
-}
-
-/// A positive host-thread count.
-fn parse_machine_threads(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(0) | Err(_) => Err("expected a positive thread count".to_string()),
-        Ok(n) => Ok(n),
     }
 }
 
@@ -710,7 +688,7 @@ mod tests {
         read.sort();
         read.dedup();
         assert_eq!(read.len(), total, "a variable was read twice");
-        assert_eq!(total, 14);
+        assert_eq!(total, 12);
         assert!(read.iter().all(|name| name.starts_with("MORRIGAN_")));
         assert!(
             !read.contains(&"MORRIGAN_AUDIT".to_string()),
@@ -718,15 +696,24 @@ mod tests {
         );
     }
 
+    /// Whether `cache` materializes a small trace rather than
+    /// generating it live.
+    fn materializes(cache: &WorkloadCache) -> bool {
+        let cfg = ServerWorkloadConfig::qmm_like("opts", 1);
+        let _ = cache.stream_for("opts", 5_000, || {
+            Box::new(morrigan_workloads::ServerWorkload::new(cfg.clone()))
+        });
+        cache.materialized() == 1
+    }
+
     #[test]
     fn unset_options_give_the_quick_in_memory_profile() {
         let opts = options(&[]);
         assert_eq!(opts, RunOptions::default());
         assert_eq!(opts.scale(), Scale::quick());
-        assert!(opts.workload_cache().enabled());
+        assert!(materializes(&opts.workload_cache()));
         let runner = opts.runner();
         assert_eq!((runner.interval(), runner.sampling()), (None, None));
-        assert_eq!(runner.machine_threads(), None);
     }
 
     #[test]
@@ -746,15 +733,10 @@ mod tests {
 
     #[test]
     fn switches_accept_one_zero_or_blank() {
-        for name in [
-            "MORRIGAN_FULL",
-            "MORRIGAN_VERBOSE",
-            "MORRIGAN_NO_WORKLOAD_CACHE",
-            "MORRIGAN_DIGEST",
-        ] {
+        for name in ["MORRIGAN_FULL", "MORRIGAN_VERBOSE", "MORRIGAN_DIGEST"] {
             for (value, on) in [("1", true), (" 1 ", true), ("0", false), ("", false)] {
                 let opts = options(&[(name, value)]);
-                let read = [opts.full, opts.verbose, opts.no_workload_cache, opts.digest];
+                let read = [opts.full, opts.verbose, opts.digest];
                 assert_eq!(read.iter().filter(|&&b| b).count(), usize::from(on));
             }
             for bad in ["true", "yes", "on", "2", "y"] {
@@ -797,33 +779,12 @@ mod tests {
     }
 
     #[test]
-    fn machine_thread_env_parsing() {
-        let width = |v| options(&[("MORRIGAN_MACHINE_THREADS", v)]).machine_threads;
-        assert_eq!(width(""), None);
-        assert_eq!(width(" 4 "), Some(4));
-        assert_eq!(width("1"), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "MORRIGAN_MACHINE_THREADS")]
-    fn malformed_machine_thread_env_aborts() {
-        options(&[("MORRIGAN_MACHINE_THREADS", "fast")]);
-    }
-
-    #[test]
-    #[should_panic(expected = "MORRIGAN_MACHINE_THREADS")]
-    fn zero_machine_thread_env_aborts() {
-        options(&[("MORRIGAN_MACHINE_THREADS", "0")]);
-    }
-
-    #[test]
     fn flags_and_variables_share_a_parser() {
-        let pairs: [(&str, &str, &str); 6] = [
+        let pairs: [(&str, &str, &str); 5] = [
             ("--cores", "MORRIGAN_CORES", "4"),
             ("--tenants", "MORRIGAN_TENANTS", "3"),
             ("--interval", "MORRIGAN_INTERVAL", "10000"),
             ("--sample", "MORRIGAN_SAMPLE", "12500:37500"),
-            ("--machine-threads", "MORRIGAN_MACHINE_THREADS", "2"),
             ("--trace", "MORRIGAN_TRACE", "t.jsonl"),
         ];
         for (flag, var, value) in pairs {
@@ -832,13 +793,6 @@ mod tests {
                 Ok(options(&[(var, value)]))
             );
         }
-        assert_eq!(
-            with_flags(&[], &["--no-workload-cache"]),
-            Ok(options(&[("MORRIGAN_NO_WORKLOAD_CACHE", "1")]))
-        );
-        assert!(!options(&[("MORRIGAN_NO_WORKLOAD_CACHE", "1")])
-            .workload_cache()
-            .enabled());
         assert_eq!(
             options(&[("MORRIGAN_SAMPLE", "1")]).sample,
             Some(SamplingConfig::default_schedule())
@@ -855,7 +809,6 @@ mod tests {
             ("--tenants", "MORRIGAN_TENANTS", "9"),
             ("--interval", "MORRIGAN_INTERVAL", "10k"),
             ("--sample", "MORRIGAN_SAMPLE", "a:b"),
-            ("--machine-threads", "MORRIGAN_MACHINE_THREADS", "0"),
             ("--trace", "MORRIGAN_TRACE", "t.txt"),
         ] {
             let error = with_flags(&[], &[flag, value]).unwrap_err();
@@ -903,7 +856,12 @@ mod tests {
     fn workload_cache_variables_configure_the_cache() {
         let opts = options(&[("MORRIGAN_WORKLOAD_CACHE_MB", "64")]);
         assert_eq!(opts.workload_cache_mb, Some(64));
-        assert!(opts.workload_cache().enabled());
+        assert!(materializes(&opts.workload_cache()));
+        let live = options(&[("MORRIGAN_WORKLOAD_CACHE_MB", "0")]);
+        assert!(
+            !materializes(&live.workload_cache()),
+            "a zero budget generates live"
+        );
     }
 
     #[test]

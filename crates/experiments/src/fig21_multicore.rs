@@ -75,7 +75,10 @@ fn topology(cores: usize) -> TopologyConfig {
     }
 }
 
-fn machine_spec(
+/// The spec of one machine of the sweep: `cores` cores of `tenants`
+/// tenants each under the contended topology, with `prefetcher` on
+/// every core.
+pub fn machine_spec(
     cores: usize,
     tenants: usize,
     scale: &Scale,

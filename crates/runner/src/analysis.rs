@@ -12,7 +12,7 @@
 //! counter-based from the [`MachineSummary`] (per-core interference
 //! attribution, shootdown ledger). Those numbers are width-invariant by
 //! the machine's epoch-barrier protocol, so machine reports are
-//! byte-identical at any `--machine-threads` setting.
+//! byte-identical at any machine thread width.
 //!
 //! The differential path ([`explain_diff`]) reads two rendered records
 //! back (via [`crate::jsonval`]) and decomposes the headline metric
@@ -389,7 +389,7 @@ impl AnalysisReport {
     /// [`MachineSummary`]: no event stream exists, so the anatomy and
     /// component sections stay empty and the diagnosis is interference
     /// attribution. Every input is width-invariant, so the report is
-    /// byte-identical at any `--machine-threads` setting.
+    /// byte-identical at any machine thread width.
     ///
     /// # Panics
     ///

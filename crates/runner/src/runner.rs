@@ -18,6 +18,12 @@ use crate::workload_cache::{WorkloadCache, WorkloadCacheStats};
 /// Morrigan point, …) is simulated exactly once and every consumer gets
 /// the same [`Arc<RunRecord>`].
 ///
+/// The thread budget goes to independent specs: a batch runs on up to
+/// that many workers, and every machine a worker executes runs its
+/// cores on that worker's thread ([`Execution::new`]). A figure is a
+/// sweep of independent specs, so the pool fills the host without
+/// splitting a machine across threads.
+///
 /// # Determinism
 ///
 /// Batch results are bitwise-identical regardless of worker count or
@@ -38,14 +44,6 @@ pub struct Runner {
     /// timing. Construction-time only, same cache-key contract as
     /// `interval`.
     sampling: Option<SamplingConfig>,
-    /// Host-thread budget handed to each multi-core [`Machine`]'s epoch
-    /// driver; `None` (the default) lets the machine auto-size to
-    /// min(cores, available parallelism). Never part of the cache key:
-    /// the epoch protocol is bit-deterministic at any width, so records
-    /// are identical whatever this is set to.
-    ///
-    /// [`Machine`]: morrigan_sim::Machine
-    machine_threads: Option<usize>,
     cache: Mutex<HashMap<String, Arc<RunRecord>>>,
     /// Records every record handed out, in request order, across batches.
     /// Lets callers attribute records to request ranges (the `figures`
@@ -75,7 +73,6 @@ impl Runner {
             verbose: false,
             interval: None,
             sampling: None,
-            machine_threads: None,
             cache: Mutex::new(HashMap::new()),
             journal: Mutex::new(Vec::new()),
             sims_executed: AtomicU64::new(0),
@@ -148,33 +145,9 @@ impl Runner {
         self.sampling
     }
 
-    /// Sets the host-thread budget each multi-core machine's epoch
-    /// driver may use (`None` auto-sizes to min(cores, available
-    /// parallelism)). Thread width never changes results — only
-    /// wall-clock time — so this is *not* part of the cache key; it does
-    /// shrink the worker pool so that pool width × machine threads stays
-    /// within this runner's thread budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Some(0)`.
-    pub fn with_machine_threads(mut self, machine_threads: Option<usize>) -> Self {
-        assert!(
-            machine_threads != Some(0),
-            "machine threads must be positive when set"
-        );
-        self.machine_threads = machine_threads;
-        self
-    }
-
-    /// The per-machine host-thread budget applied to multi-core specs.
-    pub fn machine_threads(&self) -> Option<usize> {
-        self.machine_threads
-    }
-
     /// Replaces the workload-trace cache (construction-time only, like
     /// the interval, so every executed spec shares one configuration).
-    /// Pass [`WorkloadCache::disabled`] to force live generation.
+    /// A cache with a zero resident budget generates every stream live.
     pub fn with_workload_cache(mut self, cache: WorkloadCache) -> Self {
         self.workloads = cache;
         self
@@ -186,17 +159,16 @@ impl Runner {
     }
 
     /// How this runner executes a spec — its interval, default sampling
-    /// schedule, machine threads and workload cache — with `observer`
-    /// attached. An observed re-run of a journaled spec under this
-    /// replays the traces the runner already built and reproduces the
-    /// journaled record.
+    /// schedule and workload cache, with each machine on one thread — with
+    /// `observer` attached. An observed re-run of a journaled spec under
+    /// this replays the traces the runner already built and reproduces
+    /// the journaled record.
     pub fn execution(&self, observer: Observer) -> Execution<'_> {
         Execution {
             interval: self.interval,
             sampling: self.sampling,
-            machine_threads: self.machine_threads,
-            cache: &self.workloads,
             observer,
+            ..Execution::new(&self.workloads)
         }
     }
 
@@ -283,15 +255,7 @@ impl Runner {
 
         if !pending.is_empty() {
             let total = pending.len();
-            // Pool width × per-machine threads must stay within the
-            // runner's thread budget, so a batch of 4-core machines at
-            // machine-threads 4 doesn't oversubscribe the host 4×.
-            let widest = pending
-                .iter()
-                .map(|(_, spec)| spec.host_threads(self.machine_threads))
-                .max()
-                .unwrap_or(1);
-            let workers = self.threads.min(total).min((self.threads / widest).max(1));
+            let workers = self.threads.min(total);
             let slots: Vec<Mutex<Option<RunRecord>>> =
                 (0..total).map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
@@ -451,9 +415,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "machine threads must be positive")]
-    fn zero_machine_threads_builder_rejected() {
-        let _ = Runner::new(2).with_machine_threads(Some(0));
+    fn machines_run_on_one_thread_unless_execute_cached_asks() {
+        let cache = WorkloadCache::disabled();
+        assert_eq!(Execution::new(&cache).machine_threads, Some(1));
+        let runner = Runner::new(4);
+        assert_eq!(
+            runner.execution(Observer::Analysis).machine_threads,
+            Some(1)
+        );
     }
 
     #[test]
@@ -468,8 +437,9 @@ mod tests {
         system.topology.llc_shards = 4;
         system.topology.shootdown_interval = Some(25_000);
         let spec = RunSpec::multi(mixes, 10_000, system, tiny_sim(), PrefetcherKind::Morrigan);
-        let narrow = Runner::new(1).with_machine_threads(Some(1)).run_one(&spec);
-        let wide = Runner::new(4).with_machine_threads(Some(4)).run_one(&spec);
+        let cache = WorkloadCache::in_memory();
+        let narrow = spec.execute_cached(None, None, Some(1), &cache);
+        let wide = spec.execute_cached(None, None, Some(4), &cache);
         assert_eq!(
             crate::json::record_json(&narrow),
             crate::json::record_json(&wide),

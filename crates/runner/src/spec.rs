@@ -330,8 +330,11 @@ pub struct Execution<'a> {
     /// [`sampling`](RunSpec::sampling) field is set keeps its pinned
     /// schedule; only unset specs inherit this one.
     pub sampling: Option<SamplingConfig>,
-    /// Host-thread budget of a multi-core machine's epoch driver
-    /// (`None` auto-sizes); single-core specs ignore it. The epoch
+    /// Host threads of a multi-core machine's epoch driver (`None`
+    /// auto-sizes to min(cores, available parallelism)); single-core
+    /// specs ignore it. [`Execution::new`], and with it every
+    /// [`Runner`](crate::Runner) execution, runs machines on one thread;
+    /// only [`RunSpec::execute_cached`] takes another width. The epoch
     /// protocol makes records bitwise-identical at any width, so it is
     /// not part of the cache key.
     pub machine_threads: Option<usize>,
@@ -350,13 +353,13 @@ pub struct Execution<'a> {
 }
 
 impl<'a> Execution<'a> {
-    /// No interval time series, no default sampling schedule, an
-    /// auto-sized machine, no observer; streams through `cache`.
+    /// No interval time series, no default sampling schedule, machines
+    /// on one thread, no observer; streams through `cache`.
     pub fn new(cache: &'a WorkloadCache) -> Self {
         Execution {
             interval: None,
             sampling: None,
-            machine_threads: None,
+            machine_threads: Some(1),
             cache,
             observer: Observer::None,
         }
@@ -477,16 +480,6 @@ impl RunSpec {
             * self.workload.cores() as u64
     }
 
-    /// Host threads this spec's execution occupies inside one worker:
-    /// the effective epoch-driver width ([`morrigan_sim::machine_width`]),
-    /// which is `1` for every single-core spec. The
-    /// [`Runner`](crate::Runner) divides its thread budget by the widest
-    /// pending spec so pool width × machine width never oversubscribes
-    /// the budget.
-    pub fn host_threads(&self, machine_threads: Option<usize>) -> usize {
-        morrigan_sim::machine_width(machine_threads, self.workload.cores())
-    }
-
     /// The content key the result cache memoizes on.
     ///
     /// Derived from the spec's `Debug` rendering: every field of every
@@ -500,15 +493,16 @@ impl RunSpec {
     }
 
     /// Executes this spec to completion with live workload generation,
-    /// its own sampling schedule and no observer. Callable directly when
-    /// no pooling or caching is wanted.
+    /// its own sampling schedule, a machine on one thread and no
+    /// observer. Callable directly when no pooling or caching is wanted.
     pub fn execute(&self) -> RunRecord {
         self.execute_with(&Execution::new(&WorkloadCache::disabled()))
             .0
     }
 
     /// Executes this spec with no observer and the given run-level
-    /// settings (see [`Execution`]'s fields).
+    /// settings (see [`Execution`]'s fields). The one entry point that
+    /// picks a machine's thread width; `None` auto-sizes it.
     pub fn execute_cached(
         &self,
         interval: Option<u64>,

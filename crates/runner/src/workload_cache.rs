@@ -13,9 +13,10 @@
 //!
 //! Two modes:
 //!
-//! * **off** — [`WorkloadCache::disabled`] (`figures
-//!   --no-workload-cache` / `MORRIGAN_NO_WORKLOAD_CACHE=1`): every
-//!   consumer generates live, exactly as before the cache existed;
+//! * **off** — a zero resident budget (`MORRIGAN_WORKLOAD_CACHE_MB=0`),
+//!   or [`WorkloadCache::disabled`] for the direct `RunSpec::execute`
+//!   entry points: every consumer generates live, exactly as before the
+//!   cache existed;
 //! * **in-memory** — the default for a [`Runner`](crate::Runner):
 //!   traces live for the invocation, shared across worker threads.
 //!
@@ -125,11 +126,6 @@ impl WorkloadCache {
         self
     }
 
-    /// Whether materialization is on at all.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The capture length for a run of `warmup + measure` instructions:
     /// the simulator refills in `fill_block` chunks, so the trace carries
     /// [`REPLAY_SLACK`] extra instructions beyond the retired count.
@@ -226,11 +222,12 @@ impl WorkloadCache {
                         .then_some(resident + projected)
                 });
         if reserved.is_err() {
+            let mib = |bytes: u64| bytes as f64 / f64::from(1 << 20);
             eprintln!(
-                "[workload-cache] skipping materialization (~{} MiB would exceed the \
-                 {} MiB budget; set MORRIGAN_WORKLOAD_CACHE_MB to raise it): {full_key}",
-                projected >> 20,
-                self.max_resident_bytes >> 20,
+                "[workload-cache] skipping materialization (~{:.1} MiB would exceed the \
+                 {:.1} MiB budget; set MORRIGAN_WORKLOAD_CACHE_MB to raise it): {full_key}",
+                mib(projected),
+                mib(self.max_resident_bytes),
             );
             return None;
         }

@@ -134,7 +134,7 @@ fn machine_report_is_byte_identical_across_driver_widths() {
     assert_eq!(
         report_narrow.to_json(),
         report_wide.to_json(),
-        "machine reports must be byte-identical at any --machine-threads width"
+        "machine reports must be byte-identical at any machine thread width"
     );
     assert_eq!(report_narrow.to_markdown(), report_wide.to_markdown());
 

@@ -67,7 +67,7 @@ mod simulator;
 
 pub use audit::{assert_probe_conservation, audit_metrics, audit_state};
 pub use config::{CoreConfig, IcachePrefetcherKind, SimConfig, SystemConfig, TopologyConfig};
-pub use machine::{machine_width, Machine, MachineSummary, INTERLEAVE_QUANTUM};
+pub use machine::{Machine, MachineSummary, INTERLEAVE_QUANTUM};
 pub use metrics::{IntervalSample, Metrics};
 pub use sampling::SamplingConfig;
 pub use simulator::{ElisionCounters, Simulator};

@@ -25,11 +25,12 @@
 //! barrier the logs are replayed against the real structures in (core,
 //! sequence) order. The final state is a pure function of the logs, so
 //! results are **bit-identical at any host thread count** — including
-//! one — and `--machine-threads 1` doubles as the reference serial
-//! execution of the very same protocol. Cores are partitioned over up
-//! to [`Machine::set_threads`] host threads; replay work is statically
-//! partitioned by shard index so no thread coordination beyond the two
-//! sense-reversing barriers per epoch is needed.
+//! one, which is how the runner executes every machine and doubles as
+//! the reference serial execution of the very same protocol. Cores are
+//! partitioned over up to [`Machine::set_threads`] host threads; replay
+//! work is statically partitioned by shard index so no thread
+//! coordination beyond the two sense-reversing barriers per epoch is
+//! needed.
 //!
 //! ## Shootdowns
 //!
@@ -116,9 +117,8 @@ const SHOOTDOWN_VICTIM_STRIDE: u64 = 7;
 
 /// The host-thread width an epoch driver runs a `cores`-core machine
 /// at: `requested` when set, else the host's available parallelism,
-/// capped at `cores` and at least 1. [`Machine::used_threads`], the
-/// runner's worker-budget split and simbench all size by this rule.
-pub fn machine_width(requested: Option<usize>, cores: usize) -> usize {
+/// capped at `cores` and at least 1.
+fn machine_width(requested: Option<usize>, cores: usize) -> usize {
     requested
         .unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -395,7 +395,7 @@ impl Machine {
     }
 
     /// The host-thread count the epoch driver will actually use.
-    pub fn used_threads(&self) -> usize {
+    fn used_threads(&self) -> usize {
         machine_width(self.machine_threads, self.cores.len())
     }
 

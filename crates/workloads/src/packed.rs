@@ -378,7 +378,7 @@ impl PackedReplay {
             "packed trace '{}' exhausted: {} of {} instructions consumed, {wanted} more \
              requested. The trace was captured for a specific warmup+measure length (plus \
              {REPLAY_SLACK} slack); a consumer that runs longer must regenerate live \
-             (MORRIGAN_NO_WORKLOAD_CACHE=1) rather than wrap, which would silently \
+             (MORRIGAN_WORKLOAD_CACHE_MB=0) rather than wrap, which would silently \
              diverge from live generation.",
             self.trace.name(),
             self.cursor,
