@@ -9,13 +9,12 @@ head/base ratio per pair. Exits 1 when the median ratio of any gated
 quantity is above THRESHOLD, or when either binary exits non-zero (a
 failed every-run gate).
 
-Gated, each in seconds: the full pass's simulate phase, its single-core
-and multi-core subsets (so a machine-figure speedup cannot hide a
-per-core regression), the full pass's wall time (which includes workload
-generation), and the sampled pass's simulate phase. A quantity that
-either side's document lacks is skipped, so a schema change on one side
-cannot break the gate. Per-figure ratios are printed, not gated: at this
-scale a figure runs for a fraction of a second.
+Gated, each in seconds: the simulate phase, its single-core and
+multi-core subsets (so a machine-figure speedup cannot hide a per-core
+regression), and the wall time (which includes workload generation). A
+quantity that either side's document lacks is skipped, so a schema
+change on one side cannot break the gate. Per-figure ratios are printed,
+not gated: at this scale a figure runs for a fraction of a second.
 
 K and THRESHOLD are set from base-vs-base runs of one binary against
 itself on a 2-vCPU host; EXPERIMENTS.md gives the measured spread.
@@ -44,13 +43,11 @@ def quantities(doc):
         found["multi-core simulate"] = sum(f["simulate_seconds"] for f in figures if f["cores"] > 1)
     if "seconds" in total:
         found["wall"] = total["seconds"]
-    if "sampled_simulate_seconds" in total:
-        found["sampled simulate"] = total["sampled_simulate_seconds"]
     return found
 
 
 def figure_seconds(doc):
-    """Each figure's full-pass simulate seconds, by figure name."""
+    """Each figure's simulate seconds, by figure name."""
     return {f["figure"]: f["simulate_seconds"] for f in doc["figures"] if "simulate_seconds" in f}
 
 

@@ -6,21 +6,21 @@
 //! wall-second (MIPS), with each figure's phase split, to `PATH`
 //! (default `simbench.json` in the current directory).
 //!
-//! Every figure runs twice: a full-detail pass (the MIPS figures) and a
-//! SMARTS-sampled pass at the default `detail:skip` schedule, which
-//! yields the `sampled_*` fields — simulate-phase wall time and the iSTLB
-//! MPKI and IPC deviations against the full pass. The figure list ends
-//! with an 8-core scaling row (the fig21 sweep with its ceiling raised
-//! to 8). Every machine runs on the runner's one thread. Every row
-//! carries the page-run batching telemetry: `probes_issued` /
-//! `probes_elided` / `runs_consumed`.
+//! Every figure runs once, in full detail. The figure list ends with an
+//! 8-core scaling row (the fig21 sweep with its ceiling raised to 8).
+//! Every machine runs on the runner's one thread. Every row carries the
+//! page-run batching telemetry: `probes_issued` / `probes_elided` /
+//! `runs_consumed`. `trace_build_seconds` is all stream construction
+//! (the runner's `Phase::TraceBuild`): capturing packed traces, but also
+//! opening replay cursors and building live generators, so it is
+//! nonzero under `MORRIGAN_WORKLOAD_CACHE_MB=0` too.
 //!
 //! No throughput floor lives here: seconds measured on one host say
 //! nothing about another. `simbench_ab.py`, beside this crate's
 //! manifest, runs two builds' simbench interleaved on one host and gates
 //! their paired ratios. What every run enforces is [`gate_failures`]:
-//! checks computed from records and counters, which hold on any host. A
-//! failed gate exits non-zero without writing the results.
+//! checks computed from counters, which hold on any host. A failed gate
+//! exits non-zero without writing the results.
 //!
 //! Scale comes from [`bench_scale`]: a reduced profile unless
 //! `MORRIGAN_INSTR`/`MORRIGAN_FULL` override it. Of the other run
@@ -35,10 +35,8 @@ use std::time::Instant;
 use morrigan_experiments as exp;
 use morrigan_experiments::{RunOptions, Runner, Scale};
 use morrigan_runner::json::json_f64;
-use morrigan_sim::SamplingConfig;
 
 /// One measured figure regeneration.
-#[derive(Clone)]
 struct FigureRun {
     name: &'static str,
     /// Largest machine the figure steps (1 for the single-core figures;
@@ -53,28 +51,19 @@ struct FigureRun {
     /// cache on these refills are replay copies, far cheaper than live
     /// generation's O(runs) cost.
     workload_gen_seconds: f64,
-    /// Wall time materializing packed traces — the O(distinct workloads)
-    /// generation cost the cache amortizes across the figure's runs.
+    /// Wall time constructing the figure's instruction streams: every
+    /// trace capture (the O(distinct workloads) generation cost the
+    /// cache amortizes across the figure's runs), every replay cursor
+    /// and every live generator.
     trace_build_seconds: f64,
-    /// Wall time inside `Simulator::run` minus workload generation and
-    /// trace materialization — the lookup/walk/retire simulation proper.
+    /// Wall time of the figure's runs minus workload generation and
+    /// stream construction — the lookup/walk/retire simulation proper.
     simulate_seconds: f64,
     /// Distinct workload traces materialized for this figure.
     workloads_materialized: u64,
     /// Replay streams served from those traces (the amortization
     /// denominator: served / materialized runs ≥ 1).
     streams_served: u64,
-    /// Streams generated live: every stream under a zero trace budget,
-    /// the over-budget ones otherwise.
-    live_streams: u64,
-    /// Measurement-window instructions summed over the figure's journaled
-    /// records (duplicates included — both passes journal identically, so
-    /// the accuracy ratios line up). Denominator for the MPKI deviation.
-    record_instructions: u64,
-    /// iSTLB misses summed over the figure's journaled records.
-    record_istlb_misses: u64,
-    /// Cycles summed over the figure's journaled records (IPC deviation).
-    record_cycles: u64,
     /// Translation probes the stepping loops actually issued, summed
     /// over the figure's simulations (warmup included).
     probes_issued: u64,
@@ -93,33 +82,14 @@ impl FigureRun {
     /// Per-simulated-core simulate-phase throughput:
     /// instructions / (cores × simulate-phase seconds). The v5 formula
     /// divided aggregate wall-clock MIPS by the core count, billing each
-    /// core for workload generation and trace materialization that
-    /// happen once per machine, not once per core.
+    /// core for workload generation and stream construction that happen
+    /// once per machine, not once per core.
     fn per_core_mips(&self) -> f64 {
         if self.simulate_seconds > 0.0 {
             self.instructions as f64 / (self.cores as f64 * self.simulate_seconds) / 1e6
         } else {
             0.0
         }
-    }
-
-    /// Aggregate iSTLB MPKI over the figure's journaled records.
-    fn istlb_mpki(&self) -> f64 {
-        self.record_istlb_misses as f64 / self.record_instructions.max(1) as f64 * 1000.0
-    }
-
-    /// Aggregate IPC over the figure's journaled records.
-    fn ipc(&self) -> f64 {
-        self.record_instructions as f64 / self.record_cycles.max(1) as f64
-    }
-
-    /// Whether each of the figure's streams spans at least 4 sampling
-    /// periods. Sampled IPC comes from a CPI regression over the detail
-    /// windows, which converges only over several of them, so shorter
-    /// figures (reduced-scale runs) are not IPC-gated.
-    fn spans_sampling_periods(&self) -> bool {
-        self.instructions / (self.streams_served + self.live_streams).max(1)
-            >= 4 * SamplingConfig::default_schedule().period()
     }
 }
 
@@ -136,21 +106,6 @@ fn bench_scale(options: &RunOptions) -> Scale {
         scale.smt_pairs = 1;
     }
     scale
-}
-
-/// Relative deviation of `sampled` from `full`, `0.0` when `full` is
-/// zero (then `sampled` must be zero too for the deviation to be zero —
-/// a nonzero `sampled` against a zero `full` reads as 100 %).
-fn rel_err(full: f64, sampled: f64) -> f64 {
-    if full == 0.0 {
-        if sampled == 0.0 {
-            0.0
-        } else {
-            1.0
-        }
-    } else {
-        (sampled - full).abs() / full
-    }
 }
 
 /// Aggregate MIPS over a subset of the runs (0.0 when the subset is
@@ -179,14 +134,8 @@ struct BenchFigure {
 }
 
 /// Every figure of the `figures` binary, in its run order, plus the
-/// 8-core scaling row. `sampling` selects the pass: `None` runs
-/// full detailed timing, `Some` runs the SMARTS-sampled schedule on
-/// every spec.
-fn run_figures(
-    scale: &Scale,
-    sampling: Option<SamplingConfig>,
-    options: &RunOptions,
-) -> Vec<FigureRun> {
+/// 8-core scaling row.
+fn run_figures(scale: &Scale, options: &RunOptions) -> Vec<FigureRun> {
     let mut figures: Vec<BenchFigure> = exp::FIGURES
         .iter()
         .map(|figure| BenchFigure {
@@ -212,11 +161,6 @@ fn run_figures(
         run: |runner, scale| Box::new(exp::fig21_multicore::run(runner, scale)),
     });
 
-    let label = if sampling.is_some() {
-        "sampled"
-    } else {
-        "full"
-    };
     let mut runs = Vec::with_capacity(figures.len());
     for BenchFigure {
         name,
@@ -230,9 +174,7 @@ fn run_figures(
         // cache amortizes *across* figures; the workload cache comes
         // from the run options so `MORRIGAN_WORKLOAD_CACHE_MB=0` gives
         // an honest live-generation A/B against the same binary.
-        let runner = Runner::new(1)
-            .with_sampling(sampling)
-            .with_workload_cache(options.workload_cache());
+        let runner = Runner::new(1).with_workload_cache(options.workload_cache());
         let start = Instant::now();
         std::hint::black_box(run(&runner, scale));
         let seconds = start.elapsed().as_secs_f64();
@@ -241,12 +183,6 @@ fn run_figures(
         // exactly this figure's simulations.
         let phases = runner.phase_totals();
         let workload_stats = runner.workload_cache_stats();
-        let (mut record_instructions, mut record_istlb_misses, mut record_cycles) = (0, 0, 0);
-        for record in runner.journal_since(0) {
-            record_instructions += record.metrics.instructions;
-            record_istlb_misses += record.metrics.mmu.istlb_misses;
-            record_cycles += record.metrics.cycles;
-        }
         let elision = runner.elision_totals();
         let fig = FigureRun {
             name,
@@ -258,10 +194,6 @@ fn run_figures(
             simulate_seconds: phases.simulate(),
             workloads_materialized: workload_stats.built,
             streams_served: workload_stats.streams_served,
-            live_streams: workload_stats.live_fallbacks,
-            record_instructions,
-            record_istlb_misses,
-            record_cycles,
             probes_issued: elision.probes_issued,
             probes_elided: elision.probes_elided,
             runs_consumed: elision.runs_consumed,
@@ -278,7 +210,7 @@ fn run_figures(
             String::new()
         };
         eprintln!(
-            "[simbench] {label} {name}: {instructions} instructions in {seconds:.3} s = \
+            "[simbench] {name}: {instructions} instructions in {seconds:.3} s = \
              {:.2} MIPS over {} core(s) (workload-gen {:.3} s, trace-build {:.3} s over {} \
              traces serving {} streams, simulate {:.3} s{epoch_split}, elided {}/{} probes \
              over {} runs)",
@@ -299,28 +231,23 @@ fn run_figures(
 }
 
 /// Renders the results document (the workspace deliberately carries no
-/// JSON dependency; this mirrors `morrigan_runner::json`). `sampled` is
-/// the SMARTS-sampled pass, aligned with `runs` by index.
-fn render(scale: &Scale, runs: &[FigureRun], sampled: &[FigureRun]) -> String {
+/// JSON dependency; this mirrors `morrigan_runner::json`).
+fn render(scale: &Scale, runs: &[FigureRun]) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"morrigan-bench-simloop-v9\",\n");
+    out.push_str("{\n  \"schema\": \"morrigan-bench-simloop-v10\",\n");
     out.push_str(&format!(
         "  \"scale\": {{\"warmup\": {}, \"measure\": {}, \"workloads\": {}, \"smt_pairs\": {}, \
          \"cores\": {}, \"tenants\": {}}},\n",
         scale.warmup, scale.measure, scale.workloads, scale.smt_pairs, scale.cores, scale.tenants
     ));
-    out.push_str(&format!(
-        "  \"sampling\": \"{}\",\n",
-        SamplingConfig::default_schedule()
-    ));
     out.push_str("  \"figures\": [\n");
-    for (i, (f, s)) in runs.iter().zip(sampled).enumerate() {
+    for (i, f) in runs.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"figure\": \"{}\", \"cores\": {}, \"instructions\": {}, \"seconds\": {}, \
              \"workload_gen_seconds\": {}, \"trace_build_seconds\": {}, \
              \"simulate_seconds\": {}, \"workloads_materialized\": {}, \
              \"streams_served\": {}, \"probes_issued\": {}, \"probes_elided\": {}, \
-             \"runs_consumed\": {}, \"mips\": {}, \"per_core_mips\": {}",
+             \"runs_consumed\": {}, \"mips\": {}, \"per_core_mips\": {}}}{}\n",
             f.name,
             f.cores,
             f.instructions,
@@ -335,14 +262,6 @@ fn render(scale: &Scale, runs: &[FigureRun], sampled: &[FigureRun]) -> String {
             f.runs_consumed,
             json_f64(f.mips()),
             json_f64(f.per_core_mips()),
-        ));
-        out.push_str(&format!(
-            ", \"sampled_seconds\": {}, \"sampled_simulate_seconds\": {}, \
-             \"sampled_mpki_rel_err\": {}, \"sampled_ipc_rel_err\": {}}}{}\n",
-            json_f64(s.seconds),
-            json_f64(s.simulate_seconds),
-            json_f64(rel_err(f.istlb_mpki(), s.istlb_mpki())),
-            json_f64(rel_err(f.ipc(), s.ipc())),
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
@@ -356,74 +275,22 @@ fn render(scale: &Scale, runs: &[FigureRun], sampled: &[FigureRun]) -> String {
     let probes_issued: u64 = runs.iter().map(|f| f.probes_issued).sum();
     let probes_elided: u64 = runs.iter().map(|f| f.probes_elided).sum();
     let runs_consumed: u64 = runs.iter().map(|f| f.runs_consumed).sum();
-    let acc = Accuracy::new(runs, sampled);
     out.push_str(&format!(
         "  \"total\": {{\"instructions\": {instructions}, \"seconds\": {}, \
          \"workload_gen_seconds\": {}, \"trace_build_seconds\": {}, \
          \"simulate_seconds\": {}, \"workloads_materialized\": {materialized}, \
          \"streams_served\": {served}, \"probes_issued\": {probes_issued}, \
          \"probes_elided\": {probes_elided}, \"runs_consumed\": {runs_consumed}, \
-         \"single_core_mips\": {}, \
-         \"multi_core_mips\": {}, \"sampled_seconds\": {}, \
-         \"sampled_simulate_seconds\": {}, \"sampled_speedup\": {}, \
-         \"sampled_mpki_rel_err\": {}, \"sampled_ipc_rel_err\": {}, \"mips\": {}}}\n}}\n",
+         \"single_core_mips\": {}, \"multi_core_mips\": {}, \"mips\": {}}}\n}}\n",
         json_f64(seconds),
         json_f64(workload_gen),
         json_f64(trace_build),
         json_f64(simulate),
         json_f64(subset_mips(runs.iter().filter(|f| f.cores == 1))),
         json_f64(subset_mips(runs.iter().filter(|f| f.cores > 1))),
-        json_f64(acc.sampled_seconds),
-        json_f64(acc.sampled_simulate),
-        json_f64(acc.speedup()),
-        json_f64(acc.mpki_rel_err),
-        json_f64(acc.ipc_rel_err),
         json_f64(instructions as f64 / seconds / 1e6)
     ));
     out
-}
-
-/// The sampled pass's aggregate accuracy and speed against the full one.
-struct Accuracy {
-    sampled_seconds: f64,
-    full_simulate: f64,
-    sampled_simulate: f64,
-    mpki_rel_err: f64,
-    ipc_rel_err: f64,
-}
-
-impl Accuracy {
-    fn new(runs: &[FigureRun], sampled: &[FigureRun]) -> Self {
-        let agg = |rs: &[FigureRun]| {
-            rs.iter().fold((0u64, 0u64, 0u64), |(i, m, c), f| {
-                (
-                    i + f.record_instructions,
-                    m + f.record_istlb_misses,
-                    c + f.record_cycles,
-                )
-            })
-        };
-        let (fi, fm, fc) = agg(runs);
-        let (si, sm, sc) = agg(sampled);
-        let mpki = |misses: u64, instr: u64| misses as f64 / instr.max(1) as f64 * 1000.0;
-        let ipc = |instr: u64, cycles: u64| instr as f64 / cycles.max(1) as f64;
-        Accuracy {
-            sampled_seconds: sampled.iter().map(|f| f.seconds).sum(),
-            full_simulate: runs.iter().map(|f| f.simulate_seconds).sum(),
-            sampled_simulate: sampled.iter().map(|f| f.simulate_seconds).sum(),
-            mpki_rel_err: rel_err(mpki(fm, fi), mpki(sm, si)),
-            ipc_rel_err: rel_err(ipc(fi, fc), ipc(si, sc)),
-        }
-    }
-
-    /// Full-pass simulate seconds over sampled-pass simulate seconds.
-    fn speedup(&self) -> f64 {
-        if self.sampled_simulate > 0.0 {
-            self.full_simulate / self.sampled_simulate
-        } else {
-            0.0
-        }
-    }
 }
 
 fn totals(runs: &[FigureRun]) -> (u64, f64) {
@@ -433,26 +300,13 @@ fn totals(runs: &[FigureRun]) -> (u64, f64) {
     )
 }
 
-/// Largest sampled-vs-full iSTLB MPKI deviation, in aggregate and per
-/// figure. A sampled run measures its miss counters on every
-/// instruction, never extrapolating them, so this holds at any scale.
-const MPKI_TOLERANCE: f64 = 0.01;
-
-/// Largest per-figure sampled-vs-full IPC deviation. Sampled IPC is
-/// extrapolated, so it can drift in one figure while the aggregate
-/// averages it away: fig03 once sat at 6.4 % with the aggregate at
-/// 0.6 %. With functional cache warming the worst figure measured about
-/// 2.7 % (the multi-core records).
-const IPC_TOLERANCE: f64 = 0.04;
-
-/// The checks every run enforces. Each reads records and counters, not
-/// wall time against a floor, so each holds on any host. `runs` is the
-/// full-detail pass and `sampled` the sampled one, aligned by index;
-/// `cache_enabled` says whether the workload cache had a budget to
-/// materialize into. Returns one message per failed check.
-fn gate_failures(runs: &[FigureRun], sampled: &[FigureRun], cache_enabled: bool) -> Vec<String> {
+/// The checks every run enforces. Each reads counters, not wall time
+/// against a floor, so each holds on any host. `cache_enabled` says
+/// whether the workload cache had a budget to materialize into. Returns
+/// one message per failed check.
+fn gate_failures(runs: &[FigureRun], cache_enabled: bool) -> Vec<String> {
     let mut failures = Vec::new();
-    for f in runs.iter().chain(sampled) {
+    for f in runs {
         // A zero simulate phase means the phase plumbing dropped its
         // profile (the multi-core machine once did), not that simulation
         // was free. `is_nan` catches a broken profile's NaN.
@@ -479,31 +333,6 @@ fn gate_failures(runs: &[FigureRun], sampled: &[FigureRun], cache_enabled: bool)
             "WORKLOAD CACHE NOT AMORTIZING: {served} streams served from {materialized} traces"
         ));
     }
-    let aggregate = Accuracy::new(runs, sampled).mpki_rel_err;
-    if aggregate > MPKI_TOLERANCE {
-        failures.push(format!(
-            "SAMPLED MPKI DEVIATION: aggregate iSTLB MPKI deviates {aggregate:.4} \
-             (> {MPKI_TOLERANCE}) from the full run"
-        ));
-    }
-    for (f, s) in runs.iter().zip(sampled) {
-        let mpki = rel_err(f.istlb_mpki(), s.istlb_mpki());
-        if mpki > MPKI_TOLERANCE {
-            failures.push(format!(
-                "SAMPLED MPKI DEVIATION: {} iSTLB MPKI deviates {mpki:.4} (> {MPKI_TOLERANCE}) \
-                 from the full run",
-                f.name
-            ));
-        }
-        let ipc = rel_err(f.ipc(), s.ipc());
-        if f.spans_sampling_periods() && ipc > IPC_TOLERANCE {
-            failures.push(format!(
-                "SAMPLED IPC DEVIATION: {} IPC deviates {ipc:.4} (> {IPC_TOLERANCE}) from the \
-                 full run",
-                f.name
-            ));
-        }
-    }
     failures
 }
 
@@ -527,8 +356,7 @@ fn main() -> ExitCode {
          {} cores x {} tenants",
         scale.warmup, scale.measure, scale.workloads, scale.smt_pairs, scale.cores, scale.tenants
     );
-    let runs = run_figures(&scale, None, &options);
-    let sampled = run_figures(&scale, Some(SamplingConfig::default_schedule()), &options);
+    let runs = run_figures(&scale, &options);
     let (instructions, seconds) = totals(&runs);
     println!(
         "simbench: {instructions} instructions in {seconds:.3} s = {:.2} MIPS aggregate, \
@@ -536,31 +364,14 @@ fn main() -> ExitCode {
         instructions as f64 / seconds / 1e6,
         subset_mips(runs.iter().filter(|f| f.cores == 1)),
     );
-    let acc = Accuracy::new(&runs, &sampled);
-    println!(
-        "simbench: sampled pass {:.3} s simulate vs {:.3} s full = {:.2}x speedup, \
-         MPKI deviation {:.4}, IPC deviation {:.4}",
-        acc.sampled_simulate,
-        acc.full_simulate,
-        acc.speedup(),
-        acc.mpki_rel_err,
-        acc.ipc_rel_err,
-    );
-    println!(
-        "simbench: per-figure IPC gate applies to {} of {} figures (the rest run under 4 \
-         sampling periods per stream)",
-        runs.iter().filter(|f| f.spans_sampling_periods()).count(),
-        runs.len()
-    );
-
-    let failures = gate_failures(&runs, &sampled, options.workload_cache_mb != Some(0));
+    let failures = gate_failures(&runs, options.workload_cache_mb != Some(0));
     if !failures.is_empty() {
         for failure in &failures {
             eprintln!("simbench: {failure}");
         }
         return ExitCode::FAILURE;
     }
-    std::fs::write(&out_path, render(&scale, &runs, &sampled)).expect("write results");
+    std::fs::write(&out_path, render(&scale, &runs)).expect("write results");
     println!("simbench: every gate holds; results written to {out_path}");
     ExitCode::SUCCESS
 }
@@ -575,10 +386,8 @@ fn usage(err: &str) -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A figure row that passes every gate when both passes carry it:
-    /// a real simulate phase, elided probes, more streams than traces,
-    /// and streams of a million instructions, long enough for the IPC
-    /// gate. Its journaled records read 10 iSTLB MPKI at IPC 1.
+    /// A figure row that passes every gate: a real simulate phase,
+    /// elided probes and more streams than traces.
     fn row(name: &'static str) -> FigureRun {
         FigureRun {
             name,
@@ -590,10 +399,6 @@ mod tests {
             simulate_seconds: 0.8,
             workloads_materialized: 2,
             streams_served: 4,
-            live_streams: 0,
-            record_instructions: 3_000_000,
-            record_istlb_misses: 30_000,
-            record_cycles: 3_000_000,
             probes_issued: 400_000,
             probes_elided: 3_000_000,
             runs_consumed: 50_000,
@@ -612,16 +417,16 @@ mod tests {
     #[test]
     fn matching_passes_hold_every_gate() {
         let runs = [row("fig02"), row("fig03")];
-        assert_eq!(gate_failures(&runs, &runs, true), Vec::<String>::new());
+        assert_eq!(gate_failures(&runs, true), Vec::<String>::new());
     }
 
     #[test]
     fn a_zero_or_nan_simulate_phase_fails() {
         for broken in [0.0, f64::NAN] {
-            let mut sampled = row("fig21");
-            sampled.simulate_seconds = broken;
+            let mut full = row("fig21");
+            full.simulate_seconds = broken;
             assert_one(
-                gate_failures(&[row("fig21")], &[sampled], true),
+                gate_failures(&[row("fig02"), full], true),
                 "PHASE ACCOUNTING BUG: fig21",
             );
         }
@@ -631,10 +436,7 @@ mod tests {
     fn zero_elided_probes_fail() {
         let mut full = row("fig02");
         full.probes_elided = 0;
-        assert_one(
-            gate_failures(&[full], &[row("fig02")], true),
-            "PAGE-RUN BATCHING BUG: fig02",
-        );
+        assert_one(gate_failures(&[full], true), "PAGE-RUN BATCHING BUG: fig02");
     }
 
     #[test]
@@ -642,71 +444,13 @@ mod tests {
         let mut full = row("fig02");
         full.streams_served = full.workloads_materialized;
         assert_one(
-            gate_failures(&[full], &[row("fig02")], true),
+            gate_failures(&[full], true),
             "WORKLOAD CACHE NOT AMORTIZING",
         );
         // With the cache off nothing is materialized or served.
         let mut live = row("fig02");
         live.workloads_materialized = 0;
         live.streams_served = 0;
-        assert!(gate_failures(&[live], &[row("fig02")], false).is_empty());
-    }
-
-    #[test]
-    fn one_figure_off_by_1_5_percent_mpki_fails() {
-        // A heavier exact figure keeps the aggregate deviation near
-        // 0.015 %, so only the per-figure check can see this one.
-        let mut heavy = row("fig03");
-        heavy.record_instructions *= 100;
-        heavy.record_istlb_misses *= 100;
-        heavy.record_cycles *= 100;
-        let mut off = row("fig02");
-        off.record_istlb_misses = 30_450;
-        assert_one(
-            gate_failures(&[row("fig02"), heavy.clone()], &[off, heavy], true),
-            "SAMPLED MPKI DEVIATION: fig02",
-        );
-    }
-
-    #[test]
-    fn an_aggregate_mpki_deviation_fails() {
-        // Each figure's MPKI matches, but fig03's sampled pass journals
-        // a third of the instructions, so its missless records no
-        // longer dilute fig02's misses in the aggregate.
-        let mut missless = row("fig03");
-        missless.record_istlb_misses = 0;
-        let mut short = missless.clone();
-        short.record_instructions /= 3;
-        short.record_cycles /= 3;
-        assert_one(
-            gate_failures(&[row("fig02"), missless], &[row("fig02"), short], true),
-            "SAMPLED MPKI DEVIATION: aggregate",
-        );
-    }
-
-    #[test]
-    fn a_long_figure_off_by_5_percent_ipc_fails() {
-        let mut off = row("fig02");
-        off.record_cycles = 2_857_143;
-        assert_one(
-            gate_failures(&[row("fig02")], &[off], true),
-            "SAMPLED IPC DEVIATION: fig02",
-        );
-    }
-
-    #[test]
-    fn a_short_figure_off_by_5_percent_ipc_is_not_ipc_gated() {
-        let mut short = row("fig02");
-        short.instructions = 400_000;
-        let mut off = short.clone();
-        off.record_cycles = 2_857_143;
-        assert!(gate_failures(&[short.clone()], &[off.clone()], true).is_empty());
-        // Generated live, its streams are as short.
-        for run in [&mut short, &mut off] {
-            run.workloads_materialized = 0;
-            run.streams_served = 0;
-            run.live_streams = 4;
-        }
-        assert!(gate_failures(&[short], &[off], false).is_empty());
+        assert!(gate_failures(&[live], false).is_empty());
     }
 }

@@ -10,7 +10,6 @@
 //! figures --explain why.json fig02  # per-run "why" report (+ .md sibling)
 //! figures explain a.json b.json   # differential between two --json dumps
 //! figures --interval 10000 ...    # per-epoch time-series in the JSON
-//! figures --sample 10000:40000 .. # SMARTS sampled simulation (or --sample 1)
 //! figures --cores 8 --tenants 3 fig21  # widen the multicore sweep
 //! MORRIGAN_FULL=1 figures         # paper-scale run lengths (slow)
 //! MORRIGAN_THREADS=4 figures      # worker-pool size override
@@ -19,11 +18,10 @@
 //! ```
 //!
 //! Every flag above except `--json` is a run option with a `MORRIGAN_*`
-//! twin (`--trace` is `MORRIGAN_TRACE`, `--sample` is `MORRIGAN_SAMPLE`,
-//! …; `--explain` has none). [`RunOptions`] reads the variables, lays
-//! the flags over them with the same parsers, and rejects sampled
-//! simulation combined with `--interval`, `--trace` or `--explain`,
-//! whichever spelling set them. EXPERIMENTS.md tabulates every option.
+//! twin (`--trace` is `MORRIGAN_TRACE`, `--interval` is
+//! `MORRIGAN_INTERVAL`, …; `--explain` has none). [`RunOptions`] reads
+//! the variables and lays the flags over them with the same parsers.
+//! EXPERIMENTS.md tabulates every option.
 //!
 //! All figures share one [`Runner`], so simulations they have in common
 //! (notably the no-prefetch baselines and the Fig 5–8 miss-stream runs)
@@ -84,13 +82,12 @@ fn closest_figure(name: &str) -> &'static str {
 
 /// Every flag the binary accepts, for the "did you mean" hint on
 /// unknown `--…` arguments.
-const FLAGS: [&str; 10] = [
+const FLAGS: [&str; 9] = [
     "--json",
     "--trace",
     "--explain",
     "--out",
     "--interval",
-    "--sample",
     "--cores",
     "--tenants",
     "--help",
@@ -110,7 +107,7 @@ struct Args {
     /// Where to write the per-figure JSON document, if requested.
     json_path: Option<String>,
     /// The `MORRIGAN_*` variables with the run-option flags laid over
-    /// them, validated.
+    /// them.
     options: RunOptions,
     /// `--help` was requested: print usage and exit successfully.
     help: bool,
@@ -119,7 +116,7 @@ struct Args {
 fn usage() -> String {
     format!(
         "usage: figures [--json <path>] [--trace <path>.json|.jsonl] [--explain <path>.json] \
-         [--interval <n>] [--sample <detail:skip|1>] [--cores <1|2|4|8|…>] [--tenants <n>] \
+         [--interval <n>] [--cores <1|2|4|8|…>] [--tenants <n>] \
          [{}]...\n\
          \x20      figures explain <a.json> <b.json> [--out <path>]",
         figure_names().collect::<Vec<_>>().join("|")
@@ -161,7 +158,6 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    options.validate()?;
     Ok(Args {
         selected,
         json_path,

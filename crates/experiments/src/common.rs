@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use morrigan_runner::WorkloadCache;
-use morrigan_sim::{Metrics, SamplingConfig, SimConfig, SystemConfig};
+use morrigan_sim::{Metrics, SimConfig, SystemConfig};
 use morrigan_types::stats::{geometric_mean, mean};
 use morrigan_workloads::ServerWorkloadConfig;
 
@@ -137,15 +137,13 @@ pub fn parse_tenants(value: &str) -> Result<usize, String> {
 ///
 /// [`RunOptions::from_env`] reads each variable once. `figures` lays its
 /// flags over that with [`RunOptions::parse_flag`], which feeds a flag's
-/// value to the same parser as its variable, and then checks the
-/// combination once with [`RunOptions::validate`]. Front ends build what
-/// they run from the result: [`RunOptions::scale`],
-/// [`RunOptions::runner`] and [`RunOptions::workload_cache`].
+/// value to the same parser as its variable. Front ends build what they
+/// run from the result: [`RunOptions::scale`], [`RunOptions::runner`]
+/// and [`RunOptions::workload_cache`].
 ///
 /// A blank or unset variable leaves its option at the default, and a
-/// switch variable takes `1` or `0`. Two options read `0` by spelling:
-/// `MORRIGAN_INTERVAL=0` and `MORRIGAN_SAMPLE=0` mean off, while
-/// `--interval 0` and `--sample 0` are errors. `MORRIGAN_WORKLOAD_CACHE_MB=0`
+/// switch variable takes `1` or `0`. `MORRIGAN_INTERVAL=0` means off,
+/// while `--interval 0` is an error. `MORRIGAN_WORKLOAD_CACHE_MB=0`
 /// leaves no room for a trace, so every stream is generated live.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOptions {
@@ -170,9 +168,6 @@ pub struct RunOptions {
     /// Interval time-series epoch length in retired instructions
     /// (`--interval` / `MORRIGAN_INTERVAL`).
     pub interval: Option<u64>,
-    /// SMARTS sampled-simulation schedule (`--sample` /
-    /// `MORRIGAN_SAMPLE`).
-    pub sample: Option<SamplingConfig>,
     /// Resident trace budget in MiB, `0` generating every workload live
     /// (`MORRIGAN_WORKLOAD_CACHE_MB`).
     pub workload_cache_mb: Option<u64>,
@@ -214,11 +209,6 @@ impl RunOptions {
                 _ => parse_interval(v).map(Some),
             })
             .flatten(),
-            sample: env_value(var, "MORRIGAN_SAMPLE", |v| match v {
-                "0" => Ok(None),
-                _ => parse_sample(v).map(Some),
-            })
-            .flatten(),
             workload_cache_mb: env_value(
                 var,
                 "MORRIGAN_WORKLOAD_CACHE_MB",
@@ -244,35 +234,11 @@ impl RunOptions {
             "--cores" => self.cores = Some(flag_value(flag, args, parse_cores)?),
             "--tenants" => self.tenants = Some(flag_value(flag, args, parse_tenants)?),
             "--interval" => self.interval = Some(flag_value(flag, args, parse_interval)?),
-            "--sample" => self.sample = Some(flag_value(flag, args, parse_sample)?),
             "--trace" => self.trace = Some(flag_value(flag, args, parse_trace)?),
             "--explain" => self.explain = Some(flag_value(flag, args, parse_explain)?),
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// Checks the combination, whichever spelling set each option:
-    /// sampled simulation excludes the interval time-series (its epochs
-    /// assume full detailed timing), the event trace and the analysis
-    /// report (both would omit the fast-forwarded stretches).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.sample.is_none() {
-            return Ok(());
-        }
-        let conflict = if self.interval.is_some() {
-            "--interval / MORRIGAN_INTERVAL: interval epochs assume full detailed timing"
-        } else if self.trace.is_some() {
-            "--trace / MORRIGAN_TRACE: an event trace of a sampled run would omit the \
-             fast-forwarded stretches"
-        } else if self.explain.is_some() {
-            "--explain: an analysis of a sampled run would omit the fast-forwarded stretches"
-        } else {
-            return Ok(());
-        };
-        Err(format!(
-            "sampled simulation (--sample / MORRIGAN_SAMPLE) excludes {conflict}"
-        ))
     }
 
     /// The run lengths and sweep sizes: [`Scale::paper`] under `full`,
@@ -300,11 +266,6 @@ impl RunOptions {
     }
 
     /// The runner these options describe, built through its builders.
-    ///
-    /// # Panics
-    ///
-    /// Panics when both an interval and a sampling schedule are set;
-    /// [`RunOptions::validate`] reports that combination as an error.
     pub fn runner(&self) -> Runner {
         let threads = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -312,7 +273,6 @@ impl RunOptions {
         Runner::new(threads)
             .verbose(self.verbose)
             .with_interval(self.interval)
-            .with_sampling(self.sample)
             .with_workload_cache(self.workload_cache())
     }
 
@@ -384,16 +344,6 @@ fn parse_interval(value: &str) -> Result<u64, String> {
             Err("expected a positive epoch length in retired instructions".to_string())
         }
         Ok(n) => Ok(n),
-    }
-}
-
-/// `1` for [`SamplingConfig::default_schedule`], otherwise `detail:skip`.
-fn parse_sample(value: &str) -> Result<SamplingConfig, String> {
-    match value.trim() {
-        "1" => Ok(SamplingConfig::default_schedule()),
-        schedule => SamplingConfig::parse(schedule).map_err(|_| {
-            "expected 1 (the default schedule) or detail:skip with both sides positive".to_string()
-        }),
     }
 }
 
@@ -665,14 +615,13 @@ mod tests {
             .unwrap()
     }
 
-    /// Options with `flags` laid over `vars`, then validated.
+    /// Options with `flags` laid over `vars`.
     fn with_flags(vars: &[(&str, &str)], flags: &[&str]) -> Result<RunOptions, String> {
         let mut opts = options(vars);
         let mut args = flags.iter().map(|f| f.to_string());
         while let Some(flag) = args.next() {
             assert!(opts.parse_flag(&flag, &mut args)?, "{flag} is a run option");
         }
-        opts.validate()?;
         Ok(opts)
     }
 
@@ -688,7 +637,7 @@ mod tests {
         read.sort();
         read.dedup();
         assert_eq!(read.len(), total, "a variable was read twice");
-        assert_eq!(total, 12);
+        assert_eq!(total, 11);
         assert!(read.iter().all(|name| name.starts_with("MORRIGAN_")));
         assert!(
             !read.contains(&"MORRIGAN_AUDIT".to_string()),
@@ -712,8 +661,7 @@ mod tests {
         assert_eq!(opts, RunOptions::default());
         assert_eq!(opts.scale(), Scale::quick());
         assert!(materializes(&opts.workload_cache()));
-        let runner = opts.runner();
-        assert_eq!((runner.interval(), runner.sampling()), (None, None));
+        assert_eq!(opts.runner().interval(), None);
     }
 
     #[test]
@@ -780,11 +728,10 @@ mod tests {
 
     #[test]
     fn flags_and_variables_share_a_parser() {
-        let pairs: [(&str, &str, &str); 5] = [
+        let pairs: [(&str, &str, &str); 4] = [
             ("--cores", "MORRIGAN_CORES", "4"),
             ("--tenants", "MORRIGAN_TENANTS", "3"),
             ("--interval", "MORRIGAN_INTERVAL", "10000"),
-            ("--sample", "MORRIGAN_SAMPLE", "12500:37500"),
             ("--trace", "MORRIGAN_TRACE", "t.jsonl"),
         ];
         for (flag, var, value) in pairs {
@@ -793,10 +740,6 @@ mod tests {
                 Ok(options(&[(var, value)]))
             );
         }
-        assert_eq!(
-            options(&[("MORRIGAN_SAMPLE", "1")]).sample,
-            Some(SamplingConfig::default_schedule())
-        );
         // A flag overrides its own variable.
         let opts = with_flags(&[("MORRIGAN_INTERVAL", "5000")], &["--interval", "10000"]);
         assert_eq!(opts.unwrap().interval, Some(10_000));
@@ -808,7 +751,6 @@ mod tests {
             ("--cores", "MORRIGAN_CORES", "3"),
             ("--tenants", "MORRIGAN_TENANTS", "9"),
             ("--interval", "MORRIGAN_INTERVAL", "10k"),
-            ("--sample", "MORRIGAN_SAMPLE", "a:b"),
             ("--trace", "MORRIGAN_TRACE", "t.txt"),
         ] {
             let error = with_flags(&[], &[flag, value]).unwrap_err();
@@ -826,30 +768,8 @@ mod tests {
 
     #[test]
     fn zero_is_off_for_variables_but_an_error_for_flags() {
-        let off = options(&[("MORRIGAN_INTERVAL", "0"), ("MORRIGAN_SAMPLE", "0")]);
-        assert_eq!((off.interval, off.sample), (None, None));
+        assert_eq!(options(&[("MORRIGAN_INTERVAL", "0")]).interval, None);
         assert!(with_flags(&[], &["--interval", "0"]).is_err());
-        assert!(with_flags(&[], &["--sample", "0"]).is_err());
-    }
-
-    #[test]
-    fn sampling_excludes_interval_trace_and_explain_whichever_spelling() {
-        let sample = ("MORRIGAN_SAMPLE", "1");
-        for (vars, flags) in [
-            (vec![sample, ("MORRIGAN_INTERVAL", "10000")], vec![]),
-            (vec![sample], vec!["--interval", "10000"]),
-            (vec![("MORRIGAN_INTERVAL", "10000")], vec!["--sample", "1"]),
-            (vec![], vec!["--sample", "1", "--interval", "10000"]),
-            (vec![sample, ("MORRIGAN_TRACE", "t.json")], vec![]),
-            (vec![sample], vec!["--trace", "t.json"]),
-            (vec![("MORRIGAN_TRACE", "t.json")], vec!["--sample", "1"]),
-            (vec![sample], vec!["--explain", "why.json"]),
-        ] {
-            let error = with_flags(&vars, &flags).unwrap_err();
-            assert!(error.starts_with("sampled simulation"), "{error}");
-        }
-        assert!(with_flags(&[sample], &[]).is_ok());
-        assert!(with_flags(&[("MORRIGAN_SAMPLE", "0")], &["--interval", "10000"]).is_ok());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Host-side phase profiling: where a simulation's *wall time* goes,
-//! split into workload generation, trace materialization, and
+//! split into workload generation, stream construction, and
 //! simulation proper, with the multi-core machine's epoch barrier waits
 //! and shared-state replay broken out of the latter.
 //!
-//! The buckets are timed at refill, materialization and epoch
+//! The buckets are timed at refill, stream-construction and epoch
 //! granularity (two `Instant` reads per 1024-instruction refill, four
 //! per machine thread per epoch, far below measurement noise), so they
 //! are always on. Per-layer host cost inside the simulation
@@ -15,12 +15,13 @@
 pub enum Phase {
     /// Generating instructions (stream refills).
     WorkloadGen,
-    /// Materializing a packed workload trace (generation + packing),
-    /// paid once per distinct workload when the runner's workload cache
-    /// is on. Timed around the stream construction in the runner's one
-    /// execution path (`RunSpec::execute_with`), not inside the
-    /// simulator — near-zero on a cache hit or with the cache off, the
-    /// full generation cost on a miss.
+    /// Constructing a run's instruction streams, timed around the stream
+    /// construction in the runner's one execution path
+    /// (`RunSpec::execute_with`), not inside the simulator: the full
+    /// generation and packing cost when the workload cache materializes
+    /// a trace, a replay cursor on a cache hit, and the live generator's
+    /// construction when a stream is generated live (a zero trace
+    /// budget, or a trace over it).
     TraceBuild,
     /// The multi-core machine's epoch barriers: each host thread's time
     /// inside its two `wait` calls per epoch, summed over threads. Part
@@ -102,8 +103,8 @@ impl PhaseProfile {
         self.seconds(Phase::WorkloadGen)
     }
 
-    /// Seconds spent materializing packed workload traces (once per
-    /// distinct workload under the runner's workload cache).
+    /// Seconds spent constructing instruction streams (see
+    /// [`Phase::TraceBuild`]).
     pub fn trace_build(&self) -> f64 {
         self.seconds(Phase::TraceBuild)
     }
@@ -122,7 +123,7 @@ impl PhaseProfile {
     }
 
     /// Seconds spent simulating: the total minus workload generation
-    /// and trace materialization, clamped at zero because timer
+    /// and stream construction, clamped at zero because timer
     /// granularity can make the buckets nominally overshoot a tiny
     /// total. Barrier and replay time are part of it.
     pub fn simulate(&self) -> f64 {

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use morrigan_obs::PhaseProfile;
-use morrigan_sim::{ElisionCounters, SamplingConfig};
+use morrigan_sim::ElisionCounters;
 
 use crate::spec::{Execution, Observer, RunRecord, RunSpec};
 use crate::workload_cache::{WorkloadCache, WorkloadCacheStats};
@@ -39,11 +39,6 @@ pub struct Runner {
     /// contract: it is fixed at construction, so every cached record was
     /// produced under the same sampling setting.
     interval: Option<u64>,
-    /// Default SMARTS sampled-simulation schedule for specs that don't
-    /// pin one themselves; `None` (the default) runs full detailed
-    /// timing. Construction-time only, same cache-key contract as
-    /// `interval`.
-    sampling: Option<SamplingConfig>,
     cache: Mutex<HashMap<String, Arc<RunRecord>>>,
     /// Records every record handed out, in request order, across batches.
     /// Lets callers attribute records to request ranges (the `figures`
@@ -72,7 +67,6 @@ impl Runner {
             threads: threads.max(1),
             verbose: false,
             interval: None,
-            sampling: None,
             cache: Mutex::new(HashMap::new()),
             journal: Mutex::new(Vec::new()),
             sims_executed: AtomicU64::new(0),
@@ -98,17 +92,11 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics on `Some(0)`, or when a sampled-simulation schedule is also
-    /// configured (the two telemetry modes are mutually exclusive).
+    /// Panics on `Some(0)`.
     pub fn with_interval(mut self, interval: Option<u64>) -> Self {
         assert!(
             interval != Some(0),
             "sampling interval must be positive when set"
-        );
-        assert!(
-            interval.is_none() || self.sampling.is_none(),
-            "interval time-series and sampled simulation are mutually exclusive \
-             (MORRIGAN_INTERVAL vs MORRIGAN_SAMPLE)"
         );
         self.interval = interval;
         self
@@ -117,32 +105,6 @@ impl Runner {
     /// The interval-sampler epoch length applied to executed specs.
     pub fn interval(&self) -> Option<u64> {
         self.interval
-    }
-
-    /// Sets the default SMARTS sampled-simulation schedule for specs that
-    /// don't pin one themselves (`None` runs full detailed timing).
-    ///
-    /// Construction-time only — same cache-key contract as
-    /// [`Runner::with_interval`]. The two telemetry modes are mutually
-    /// exclusive per simulator, so a runner configured with both rejects
-    /// the combination here rather than deep inside a worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an interval is also configured.
-    pub fn with_sampling(mut self, sampling: Option<SamplingConfig>) -> Self {
-        assert!(
-            sampling.is_none() || self.interval.is_none(),
-            "interval time-series and sampled simulation are mutually exclusive \
-             (MORRIGAN_INTERVAL vs MORRIGAN_SAMPLE)"
-        );
-        self.sampling = sampling;
-        self
-    }
-
-    /// The default sampled-simulation schedule applied to executed specs.
-    pub fn sampling(&self) -> Option<SamplingConfig> {
-        self.sampling
     }
 
     /// Replaces the workload-trace cache (construction-time only, like
@@ -158,15 +120,14 @@ impl Runner {
         &self.workloads
     }
 
-    /// How this runner executes a spec — its interval, default sampling
-    /// schedule and workload cache, with each machine on one thread — with
-    /// `observer` attached. An observed re-run of a journaled spec under
-    /// this replays the traces the runner already built and reproduces
-    /// the journaled record.
+    /// How this runner executes a spec — its interval and workload
+    /// cache, with each machine on one thread — with `observer` attached.
+    /// An observed re-run of a journaled spec under this replays the
+    /// traces the runner already built and reproduces the journaled
+    /// record.
     pub fn execution(&self, observer: Observer) -> Execution<'_> {
         Execution {
             interval: self.interval,
-            sampling: self.sampling,
             observer,
             ..Execution::new(&self.workloads)
         }

@@ -325,10 +325,12 @@ pub struct Execution<'a> {
     /// each core's series in its [`MachineSummary`]'s
     /// `per_core_intervals`.
     pub interval: Option<u64>,
-    /// Default SMARTS sampled-simulation schedule (e.g. the runner's
-    /// `MORRIGAN_SAMPLE`-configured one): a spec whose own
-    /// [`sampling`](RunSpec::sampling) field is set keeps its pinned
-    /// schedule; only unset specs inherit this one.
+    /// SMARTS sampled-simulation schedule for a spec whose own
+    /// [`sampling`](RunSpec::sampling) field is unset; a pinned schedule
+    /// wins. Only [`RunSpec::execute_cached`] sets it, from its argument,
+    /// and every caller passes `None`: a sampled run sets the spec's own
+    /// field. It leaves with the sampling engine (ROADMAP item 1), whose
+    /// last non-test caller is hostbench.
     pub sampling: Option<SamplingConfig>,
     /// Host threads of a multi-core machine's epoch driver (`None`
     /// auto-sizes to min(cores, available parallelism)); single-core
@@ -353,8 +355,8 @@ pub struct Execution<'a> {
 }
 
 impl<'a> Execution<'a> {
-    /// No interval time series, no default sampling schedule, machines
-    /// on one thread, no observer; streams through `cache`.
+    /// No interval time series, no sampling schedule beyond the spec's
+    /// own, machines on one thread, no observer; streams through `cache`.
     pub fn new(cache: &'a WorkloadCache) -> Self {
         Execution {
             interval: None,

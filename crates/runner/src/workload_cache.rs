@@ -13,10 +13,10 @@
 //!
 //! Two modes:
 //!
-//! * **off** — a zero resident budget (`MORRIGAN_WORKLOAD_CACHE_MB=0`),
-//!   or [`WorkloadCache::disabled`] for the direct `RunSpec::execute`
-//!   entry points: every consumer generates live, exactly as before the
-//!   cache existed;
+//! * **off** — a zero resident budget (`MORRIGAN_WORKLOAD_CACHE_MB=0`,
+//!   and [`WorkloadCache::disabled`] for the direct `RunSpec::execute`
+//!   entry points): every consumer generates live, exactly as before the
+//!   cache existed, and nothing is keyed or logged;
 //! * **in-memory** — the default for a [`Runner`](crate::Runner):
 //!   traces live for the invocation, shared across worker threads.
 //!
@@ -71,7 +71,7 @@ pub struct WorkloadCacheStats {
     pub built: u64,
     /// Replay streams served (every consumer, including the first).
     pub streams_served: u64,
-    /// Streams that fell back to live generation (cache disabled or
+    /// Streams that fell back to live generation (a zero budget, or a
     /// trace over the resident budget).
     pub live_fallbacks: u64,
     /// Wall seconds spent generating + packing traces this invocation.
@@ -85,9 +85,7 @@ pub struct WorkloadCacheStats {
 /// A build-once, replay-many cache of materialized workload traces.
 /// Shared by every worker thread of a [`Runner`](crate::Runner).
 pub struct WorkloadCache {
-    /// `false` disables the cache entirely: every stream is generated
-    /// live.
-    enabled: bool,
+    /// Resident-byte budget; `0` generates every stream live.
     max_resident_bytes: u64,
     slots: Mutex<HashMap<String, Arc<Slot>>>,
     resident_bytes: AtomicU64,
@@ -98,18 +96,15 @@ pub struct WorkloadCache {
 }
 
 impl WorkloadCache {
-    /// A cache that never materializes: every request generates live.
+    /// A cache that never materializes: a zero budget, so every request
+    /// generates live.
     pub fn disabled() -> Self {
-        WorkloadCache {
-            enabled: false,
-            ..Self::in_memory()
-        }
+        Self::in_memory().with_max_resident_bytes(0)
     }
 
     /// The default: materialize in memory.
     pub fn in_memory() -> Self {
         WorkloadCache {
-            enabled: true,
             max_resident_bytes: DEFAULT_MAX_RESIDENT_BYTES,
             slots: Mutex::new(HashMap::new()),
             resident_bytes: AtomicU64::new(0),
@@ -162,14 +157,16 @@ impl WorkloadCache {
     /// trace, or once per request when falling back.
     ///
     /// The first caller for a key materializes; concurrent callers for
-    /// the same key block on that build rather than duplicating it.
+    /// the same key block on that build rather than duplicating it. A
+    /// zero budget, which has room for no trace, generates live without
+    /// keying a slot or logging a skip.
     pub fn stream_for(
         &self,
         key: &str,
         len: u64,
         build: impl Fn() -> Box<dyn InstructionStream>,
     ) -> Box<dyn InstructionStream> {
-        if !self.enabled {
+        if self.max_resident_bytes == 0 {
             self.live_fallbacks.fetch_add(1, Ordering::Relaxed);
             return build();
         }
@@ -289,6 +286,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.built, 0);
         assert_eq!(stats.live_fallbacks, 1);
+        assert!(cache.slots.lock().unwrap().is_empty(), "no slot is keyed");
     }
 
     #[test]

@@ -23,9 +23,9 @@ use morrigan_runner::{PrefetcherKind, RunSpec, Runner, WorkloadCache};
 use morrigan_sim::{SamplingConfig, SimConfig, SystemConfig, TopologyConfig};
 use morrigan_workloads::suites;
 
-/// Bench-like scale: five full periods of the default 12.5k:37.5k
-/// schedule inside the measurement window, exactly as the throughput
-/// bench runs it.
+/// Bench-like scale: the throughput bench's reduced profile, which puts
+/// five full periods of the default 12.5k:37.5k schedule inside the
+/// measurement window.
 fn sim() -> SimConfig {
     SimConfig {
         warmup_instructions: 100_000,
@@ -43,17 +43,16 @@ fn rel_err(sampled: f64, full: f64) -> f64 {
 #[test]
 fn sampled_single_core_errors_are_bounded() {
     let full_runner = Runner::new(1).with_workload_cache(WorkloadCache::in_memory());
-    let sampled_runner = Runner::new(1)
-        .with_sampling(Some(SamplingConfig::default_schedule()))
-        .with_workload_cache(WorkloadCache::in_memory());
+    let sampled_runner = Runner::new(1).with_workload_cache(WorkloadCache::in_memory());
     for workload in suites::qmm_suite_subset(2) {
-        let spec = RunSpec::server(
+        let mut spec = RunSpec::server(
             &workload,
             SystemConfig::default(),
             sim(),
             PrefetcherKind::Morrigan,
         );
         let full = full_runner.run_one(&spec);
+        spec.sampling = Some(SamplingConfig::default_schedule());
         let sampled = sampled_runner.run_one(&spec);
 
         // The instruction stream is identical by construction.
@@ -85,8 +84,7 @@ fn sampled_single_core_errors_are_bounded() {
         // Estimated cycles: 8 % bounds the per-workload IPC deviation
         // with margin over its measured value while still catching an
         // estimator regression (a naive detail-only extrapolation lands
-        // well outside; the committed bench document pins the aggregate
-        // at ≤ 1 %).
+        // well outside).
         let ipc_err = rel_err(sampled.metrics.ipc(), full.metrics.ipc());
         assert!(
             ipc_err.abs() <= 0.08,
@@ -118,7 +116,7 @@ fn sampled_multi_core_counters_match_and_phases_are_nonzero() {
         },
         ..SystemConfig::default()
     };
-    let spec = RunSpec::multi(
+    let mut spec = RunSpec::multi(
         suites::tenant_mixes(2, 2),
         5_000,
         system,
@@ -126,9 +124,8 @@ fn sampled_multi_core_counters_match_and_phases_are_nonzero() {
         PrefetcherKind::Morrigan,
     );
     let full = Runner::new(1).run_one(&spec);
-    let sampled = Runner::new(1)
-        .with_sampling(Some(SamplingConfig::default_schedule()))
-        .run_one(&spec);
+    spec.sampling = Some(SamplingConfig::default_schedule());
+    let sampled = Runner::new(1).run_one(&spec);
 
     assert_eq!(sampled.metrics.instructions, full.metrics.instructions);
     let (fm, sm) = (

@@ -35,8 +35,8 @@
 /// A sampled-simulation schedule: `detail` instructions of full timing
 /// followed by `skip` instructions of functional fast-forward, repeated.
 ///
-/// The canonical notation is `detail:skip` (e.g. `10000:40000` runs
-/// detailed timing on 20 % of the stream).
+/// Written `detail:skip` (e.g. `10000:40000` runs detailed timing on
+/// 20 % of the stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingConfig {
     /// Instructions per detailed-timing window (≥ 1).
@@ -47,12 +47,11 @@ pub struct SamplingConfig {
 
 impl SamplingConfig {
     /// A balanced default: 12.5 k detailed / 37.5 k fast-forwarded, i.e.
-    /// detailed timing on 25 % of the stream. Chosen by the error-bound
-    /// sweep in EXPERIMENTS.md: among schedules keeping the bench-scale
-    /// speedup ≥ 2×, this one minimizes the aggregate IPC deviation on
-    /// the bench workload set (window long enough that post-skip
-    /// transients are noise, detail fraction high enough to anchor the
-    /// cycle-regression fit).
+    /// detailed timing on 25 % of the stream. Chosen by an error-bound
+    /// sweep: among schedules keeping the bench-scale speedup ≥ 2×, this
+    /// one minimized the aggregate IPC deviation on the bench workload
+    /// set (window long enough that post-skip transients are noise,
+    /// detail fraction high enough to anchor the cycle-regression fit).
     pub fn default_schedule() -> Self {
         Self {
             detail: 12_500,
@@ -69,54 +68,11 @@ impl SamplingConfig {
     pub fn detail_fraction(&self) -> f64 {
         self.detail as f64 / self.period() as f64
     }
-
-    /// Parses the `detail:skip` notation (both sides positive integers).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (d, k) = s
-            .split_once(':')
-            .ok_or_else(|| format!("expected detail:skip (e.g. 10000:40000), got {s:?}"))?;
-        let detail: u64 = d
-            .parse()
-            .map_err(|_| format!("detail must be a positive integer, got {d:?}"))?;
-        let skip: u64 = k
-            .parse()
-            .map_err(|_| format!("skip must be a positive integer, got {k:?}"))?;
-        if detail == 0 || skip == 0 {
-            return Err(format!(
-                "detail and skip must both be positive, got {detail}:{skip}"
-            ));
-        }
-        Ok(Self { detail, skip })
-    }
-}
-
-impl std::fmt::Display for SamplingConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}", self.detail, self.skip)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_roundtrip() {
-        let s = SamplingConfig::parse("10000:40000").unwrap();
-        assert_eq!(s.detail, 10_000);
-        assert_eq!(s.skip, 40_000);
-        assert_eq!(s.period(), 50_000);
-        assert_eq!(s.to_string(), "10000:40000");
-        assert_eq!(SamplingConfig::parse(&s.to_string()).unwrap(), s);
-        assert!((s.detail_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parse_rejects_malformed() {
-        for bad in ["", "10000", "0:100", "100:0", "a:b", "1:2:3", "-1:5"] {
-            assert!(SamplingConfig::parse(bad).is_err(), "{bad:?} must fail");
-        }
-    }
 
     #[test]
     fn default_schedule_is_one_quarter_detailed() {

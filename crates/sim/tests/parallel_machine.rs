@@ -109,7 +109,10 @@ fn threaded_runs_match_serial_in_full_detail() {
 
 #[test]
 fn threaded_runs_match_serial_under_sampled_simulation() {
-    let schedule = SamplingConfig::parse("2000:6000").expect("valid schedule");
+    let schedule = SamplingConfig {
+        detail: 2_000,
+        skip: 6_000,
+    };
     let serial = observe(reference_machine(), 1, Some(schedule), SIM);
     for threads in [2, 4] {
         let threaded = observe(reference_machine(), threads, Some(schedule), SIM);
