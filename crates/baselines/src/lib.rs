@@ -20,6 +20,8 @@
 //! Each bounded design offers `sized_to_bits` so the Fig 15 ISO-storage
 //! comparison can match Morrigan's 3.76 KB budget exactly.
 
+#![forbid(unsafe_code)]
+
 mod asp;
 mod dp;
 mod mono;

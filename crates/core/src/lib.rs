@@ -51,6 +51,8 @@
 //! assert!(out.iter().any(|d| d.vpn == VirtPage::new(0xb2)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod frequency;
 mod irip;

@@ -32,6 +32,8 @@
 //! misses (paper: 76 %) and gains ~1.5–3 % geomean (paper: 7.6 %) against
 //! a perfect-iSTLB ceiling of ~8–9 % (paper: 11.1 %).
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod fig02_java_mpki;
 pub mod fig03_frontend_mpki;

@@ -17,6 +17,8 @@
 //! Both operate on *virtual line indices* (virtual address >> 6); the
 //! simulator owns translation and cache filling.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use morrigan_types::VirtPage;

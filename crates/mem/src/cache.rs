@@ -78,7 +78,7 @@ const NO_LINE: u64 = u64::MAX;
 /// cache.fill(line);
 /// assert!(cache.probe(line));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `sets - 1`; the constructor asserts a power-of-two set count.

@@ -2,8 +2,6 @@
 
 use morrigan_types::CacheLine;
 
-use std::sync::Arc;
-
 use crate::cache::{Cache, CacheConfig};
 use crate::l2_prefetch::{L2Prefetcher, L2PrefetcherConfig};
 use crate::llc::{Llc, LlcView};
@@ -142,14 +140,14 @@ pub struct MemoryHierarchy {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    /// Single-bank by default; the multi-core machine either swaps a
-    /// shared, multi-bank [`Llc`] in and out around each core's step
-    /// (`cores == 1`, see [`MemoryHierarchy::swap_llc`]) or routes LLC
-    /// traffic through an epoch-buffered [`LlcView`] instead
-    /// (`cores > 1`, see [`MemoryHierarchy::install_llc_view`]).
+    /// Single-bank by default; the multi-core machine swaps its copy of
+    /// the shared, multi-bank [`Llc`] in and out around each core's
+    /// quantum (see [`MemoryHierarchy::swap_llc`]).
     llc: Llc,
-    /// When installed, LLC probes/fills bypass `llc` and go through the
-    /// epoch-frozen shared view (parallel machine mode).
+    /// When installed (`cores > 1`, see
+    /// [`MemoryHierarchy::install_llc_view`]), LLC probes and fills go
+    /// through this epoch-buffered view, which reads `llc` as the frozen
+    /// epoch-start image and never writes it.
     llc_view: Option<LlcView>,
     cfg: HierarchyConfig,
     l2_prefetcher: L2Prefetcher,
@@ -324,7 +322,7 @@ impl MemoryHierarchy {
     #[inline]
     fn llc_probe(&mut self, line: CacheLine) -> bool {
         match &mut self.llc_view {
-            Some(view) => view.probe(line),
+            Some(view) => view.probe(line, &self.llc),
             None => self.llc.probe(line),
         }
     }
@@ -333,7 +331,7 @@ impl MemoryHierarchy {
     #[inline]
     fn llc_fill(&mut self, line: CacheLine) {
         match &mut self.llc_view {
-            Some(view) => view.fill(line),
+            Some(view) => view.fill(line, &self.llc),
             None => self.llc.fill(line),
         }
     }
@@ -343,7 +341,7 @@ impl MemoryHierarchy {
     #[inline]
     fn llc_insert_absent(&mut self, line: CacheLine) {
         match &mut self.llc_view {
-            Some(view) => view.fill(line),
+            Some(view) => view.fill(line, &self.llc),
             None => self.llc.insert_absent(line),
         }
     }
@@ -379,10 +377,11 @@ impl MemoryHierarchy {
 
     /// Exchanges this hierarchy's LLC with `other`.
     ///
-    /// The multi-core machine owns the one shared (possibly multi-bank)
-    /// LLC and swaps it into the active core's hierarchy around each
-    /// step, so every core's misses land in the same structure while the
-    /// single-core access path stays free of indirection.
+    /// The multi-core machine owns the shared (possibly multi-bank) LLC
+    /// and swaps it into a core's hierarchy around each quantum. A
+    /// one-core machine's core then mutates it directly, with no
+    /// indirection on the access path; under an installed epoch view a
+    /// core only reads it, as the frozen epoch-start image.
     pub fn swap_llc(&mut self, other: &mut Llc) {
         std::mem::swap(&mut self.llc, other);
     }
@@ -393,11 +392,13 @@ impl MemoryHierarchy {
     }
 
     /// Routes this hierarchy's LLC traffic through an epoch-frozen view
-    /// of `shared` (parallel-machine mode). The private `llc` stays
-    /// empty and untouched; [`MemoryHierarchy::llc_view_mut`] hands the
-    /// machine the buffered operations to replay at each barrier.
-    pub fn install_llc_view(&mut self, shared: Arc<Llc>) {
-        self.llc_view = Some(LlcView::new(shared));
+    /// of a shared LLC of `shards` banks (parallel-machine mode). The
+    /// machine swaps its copy of that LLC in for each quantum
+    /// ([`MemoryHierarchy::swap_llc`]), and the view only reads it;
+    /// [`MemoryHierarchy::llc_view_mut`] hands the machine the buffered
+    /// operations to replay at each barrier.
+    pub fn install_llc_view(&mut self, shards: usize) {
+        self.llc_view = Some(LlcView::new(shards));
     }
 
     /// The installed epoch view, if any (the machine drains its logs at

@@ -26,6 +26,8 @@
 //! assert!(warm.latency < cold.latency);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod hierarchy;
 mod l2_prefetch;

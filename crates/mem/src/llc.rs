@@ -14,23 +14,18 @@
 //!
 //! ## Concurrency
 //!
-//! Each shard is an [`EpochCell`]: a bank aligned to its own cache line
-//! (so two host threads touching adjacent shards never false-share) and
-//! read with plain loads. The single-core hot path reaches the banks through
-//! `&mut self` and [`EpochCell::get_mut`], a plain field access.
-//!
-//! The parallel machine never reads a shard while it is written. During
-//! an epoch every core reads the *frozen* epoch-start image through an
-//! [`LlcView`] that overlays the core's own fills; at the epoch barrier
-//! each shard's buffered operations are replayed by the one thread that
-//! owns the shard ([`Llc::replay_shard`]) in (core, sequence) order,
-//! while no core reads. Replay order is a pure function of the logs, so
-//! the machine's results are independent of how many host threads
-//! executed the epoch.
+//! An `Llc` is a plain owned value that no two threads share. The
+//! multi-core machine gives each of its host threads its own copy.
+//! During an epoch a core reads the *frozen* epoch-start image, swapped
+//! into its hierarchy for the quantum, through an [`LlcView`] that
+//! overlays the core's own fills and logs every operation. At the epoch
+//! barrier each thread replays every core's logs into its own copy
+//! ([`Llc::replay_shard`]) in (core, sequence) order. Replay order is a
+//! pure function of the logs, so every copy stays equal and the
+//! machine's results are independent of how many host threads executed
+//! the epoch.
 
-use std::sync::Arc;
-
-use morrigan_types::{CacheLine, EpochCell};
+use morrigan_types::CacheLine;
 
 use crate::cache::{Cache, CacheConfig};
 
@@ -47,7 +42,7 @@ pub enum LlcOp {
 }
 
 /// A sharded LLC: `shards` independent LRU banks over disjoint line
-/// partitions, each in its own cache-line-aligned [`EpochCell`].
+/// partitions.
 ///
 /// # Examples
 ///
@@ -62,9 +57,9 @@ pub enum LlcOp {
 /// assert!(llc.probe(line));
 /// assert_eq!(llc.occupancy(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Llc {
-    shards: Vec<EpochCell<Cache>>,
+    shards: Vec<Cache>,
     /// log2 of the shard count; shard select = `line & ((1 << bits) - 1)`.
     shard_bits: u32,
 }
@@ -93,9 +88,7 @@ impl Llc {
             latency: cfg.latency,
         };
         Self {
-            shards: (0..shards)
-                .map(|_| EpochCell::new(Cache::new(bank)))
-                .collect(),
+            shards: (0..shards).map(|_| Cache::new(bank)).collect(),
             shard_bits: shards.trailing_zeros(),
         }
     }
@@ -111,22 +104,20 @@ impl Llc {
     #[inline]
     pub fn probe(&mut self, line: CacheLine) -> bool {
         let (shard, key) = self.split(line);
-        self.shards[shard].get_mut().probe(key)
+        self.shards[shard].probe(key)
     }
 
-    /// Whether `line` is resident, without disturbing LRU state. A plain
-    /// read; the parallel machine calls this in the run phase, when no
-    /// shard is being replayed.
+    /// Whether `line` is resident, without disturbing LRU state.
     pub fn contains(&self, line: CacheLine) -> bool {
         let (shard, key) = self.split(line);
-        self.shards[shard].read().contains(key)
+        self.shards[shard].contains(key)
     }
 
     /// Installs `line` as MRU in its owning shard.
     #[inline]
     pub fn fill(&mut self, line: CacheLine) {
         let (shard, key) = self.split(line);
-        self.shards[shard].get_mut().fill(key);
+        self.shards[shard].fill(key);
     }
 
     /// Installs `line`, which must not be resident, as MRU in its owning
@@ -134,43 +125,29 @@ impl Llc {
     #[inline]
     pub fn insert_absent(&mut self, line: CacheLine) {
         let (shard, key) = self.split(line);
-        self.shards[shard].get_mut().insert_absent(key);
+        self.shards[shard].insert_absent(key);
     }
 
-    /// Replays one epoch's buffered operations against shard `shard`,
-    /// in the order given. The parallel machine concatenates per-core
-    /// logs in core-id order before calling, which is what makes the
-    /// result thread-count-invariant.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread touching shard `shard` until
-    /// this returns: no [`contains`](Self::contains) or
-    /// [`LlcView::probe`] may read it and no other replay may write it
-    /// concurrently, and a barrier must order this replay before the
-    /// shard's next reads. The parallel machine meets this by replaying
-    /// shard `s` only on thread `s % width`, between the two barriers
-    /// that bracket the replay phase.
+    /// Replays one core's buffered epoch operations for shard `shard`,
+    /// in the order given. The parallel machine replays the cores' logs
+    /// in core-id order, which is what makes the result
+    /// thread-count-invariant.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
-    pub unsafe fn replay_shard(&self, shard: usize, ops: &[LlcOp]) {
-        let replay = |bank: &mut Cache| {
-            for op in ops {
-                match *op {
-                    LlcOp::Touch(key) => {
-                        bank.probe(key);
-                    }
-                    LlcOp::Fill(key) => {
-                        bank.fill(key);
-                    }
+    pub fn replay_shard(&mut self, shard: usize, ops: &[LlcOp]) {
+        let bank = &mut self.shards[shard];
+        for op in ops {
+            match *op {
+                LlcOp::Touch(key) => {
+                    bank.probe(key);
+                }
+                LlcOp::Fill(key) => {
+                    bank.fill(key);
                 }
             }
-        };
-        // SAFETY: forwarded from this function's contract: the caller is
-        // the only thread touching the shard until the write returns.
-        unsafe { self.shards[shard].write(replay) }
+        }
     }
 
     /// Number of banks.
@@ -180,7 +157,7 @@ impl Llc {
 
     /// Valid lines across all banks.
     pub fn occupancy(&self) -> usize {
-        self.shards.iter().map(|s| s.read().occupancy()).sum()
+        self.shards.iter().map(Cache::occupancy).sum()
     }
 
     /// Valid lines in one bank (shared-structure audit: per-shard
@@ -190,7 +167,7 @@ impl Llc {
     ///
     /// Panics if `shard >= shard_count()`.
     pub fn shard_occupancy(&self, shard: usize) -> usize {
-        self.shards[shard].read().occupancy()
+        self.shards[shard].occupancy()
     }
 
     /// Total capacity in lines across all banks.
@@ -198,7 +175,7 @@ impl Llc {
         self.shards
             .iter()
             .map(|s| {
-                let bank = s.read().config();
+                let bank = s.config();
                 bank.sets * bank.ways
             })
             .sum()
@@ -208,13 +185,12 @@ impl Llc {
 /// A core's epoch-local window onto the shared LLC.
 ///
 /// During an epoch the shared banks are frozen: the view answers probes
-/// from the epoch-start image (non-promoting shared reads) plus an
-/// overlay of the lines this core filled since the barrier, and logs
+/// from the epoch-start image `frozen` (non-promoting shared reads) plus
+/// an overlay of the lines this core filled since the barrier, and logs
 /// every operation — in program order, bucketed by owning shard — for
 /// deterministic replay at the next barrier.
 #[derive(Debug, Clone)]
 pub struct LlcView {
-    shared: Arc<Llc>,
     /// Raw line numbers this core filled this epoch (visible to its own
     /// later probes before replay lands them in the shared banks).
     overlay: Vec<u64>,
@@ -223,24 +199,24 @@ pub struct LlcView {
 }
 
 impl LlcView {
-    /// A fresh view over `shared` with empty overlay and logs.
-    pub fn new(shared: Arc<Llc>) -> Self {
-        let shards = shared.shard_count();
+    /// A fresh view onto an LLC of `shards` banks, with empty overlay
+    /// and logs.
+    pub fn new(shards: usize) -> Self {
         Self {
-            shared,
             overlay: Vec::new(),
             ops: vec![Vec::new(); shards],
         }
     }
 
     /// Epoch-frozen probe: hit iff the line is in this core's overlay or
-    /// the shared epoch-start image. Hits log a [`LlcOp::Touch`] so the
-    /// LRU promotion replays at the barrier.
+    /// the epoch-start image `frozen`. Hits log a [`LlcOp::Touch`] so
+    /// the LRU promotion replays at the barrier.
     #[inline]
-    pub fn probe(&mut self, line: CacheLine) -> bool {
+    pub fn probe(&mut self, line: CacheLine, frozen: &Llc) -> bool {
+        debug_assert_eq!(frozen.shard_count(), self.ops.len());
         let raw = line.raw();
-        let (shard, key) = self.shared.split(line);
-        let hit = self.overlay.contains(&raw) || self.shared.contains(line);
+        let (shard, key) = frozen.split(line);
+        let hit = self.overlay.contains(&raw) || frozen.contains(line);
         if hit {
             self.ops[shard].push(LlcOp::Touch(key));
         }
@@ -250,9 +226,10 @@ impl LlcView {
     /// Epoch-frozen fill: the line joins this core's overlay immediately
     /// and the shared bank at the next barrier replay.
     #[inline]
-    pub fn fill(&mut self, line: CacheLine) {
+    pub fn fill(&mut self, line: CacheLine, frozen: &Llc) {
+        debug_assert_eq!(frozen.shard_count(), self.ops.len());
         let raw = line.raw();
-        let (shard, key) = self.shared.split(line);
+        let (shard, key) = frozen.split(line);
         self.ops[shard].push(LlcOp::Fill(key));
         if !self.overlay.contains(&raw) {
             self.overlay.push(raw);
@@ -353,57 +330,35 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_padded_to_cache_line_boundaries() {
-        let llc = Llc::new(cfg(), 4);
-        let addrs: Vec<usize> = llc
-            .shards
-            .iter()
-            .map(|s| s as *const EpochCell<Cache> as usize)
-            .collect();
-        for pair in addrs.windows(2) {
-            assert!(
-                pair[1] - pair[0] >= 64,
-                "adjacent shards must not share a cache line"
-            );
-        }
-        for addr in addrs {
-            assert!(addr.is_multiple_of(64), "shards must be line-aligned");
-        }
-    }
-
-    #[test]
     fn view_replay_matches_direct_mutation() {
         // One core's operations through a view + barrier replay must
         // leave the shared LLC exactly as the same operations applied
         // directly would.
-        let shared = Arc::new(Llc::new(cfg(), 4));
+        let mut shared = Llc::new(cfg(), 4);
         let mut direct = Llc::new(cfg(), 4);
-        let mut view = LlcView::new(Arc::clone(&shared));
+        let mut view = LlcView::new(4);
         let mut logs: Vec<Vec<LlcOp>> = vec![Vec::new(); 4];
         for i in 0..2048u64 {
             let line = CacheLine::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 42);
             if i % 3 == 0 {
                 direct.fill(line);
-                view.fill(line);
+                view.fill(line, &shared);
             } else {
                 direct.probe(line);
-                view.probe(line);
+                view.probe(line, &shared);
             }
             if i % 64 == 63 {
                 // Epoch barrier: replay and clear.
                 view.take_epoch(&mut logs);
                 for (shard, ops) in logs.iter_mut().enumerate() {
-                    // SAFETY: one thread, and no read of the shard is in
-                    // progress while it replays.
-                    unsafe { shared.replay_shard(shard, ops) };
+                    shared.replay_shard(shard, ops);
                     ops.clear();
                 }
             }
         }
         view.take_epoch(&mut logs);
         for (shard, ops) in logs.iter_mut().enumerate() {
-            // SAFETY: as above.
-            unsafe { shared.replay_shard(shard, ops) };
+            shared.replay_shard(shard, ops);
             ops.clear();
         }
         assert_eq!(shared.occupancy(), direct.occupancy());
@@ -418,12 +373,15 @@ mod tests {
 
     #[test]
     fn view_sees_own_epoch_fills_before_replay() {
-        let shared = Arc::new(Llc::new(cfg(), 2));
-        let mut view = LlcView::new(Arc::clone(&shared));
+        let shared = Llc::new(cfg(), 2);
+        let mut view = LlcView::new(shared.shard_count());
         let line = CacheLine::new(0x123);
-        assert!(!view.probe(line));
-        view.fill(line);
-        assert!(view.probe(line), "own fills are visible within the epoch");
+        assert!(!view.probe(line, &shared));
+        view.fill(line, &shared);
+        assert!(
+            view.probe(line, &shared),
+            "own fills are visible within the epoch"
+        );
         assert!(
             !shared.contains(line),
             "shared banks stay frozen until the barrier replay"

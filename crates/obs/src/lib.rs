@@ -37,6 +37,8 @@
 //! assert!(morrigan_obs::to_jsonl(&trace).contains("istlb_miss"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 mod event;
 mod export;

@@ -35,6 +35,8 @@
 //! [`SystemConfig`]: morrigan_sim::SystemConfig
 //! [`SimConfig`]: morrigan_sim::SimConfig
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod json;
 pub mod jsonval;

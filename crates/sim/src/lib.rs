@@ -58,6 +58,8 @@
 //! assert!(metrics.ipc() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 mod config;
 mod machine;

@@ -12,25 +12,30 @@
 //!
 //! ## Execution model
 //!
-//! A single-core machine runs the exact legacy path: the shared LLC
-//! (and shared STLB, under that policy) is `mem::swap`ed into the
-//! core's own hierarchy/MMU around each quantum, so the hot path is
-//! precisely the single-core simulator's with zero indirection.
-//!
-//! A multi-core machine runs the *epoch protocol*: every core executes
-//! one [`INTERLEAVE_QUANTUM`] per epoch, reading the shared LLC/STLB
-//! through a frozen epoch-start image plus a private overlay of its own
-//! epoch fills, and logging every would-be mutation in program order
-//! ([`morrigan_mem::LlcView`], [`morrigan_vm::StlbView`]). At the epoch
-//! barrier the logs are replayed against the real structures in (core,
-//! sequence) order. The final state is a pure function of the logs, so
-//! results are **bit-identical at any host thread count** — including
-//! one, which is how the runner executes every machine and doubles as
-//! the reference serial execution of the very same protocol. Cores are
-//! partitioned over up to [`Machine::set_threads`] host threads; replay
-//! work is statically partitioned by shard index so no thread
-//! coordination beyond the two sense-reversing barriers per epoch is
-//! needed.
+//! The machine owns the shared LLC and STLB as plain values, and a core
+//! gets them for its quantum by a swap into its own hierarchy and MMU.
+//! A one-core machine's core mutates them directly, so its hot path is
+//! precisely the single-core simulator's, with zero indirection. A
+//! multi-core machine runs the *epoch protocol*: every core executes one
+//! [`INTERLEAVE_QUANTUM`] per epoch, reads the swapped-in structures as
+//! the frozen epoch-start image plus a private overlay of its own epoch
+//! fills, and logs every would-be mutation in program order
+//! ([`morrigan_mem::LlcView`], [`morrigan_vm::StlbView`]). Cores are
+//! partitioned over up to [`Machine::set_threads`] host threads, and
+//! each thread owns a copy of the shared structures: thread 0 the
+//! machine's own, every other thread a clone taken when the drive
+//! starts. A thread swaps its copy into each of its cores for the
+//! quantum and, at the epoch barrier, replays every core's logs into it
+//! in (core, sequence) order, so no thread writes anything another
+//! thread reads, and every copy ends each epoch equal (debug builds
+//! assert it). Only the per-core epoch logs cross threads, each behind
+//! an `RwLock`. The two `SpinBarrier` waits per epoch still order the
+//! phases: a core's owner publishes its logs before barrier A, every
+//! thread reads them between A and B, and the owner clears them after B.
+//! The final state is a pure function of the logs, so results are
+//! **bit-identical at any host thread count** — including one, which is
+//! how the runner executes every machine and doubles as the reference
+//! serial execution of the very same protocol.
 //!
 //! ## Shootdowns
 //!
@@ -64,35 +69,15 @@
 //! and replay overhead are included), the workload buckets are the sums
 //! of the per-core buckets timed inside each simulator's loop, and the
 //! epoch driver adds its host threads' barrier-wait and replay time.
-//!
-//! ## Phase contract
-//!
-//! The shared LLC shards, the shared STLB and the per-core epoch slots
-//! are [`EpochCell`]s, not locks. An epoch has two phases, each ended by
-//! a `SpinBarrier` wait:
-//!
-//! - **Run** (until barrier A): every thread reads the LLC and STLB
-//!   through its cores' views, and writes only its own cores' slots.
-//! - **Replay** (A to B): every thread reads every slot; thread
-//!   `s % width` writes LLC shard `s`, and thread `shards % width`
-//!   writes the STLB. Nothing reads the LLC or STLB. After B, as the
-//!   next run phase begins, each thread clears its own slots.
-//!
-//! Each barrier orders everything before it on every thread before
-//! everything after it on every thread: each arrival's
-//! `fetch_add(AcqRel)` on the arrival count joins one release sequence,
-//! the last arrival's `generation.store(Release)` follows all of them,
-//! and the waiters' `generation.load(Acquire)` synchronizes with it. So
-//! no cell is ever read and written at once, and no lock is needed.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use morrigan_mem::{Llc, LlcOp};
 use morrigan_obs::{Phase, PhaseProfile};
-use morrigan_types::{AuditReport, EpochCell, TlbPrefetcher, VirtPage};
-use morrigan_vm::{replay_stlb_ops, StlbOp, StlbView, Tlb};
+use morrigan_types::{AuditReport, TlbPrefetcher, VirtPage};
+use morrigan_vm::{replay_stlb_ops, StlbOp, Tlb};
 use morrigan_workloads::InstructionStream;
 
 use crate::config::{SimConfig, SystemConfig, TopologyConfig};
@@ -103,9 +88,9 @@ use crate::simulator::{audit_default, ElisionCounters, Simulator};
 /// Instructions a core executes per epoch: a modelling constant, small
 /// enough that shared-structure contention is visible at sub-epoch
 /// granularity. The per-epoch protocol is not free. On the hostbench
-/// `machine` spec (2-vCPU host), replay took 0.15–0.19 s of 1.53–1.95 s
+/// `machine` spec (2-vCPU host), replay took 0.13–0.19 s of 1.30–1.97 s
 /// of simulation at machine width 1, and at width 2 barrier wait plus
-/// replay took about a third of each thread's time. The quantum also
+/// replay took about two fifths of each thread's time. The quantum also
 /// decides fig21's numbers, so changing it needs the fig21 sensitivity
 /// study (ROADMAP item 2), not a speed argument.
 pub const INTERLEAVE_QUANTUM: u64 = 64;
@@ -168,6 +153,21 @@ struct CoreLane {
 }
 
 impl CoreLane {
+    /// Advances this core by `quantum` instructions with the shared LLC,
+    /// and the shared STLB if there is one, swapped into its hierarchy
+    /// and MMU for the quantum.
+    fn advance_shared(&mut self, quantum: u64, llc: &mut Llc, stlb: &mut Option<Tlb>) {
+        self.sim.mem_mut().swap_llc(llc);
+        if let Some(stlb) = stlb.as_mut() {
+            self.sim.mmu_mut().swap_stlb(stlb);
+        }
+        self.sim.advance(quantum);
+        self.sim.mem_mut().swap_llc(llc);
+        if let Some(stlb) = stlb.as_mut() {
+            self.sim.mmu_mut().swap_stlb(stlb);
+        }
+    }
+
     /// The next shootdown victim this core owes, if its retirement
     /// counter has passed its next multiple of `interval`: a rotation
     /// through its code region, counted as issued.
@@ -185,10 +185,10 @@ impl CoreLane {
     }
 }
 
-/// One core's published epoch logs, read by every replay thread between
-/// the two barriers. It lives in an [`EpochCell`]: the owner writes it
-/// before barrier A, everyone reads it between A and B, the owner clears
-/// it after B (see the module docs' phase contract).
+/// One core's published epoch logs, read by every thread between the
+/// two barriers. It lives behind an `RwLock`: the owner writes it before
+/// barrier A, every thread reads it between A and B, and the owner
+/// clears it after B (see the module docs).
 struct EpochSlot {
     /// Per-LLC-shard operation logs, program order within each shard.
     llc: Vec<Vec<LlcOp>>,
@@ -203,13 +203,13 @@ struct EpochSlot {
 /// round-trip of `std::sync::Barrier` would dominate; a short spin
 /// followed by `yield_now` avoids it without burning a core when a peer
 /// is descheduled. Measured on the hostbench `machine` spec at width 2
-/// (2-vCPU host): 0.53–0.57 thread-s of `barrier_wait` over 2 threads ×
+/// (2-vCPU host): 0.47–0.55 thread-s of `barrier_wait` over 2 threads ×
 /// 2 crossings × 62 500 epochs, a mean wait of about 2 µs per crossing,
 /// load imbalance included.
 ///
 /// A thread that panics mid-epoch poisons the barrier ([`PoisonOnPanic`]),
 /// and its peers then panic in `wait` instead of spinning forever, so a
-/// broken phase contract fails the run rather than hanging it.
+/// panic on one thread fails the run rather than hanging it.
 struct SpinBarrier {
     arrived: AtomicUsize,
     generation: AtomicUsize,
@@ -267,8 +267,8 @@ pub struct Machine {
     system: SystemConfig,
     topology: TopologyConfig,
     cores: Vec<CoreLane>,
-    shared_llc: Arc<Llc>,
-    shared_stlb: Option<Arc<EpochCell<Tlb>>>,
+    shared_llc: Llc,
+    shared_stlb: Option<Tlb>,
     /// Host threads for the epoch driver; `None` = min(cores, available).
     machine_threads: Option<usize>,
     shootdowns_issued: u64,
@@ -355,10 +355,8 @@ impl Machine {
                 hits: 0,
             })
             .collect();
-        let shared_llc = Arc::new(Llc::new(system.mem.llc, topology.llc_shards));
-        let shared_stlb = topology
-            .shared_stlb
-            .then(|| Arc::new(EpochCell::new(Tlb::new(system.mmu.stlb))));
+        let shared_llc = Llc::new(system.mem.llc, topology.llc_shards);
+        let shared_stlb = topology.shared_stlb.then(|| Tlb::new(system.mmu.stlb));
         Self {
             system,
             topology,
@@ -522,11 +520,9 @@ impl Machine {
             for lane in &mut self.cores {
                 lane.sim
                     .mem_mut()
-                    .install_llc_view(Arc::clone(&self.shared_llc));
-                if let Some(stlb) = &self.shared_stlb {
-                    lane.sim
-                        .mmu_mut()
-                        .install_stlb_view(StlbView::new(Arc::clone(stlb)));
+                    .install_llc_view(self.shared_llc.shard_count());
+                if self.shared_stlb.is_some() {
+                    lane.sim.mmu_mut().install_stlb_view();
                 }
             }
         }
@@ -608,26 +604,7 @@ impl Machine {
         let lane = &mut self.cores[0];
         while lane.sim.retired() < target {
             let quantum = INTERLEAVE_QUANTUM.min(target - lane.sim.retired());
-
-            let llc = Arc::get_mut(&mut self.shared_llc)
-                .expect("single-core machine uniquely owns the shared llc");
-            lane.sim.mem_mut().swap_llc(llc);
-            if let Some(stlb) = &mut self.shared_stlb {
-                let stlb = Arc::get_mut(stlb)
-                    .expect("single-core machine uniquely owns the shared stlb")
-                    .get_mut();
-                lane.sim.mmu_mut().swap_stlb(stlb);
-            }
-            lane.sim.advance(quantum);
-            let llc = Arc::get_mut(&mut self.shared_llc)
-                .expect("single-core machine uniquely owns the shared llc");
-            lane.sim.mem_mut().swap_llc(llc);
-            if let Some(stlb) = &mut self.shared_stlb {
-                let stlb = Arc::get_mut(stlb)
-                    .expect("single-core machine uniquely owns the shared stlb")
-                    .get_mut();
-                lane.sim.mmu_mut().swap_stlb(stlb);
-            }
+            lane.advance_shared(quantum, &mut self.shared_llc, &mut self.shared_stlb);
 
             while let Some(victim) = lane.next_due_victim(self.topology.shootdown_interval) {
                 lane.received += 1;
@@ -635,10 +612,7 @@ impl Machine {
                     lane.hits += 1;
                 }
                 if let Some(stlb) = &mut self.shared_stlb {
-                    Arc::get_mut(stlb)
-                        .expect("single-core machine uniquely owns the shared stlb")
-                        .get_mut()
-                        .invalidate(victim);
+                    stlb.invalidate(victim);
                 }
             }
             lane.sim.note_epoch();
@@ -646,12 +620,14 @@ impl Machine {
     }
 
     /// The multi-core epoch driver. Every core runs one quantum per
-    /// epoch against frozen shared images (see the module docs); the
-    /// logged mutations are replayed at the barrier in (core, sequence)
-    /// order by statically shard-partitioned threads. The result is a
-    /// pure function of the per-core logs, so any `used_threads()`
-    /// width — including 1 — produces bit-identical state.
+    /// epoch against its thread's frozen copy of the shared structures
+    /// (see the module docs); at the barrier each thread replays every
+    /// core's logged mutations into its own copy in (core, sequence)
+    /// order. The result is a pure function of the per-core logs, so any
+    /// `used_threads()` width — including 1 — produces bit-identical
+    /// state.
     fn drive_epochs(&mut self, target: u64) {
+        const POISONED: &str = "a peer epoch thread panicked";
         let n = self.cores.len();
         let start = self.cores[0].sim.retired();
         debug_assert!(
@@ -667,9 +643,9 @@ impl Machine {
         let used = n.div_ceil(chunk);
 
         let shard_count = self.shared_llc.shard_count();
-        let slots: Vec<EpochCell<EpochSlot>> = (0..n)
+        let slots: Vec<RwLock<EpochSlot>> = (0..n)
             .map(|_| {
-                EpochCell::new(EpochSlot {
+                RwLock::new(EpochSlot {
                     llc: vec![Vec::new(); shard_count],
                     stlb: Vec::new(),
                     shootdowns: Vec::new(),
@@ -677,8 +653,13 @@ impl Machine {
             })
             .collect();
         let barrier = SpinBarrier::new(used);
-        let llc: &Llc = &self.shared_llc;
-        let stlb: Option<&EpochCell<Tlb>> = self.shared_stlb.as_deref();
+        // Thread 0 works on the machine's own copy of the shared
+        // structures, every other thread on a clone of it.
+        let mut clones: Vec<(Llc, Option<Tlb>)> = (1..used)
+            .map(|_| (self.shared_llc.clone(), self.shared_stlb.clone()))
+            .collect();
+        let copies = std::iter::once((&mut self.shared_llc, &mut self.shared_stlb))
+            .chain(clones.iter_mut().map(|(llc, stlb)| (llc, stlb)));
         let shootdown_interval = self.topology.shootdown_interval;
         let slots = &slots;
         let barrier = &barrier;
@@ -687,96 +668,60 @@ impl Machine {
             let threads: Vec<_> = self
                 .cores
                 .chunks_mut(chunk)
+                .zip(copies)
                 .enumerate()
-                .map(|(tid, lanes)| {
-                    let lane_base = tid * chunk;
+                .map(|(tid, (lanes, (llc, stlb)))| {
+                    let own = &slots[tid * chunk..tid * chunk + lanes.len()];
                     scope.spawn(move || {
                         let _poison = PoisonOnPanic(barrier);
                         let (mut waited, mut replayed) = (Duration::ZERO, Duration::ZERO);
+                        let mut published = Vec::with_capacity(n);
                         for _ in 0..epochs {
                             // --- Run phase: frozen reads, logged writes ---
-                            for (li, lane) in lanes.iter_mut().enumerate() {
+                            for (lane, slot) in lanes.iter_mut().zip(own) {
+                                let quantum = INTERLEAVE_QUANTUM.min(target - lane.sim.retired());
+                                lane.advance_shared(quantum, llc, stlb);
+                                let mut slot = slot.write().expect(POISONED);
                                 lane.sim
-                                    .advance(INTERLEAVE_QUANTUM.min(target - lane.sim.retired()));
-                                let publish = |slot: &mut EpochSlot| {
-                                    lane.sim
-                                        .mem_mut()
-                                        .llc_view_mut()
-                                        .expect("llc view installed on every multi-core lane")
-                                        .take_epoch(&mut slot.llc);
-                                    if let Some(view) = lane.sim.mmu_mut().stlb_view_mut() {
-                                        view.take_epoch(&mut slot.stlb);
-                                    }
-                                    while let Some(victim) =
-                                        lane.next_due_victim(shootdown_interval)
-                                    {
-                                        slot.shootdowns.push(victim);
-                                    }
-                                };
-                                // SAFETY: run phase. Static partition: slot
-                                // `lane_base + li` belongs to this thread's
-                                // lane, and only replay (after barrier A)
-                                // reads other threads' slots. Barrier A
-                                // orders this write before those reads:
-                                // this thread's `fetch_add(AcqRel)` joins the
-                                // release sequence the last arrival's
-                                // `generation.store(Release)` publishes to
-                                // the waiters' `load(Acquire)`.
-                                unsafe { slots[lane_base + li].write(publish) };
+                                    .mem_mut()
+                                    .llc_view_mut()
+                                    .expect("llc view installed on every multi-core lane")
+                                    .take_epoch(&mut slot.llc);
+                                if let Some(view) = lane.sim.mmu_mut().stlb_view_mut() {
+                                    view.take_epoch(&mut slot.stlb);
+                                }
+                                while let Some(victim) = lane.next_due_victim(shootdown_interval) {
+                                    slot.shootdowns.push(victim);
+                                }
+                                drop(slot);
                                 lane.sim.note_epoch();
                             }
                             let arrived = Instant::now();
                             barrier.wait();
                             let replay_start = Instant::now();
-                            // --- Replay phase: (core, sequence) order per
-                            // structure, structures statically partitioned
-                            // over threads by shard index ---
-                            for shard in (tid..shard_count).step_by(used) {
-                                for slot in slots {
-                                    // SAFETY: static partition: shard `s` is
-                                    // replayed only by thread `s % used`, and
-                                    // no view reads a shard between barriers
-                                    // A and B. Barrier A orders every
-                                    // run-phase read before this write and
-                                    // barrier B orders it before the next
-                                    // run phase's reads (each arrival's
-                                    // `fetch_add(AcqRel)`, the last arrival's
-                                    // `generation.store(Release)`, the
-                                    // waiters' `load(Acquire)`).
-                                    unsafe { llc.replay_shard(shard, &slot.read().llc[shard]) };
+                            // --- Replay phase: every core's logs into this
+                            // thread's copy, in (core, sequence) order ---
+                            published.extend(slots.iter().map(|slot| slot.read().expect(POISONED)));
+                            for slot in &published {
+                                for (shard, ops) in slot.llc.iter().enumerate() {
+                                    llc.replay_shard(shard, ops);
+                                }
+                                if let Some(stlb) = stlb.as_mut() {
+                                    replay_stlb_ops(stlb, &slot.stlb);
                                 }
                             }
-                            if let Some(stlb) = stlb {
-                                // The shared STLB is the pseudo-shard after
-                                // the LLC shards.
-                                if shard_count % used == tid {
-                                    let replay = |tlb: &mut Tlb| {
-                                        for slot in slots {
-                                            replay_stlb_ops(tlb, &slot.read().stlb);
-                                        }
-                                        for slot in slots {
-                                            for &victim in &slot.read().shootdowns {
-                                                tlb.invalidate(victim);
-                                            }
-                                        }
-                                    };
-                                    // SAFETY: static partition: only thread
-                                    // `shard_count % used` replays the STLB
-                                    // pseudo-shard, and no view reads it
-                                    // between barriers A and B, which order
-                                    // this write after the run phase's reads
-                                    // and before the next run phase's (each
-                                    // arrival's `fetch_add(AcqRel)`, the last
-                                    // arrival's `generation.store(Release)`,
-                                    // the waiters' `load(Acquire)`).
-                                    unsafe { stlb.write(replay) };
+                            if let Some(stlb) = stlb.as_mut() {
+                                for slot in &published {
+                                    for &victim in &slot.shootdowns {
+                                        stlb.invalidate(victim);
+                                    }
                                 }
                             }
                             // Deliver every issuer's shootdowns to this
                             // thread's own cores, in issuer order.
                             for lane in lanes.iter_mut() {
-                                for slot in slots {
-                                    for &victim in &slot.read().shootdowns {
+                                for slot in &published {
+                                    for &victim in &slot.shootdowns {
                                         lane.received += 1;
                                         if lane.sim.mmu_mut().shootdown(victim) {
                                             lane.hits += 1;
@@ -784,28 +729,19 @@ impl Machine {
                                     }
                                 }
                             }
+                            published.clear();
                             let replay_end = Instant::now();
                             barrier.wait();
                             waited += (replay_start - arrived) + replay_end.elapsed();
                             replayed += replay_end - replay_start;
                             // --- Reset own slots for the next epoch ---
-                            for slot in &slots[lane_base..lane_base + lanes.len()] {
-                                let clear = |slot: &mut EpochSlot| {
-                                    for ops in &mut slot.llc {
-                                        ops.clear();
-                                    }
-                                    slot.stlb.clear();
-                                    slot.shootdowns.clear();
-                                };
-                                // SAFETY: static partition: this thread owns
-                                // these slots, and every replay-phase read of
-                                // them happened before barrier B, which
-                                // orders those reads before this write (each
-                                // arrival's `fetch_add(AcqRel)`, the last
-                                // arrival's `generation.store(Release)`, the
-                                // waiters' `load(Acquire)`); nothing reads
-                                // them again until the next barrier A.
-                                unsafe { slot.write(clear) };
+                            for slot in own {
+                                let mut slot = slot.write().expect(POISONED);
+                                for ops in &mut slot.llc {
+                                    ops.clear();
+                                }
+                                slot.stlb.clear();
+                                slot.shootdowns.clear();
                             }
                         }
                         (waited, replayed)
@@ -820,6 +756,12 @@ impl Machine {
                 },
             )
         });
+        debug_assert!(
+            clones
+                .iter()
+                .all(|(llc, stlb)| *llc == self.shared_llc && *stlb == self.shared_stlb),
+            "an epoch thread's copy of the shared LLC or STLB diverged"
+        );
         self.phase.add(Phase::BarrierWait, waited.as_secs_f64());
         self.phase.add(Phase::Replay, replayed.as_secs_f64());
     }
@@ -913,7 +855,6 @@ impl Machine {
 
         // --- Shared structures ---
         if let Some(stlb) = &self.shared_stlb {
-            let stlb = stlb.read();
             let mut all_asids: Vec<u16> = self
                 .cores
                 .iter()

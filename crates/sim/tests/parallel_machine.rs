@@ -9,7 +9,8 @@
 //! and off) at widths 1/2/4, and property-test shootdown delivery over
 //! random epoch schedules: intervals, quanta, and run lengths that slide
 //! shootdowns across epoch boundaries must never change the ledger or
-//! the per-core metrics.
+//! the per-core metrics, whether the cores split evenly over the host
+//! threads or not.
 
 use morrigan::{Morrigan, MorriganConfig};
 use morrigan_sim::{
@@ -131,16 +132,18 @@ proptest! {
     /// length — i.e. wherever shootdowns land relative to the 64-entry
     /// epoch boundary — the threaded driver must deliver them in the
     /// same deterministic (epoch, issuing-core, sequence) order the
-    /// serial driver does, and the ledger must balance.
+    /// serial driver does, and the ledger must balance. The 3-core
+    /// machine runs at width 2, so one thread owns two cores and the
+    /// other one.
     #[test]
     fn shootdown_ordering_is_width_invariant(
-        cores_sel in 0usize..2,
+        cores_sel in 0usize..3,
         interval in 500u64..6_000,
         quantum in 1_000u64..8_000,
         shards_sel in 0usize..3,
         measure in 8_000u64..20_000,
     ) {
-        let cores = [2, 4][cores_sel];
+        let (cores, width) = [(2, 2), (4, 4), (3, 2)][cores_sel];
         let shards = [1, 2, 4][shards_sel];
         let sim = SimConfig {
             warmup_instructions: 2_000,
@@ -148,8 +151,8 @@ proptest! {
         };
         let build = || machine(cores, 2, quantum, shards, Some(interval), false);
         let serial = observe(build(), 1, None, sim);
-        let threaded = observe(build(), cores, None, sim);
-        prop_assert_eq!(&serial, &threaded, "width {} diverged", cores);
+        let threaded = observe(build(), width, None, sim);
+        prop_assert_eq!(&serial, &threaded, "{} cores at width {} diverged", cores, width);
         let summary = &serial.1;
         prop_assert!(summary.shootdowns_issued > 0, "schedule must fire");
         prop_assert_eq!(

@@ -19,11 +19,10 @@
 //!   struct's monotone counters for generic window-monotonicity checks.
 //! * [`scan`] — branch-free, autovectorizable tag-scan kernels shared by
 //!   every SoA set-associative structure (TLBs, PSCs, caches), pinned
-//!   byte-for-byte to the scalar scans they replace.
-//! * [`epoch`] — [`EpochCell`], the cache-line-aligned cell the
-//!   multi-core machine shares its LLC, STLB and epoch logs through:
-//!   plain-load reads, with writes confined by the caller to a phase
-//!   that the epoch barriers fence.
+//!   byte-for-byte to the scalar scans they replace. Its
+//!   [`prefetch_tags`](scan::prefetch_tags) host-cache hint is the
+//!   workspace's one `unsafe` block and the one exception to this
+//!   crate's `deny(unsafe_code)`; every other crate forbids `unsafe`.
 //! * [`walk`] — [`WalkKind`], the demand class of a page walk, which the
 //!   walker accounts by and the trace events carry.
 //!
@@ -38,9 +37,10 @@
 //! assert_eq!(page.base_addr(), VirtAddr::new(0x7f00_1234_5000));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod audit;
-pub mod epoch;
 pub mod prefetcher;
 pub mod rng;
 pub mod scan;
@@ -51,7 +51,6 @@ pub use addr::{
     CacheLine, PhysAddr, PhysPage, VirtAddr, VirtPage, ASID_SHIFT, LINE_SHIFT, PAGE_SHIFT,
 };
 pub use audit::{check_monotonic, AuditReport, CounterSet, Violation};
-pub use epoch::EpochCell;
 pub use prefetcher::{
     MissContext, PageDistance, PrefetchComponent, PrefetchDecision, PrefetchOrigin,
     PrefetcherEvent, ThreadId, TlbPrefetcher,

@@ -79,6 +79,7 @@ pub fn find_hit_or_victim(tags: &[u64], stamps: &[u64], key: u64) -> (usize, boo
 /// is prefetched. The sets prefetched today (the 8-way L1I and iTLB, the
 /// 4-way dTLB) span at most 64 bytes, so it holds all or most of the set.
 #[inline(always)]
+#[allow(unsafe_code)]
 pub fn prefetch_tags(tags: &[u64]) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is a hint that never faults, whatever the

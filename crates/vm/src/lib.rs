@@ -35,6 +35,8 @@
 //! assert!(warm.latency < cold.latency);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod miss_stream;
 mod mmu;
 mod page_table;

@@ -175,8 +175,9 @@ pub struct Mmu<R: Recorder = NullRecorder> {
     stlb: Tlb,
     /// Epoch-frozen window onto a machine-shared STLB. When installed
     /// (the parallel multi-core machine), every second-level lookup,
-    /// insert, and flush routes through it instead of the private
-    /// `stlb`, which then stays empty.
+    /// insert, and flush routes through it. It reads `stlb`, which holds
+    /// the machine's copy of the shared STLB during each quantum, as the
+    /// frozen epoch-start image and never writes it.
     stlb_view: Option<StlbView>,
     pb: PrefetchBuffer,
     walker: Walker,
@@ -341,20 +342,23 @@ impl<R: Recorder> Mmu<R> {
 
     /// Exchanges this MMU's STLB with `other`.
     ///
-    /// Under the shared-STLB topology the machine owns the one shared
-    /// STLB and swaps it into the active core's MMU around each step, so
-    /// all cores contend for a single structure without adding any
-    /// indirection to the lookup hot path.
+    /// Under the shared-STLB topology the machine owns the shared STLB
+    /// and swaps it into a core's MMU around each quantum, so all cores
+    /// contend for a single structure without adding any indirection to
+    /// the lookup hot path. Under an installed [`StlbView`] the core only
+    /// reads it, as the frozen epoch-start image.
     pub fn swap_stlb(&mut self, other: &mut Tlb) {
         std::mem::swap(&mut self.stlb, other);
     }
 
     /// Routes this MMU's second-level lookups through an epoch-frozen
     /// [`StlbView`] over a machine-shared STLB (the parallel multi-core
-    /// topology). The private `stlb` stays empty while a view is
-    /// installed, just as it did under the serial swap model.
-    pub fn install_stlb_view(&mut self, view: StlbView) {
-        self.stlb_view = Some(view);
+    /// topology). The machine swaps its copy of the shared STLB in for
+    /// each quantum ([`Mmu::swap_stlb`]), and the view only reads it;
+    /// between quanta the core's own `stlb` is back in place, and it
+    /// stays empty.
+    pub fn install_stlb_view(&mut self) {
+        self.stlb_view = Some(StlbView::default());
     }
 
     /// The installed shared-STLB view, if any (epoch log collection).
@@ -367,7 +371,7 @@ impl<R: Recorder> Mmu<R> {
     #[inline]
     fn stlb_lookup(&mut self, vpn: VirtPage) -> Option<PhysPage> {
         match &mut self.stlb_view {
-            Some(view) => view.lookup(vpn),
+            Some(view) => view.lookup(vpn, &self.stlb),
             None => self.stlb.lookup(vpn),
         }
     }
@@ -388,7 +392,7 @@ impl<R: Recorder> Mmu<R> {
     #[inline]
     fn stlb_resident(&self, vpn: VirtPage) -> bool {
         match &self.stlb_view {
-            Some(view) => view.contains(vpn),
+            Some(view) => view.contains(vpn, &self.stlb),
             None => self.stlb.contains(vpn),
         }
     }

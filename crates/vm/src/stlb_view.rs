@@ -1,13 +1,14 @@
 //! A core's epoch-local window onto the machine-wide shared STLB.
 //!
-//! The parallel machine freezes the shared STLB between epoch barriers:
-//! every core reads the epoch-start image (non-promoting [`Tlb::peek`],
-//! a plain read of the [`EpochCell`]) plus an overlay of its own
-//! in-epoch inserts, and logs each operation in program order. At the
-//! barrier one thread replays all cores' logs against the real structure
-//! in (core, sequence) order while no core reads it, so the final state
-//! is a pure function of the logs — independent of host thread count
-//! and scheduling.
+//! The parallel machine freezes the shared STLB between epoch barriers.
+//! Each host thread keeps its own copy and swaps it into each of its
+//! cores' MMUs for the quantum. A core reads that epoch-start image
+//! (non-promoting [`Tlb::peek`]) plus an overlay of its own in-epoch
+//! inserts, logs each operation in program order, and never writes the
+//! image. At the barrier every thread replays all cores' logs into its
+//! own copy in (core, sequence) order ([`replay_stlb_ops`]), so every
+//! copy ends the epoch equal: the final state is a pure function of the
+//! logs, independent of host thread count and scheduling.
 //!
 //! Flush semantics carry over from the serial swap model: a core that
 //! context-switches mid-epoch flushes the *shared* STLB (under swapping
@@ -15,9 +16,7 @@
 //! view models that by hiding the frozen image from this core for the
 //! rest of the epoch and logging a [`StlbOp::Flush`] for replay.
 
-use std::sync::Arc;
-
-use morrigan_types::{EpochCell, PhysPage, VirtPage};
+use morrigan_types::{PhysPage, VirtPage};
 
 use crate::tlb::Tlb;
 
@@ -34,9 +33,9 @@ pub enum StlbOp {
 }
 
 /// The epoch-frozen shared-STLB window of one core. See the module docs.
-#[derive(Debug, Clone)]
+/// A fresh view has an empty overlay and log.
+#[derive(Debug, Clone, Default)]
 pub struct StlbView {
-    shared: Arc<EpochCell<Tlb>>,
     /// Operation log for barrier replay, program order.
     ops: Vec<StlbOp>,
     /// Inserts this core performed since the epoch start or its last
@@ -49,16 +48,6 @@ pub struct StlbView {
 }
 
 impl StlbView {
-    /// A fresh view over `shared` with empty overlay and log.
-    pub fn new(shared: Arc<EpochCell<Tlb>>) -> Self {
-        Self {
-            shared,
-            ops: Vec::new(),
-            overlay: Vec::new(),
-            frozen_hidden: false,
-        }
-    }
-
     fn overlay_get(&self, vpn: VirtPage) -> Option<PhysPage> {
         let key = vpn.raw();
         self.overlay
@@ -68,11 +57,12 @@ impl StlbView {
             .map(|&(_, pfn)| PhysPage::new(pfn))
     }
 
-    /// Epoch-frozen lookup. Hits log a [`StlbOp::Touch`] so the LRU
-    /// promotion replays at the barrier.
-    pub fn lookup(&mut self, vpn: VirtPage) -> Option<PhysPage> {
+    /// Epoch-frozen lookup in this core's overlay, then the epoch-start
+    /// image `frozen`. Hits log a [`StlbOp::Touch`] so the LRU promotion
+    /// replays at the barrier.
+    pub fn lookup(&mut self, vpn: VirtPage, frozen: &Tlb) -> Option<PhysPage> {
         let hit = match self.overlay_get(vpn) {
-            None if !self.frozen_hidden => self.shared.read().peek(vpn),
+            None if !self.frozen_hidden => frozen.peek(vpn),
             resolved => resolved,
         };
         if hit.is_some() {
@@ -81,9 +71,10 @@ impl StlbView {
         hit
     }
 
-    /// Epoch-frozen residency check (non-promoting, nothing logged).
-    pub fn contains(&self, vpn: VirtPage) -> bool {
-        self.overlay_get(vpn).is_some() || (!self.frozen_hidden && self.shared.read().contains(vpn))
+    /// Epoch-frozen residency check against the overlay and `frozen`
+    /// (non-promoting, nothing logged).
+    pub fn contains(&self, vpn: VirtPage, frozen: &Tlb) -> bool {
+        self.overlay_get(vpn).is_some() || (!self.frozen_hidden && frozen.contains(vpn))
     }
 
     /// Buffers an insert: visible to this core immediately, to everyone
@@ -113,8 +104,8 @@ impl StlbView {
     }
 }
 
-/// Replays one core's epoch log against the real shared STLB (the
-/// caller has exclusive access and iterates cores in id order).
+/// Replays one core's epoch log into a copy of the shared STLB (the
+/// caller iterates cores in id order).
 pub fn replay_stlb_ops(stlb: &mut Tlb, ops: &[StlbOp]) {
     for op in ops {
         match *op {
@@ -134,15 +125,8 @@ mod tests {
     use super::*;
     use crate::tlb::TlbConfig;
 
-    fn shared() -> Arc<EpochCell<Tlb>> {
-        Arc::new(EpochCell::new(Tlb::new(TlbConfig::stlb())))
-    }
-
-    /// The barrier replay of `ops`.
-    fn replay(stlb: &EpochCell<Tlb>, ops: &[StlbOp]) {
-        // SAFETY: one thread, and no reference from `read` is alive while
-        // the log replays.
-        unsafe { stlb.write(|tlb| replay_stlb_ops(tlb, ops)) }
+    fn shared() -> Tlb {
+        Tlb::new(TlbConfig::stlb())
     }
 
     fn vp(i: u64) -> VirtPage {
@@ -156,13 +140,13 @@ mod tests {
     #[test]
     fn own_inserts_are_visible_before_replay() {
         let stlb = shared();
-        let mut view = StlbView::new(Arc::clone(&stlb));
-        assert_eq!(view.lookup(vp(1)), None);
+        let mut view = StlbView::default();
+        assert_eq!(view.lookup(vp(1), &stlb), None);
         view.insert(vp(1), pp(1), true);
-        assert_eq!(view.lookup(vp(1)), Some(pp(1)));
-        assert!(view.contains(vp(1)));
+        assert_eq!(view.lookup(vp(1), &stlb), Some(pp(1)));
+        assert!(view.contains(vp(1), &stlb));
         assert_eq!(
-            stlb.read().occupancy(),
+            stlb.occupancy(),
             0,
             "shared structure stays frozen until the barrier"
         );
@@ -170,51 +154,53 @@ mod tests {
 
     #[test]
     fn replay_applies_logs_in_order() {
-        let stlb = shared();
-        let mut view = StlbView::new(Arc::clone(&stlb));
+        let mut stlb = shared();
+        let mut view = StlbView::default();
         view.insert(vp(1), pp(1), true);
         view.insert(vp(2), pp(2), false);
         let mut ops = Vec::new();
         view.take_epoch(&mut ops);
-        replay(&stlb, &ops);
-        assert_eq!(stlb.read().peek(vp(1)), Some(pp(1)));
-        assert_eq!(stlb.read().peek(vp(2)), Some(pp(2)));
-        assert_eq!(view.lookup(vp(1)), Some(pp(1)), "frozen image now has it");
+        replay_stlb_ops(&mut stlb, &ops);
+        assert_eq!(stlb.peek(vp(1)), Some(pp(1)));
+        assert_eq!(stlb.peek(vp(2)), Some(pp(2)));
+        assert_eq!(
+            view.lookup(vp(1), &stlb),
+            Some(pp(1)),
+            "frozen image now has it"
+        );
     }
 
     #[test]
     fn flush_hides_frozen_image_for_the_rest_of_the_epoch() {
         let mut stlb = shared();
-        Arc::get_mut(&mut stlb)
-            .unwrap()
-            .get_mut()
-            .insert(vp(7), pp(7), true);
-        let mut view = StlbView::new(Arc::clone(&stlb));
-        assert_eq!(view.lookup(vp(7)), Some(pp(7)));
+        stlb.insert(vp(7), pp(7), true);
+        let mut view = StlbView::default();
+        assert_eq!(view.lookup(vp(7), &stlb), Some(pp(7)));
         view.flush();
-        assert_eq!(view.lookup(vp(7)), None);
+        assert_eq!(view.lookup(vp(7), &stlb), None);
         view.insert(vp(8), pp(8), true);
-        assert_eq!(view.lookup(vp(8)), Some(pp(8)), "post-flush inserts live");
+        assert_eq!(
+            view.lookup(vp(8), &stlb),
+            Some(pp(8)),
+            "post-flush inserts live"
+        );
         let mut ops = Vec::new();
         view.take_epoch(&mut ops);
-        replay(&stlb, &ops);
-        assert_eq!(stlb.read().peek(vp(7)), None, "flush replayed");
-        assert_eq!(stlb.read().peek(vp(8)), Some(pp(8)));
+        replay_stlb_ops(&mut stlb, &ops);
+        assert_eq!(stlb.peek(vp(7)), None, "flush replayed");
+        assert_eq!(stlb.peek(vp(8)), Some(pp(8)));
     }
 
     #[test]
     fn take_epoch_resets_visibility() {
         let mut stlb = shared();
-        Arc::get_mut(&mut stlb)
-            .unwrap()
-            .get_mut()
-            .insert(vp(3), pp(3), true);
-        let mut view = StlbView::new(Arc::clone(&stlb));
+        stlb.insert(vp(3), pp(3), true);
+        let mut view = StlbView::default();
         view.flush();
         let mut ops = Vec::new();
         view.take_epoch(&mut ops);
         // The replayed flush emptied nothing here (we dropped the ops),
         // so the frozen image must be visible again next epoch.
-        assert_eq!(view.lookup(vp(3)), Some(pp(3)));
+        assert_eq!(view.lookup(vp(3), &stlb), Some(pp(3)));
     }
 }

@@ -75,7 +75,7 @@ const NO_VPN: u64 = u64::MAX;
 /// stlb.insert(vpn, pfn, true);
 /// assert_eq!(stlb.lookup(vpn), Some(pfn));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tlb {
     cfg: TlbConfig,
     /// `sets - 1`; set counts are asserted to be powers of two.

@@ -24,6 +24,8 @@
 //! for the Fig 3 contrast. [`suites`] defines the 45-workload QMM-like
 //! suite, the SPEC-like suite, and the Java-server-like configs of Fig 2.
 
+#![forbid(unsafe_code)]
+
 mod instruction;
 mod multi;
 mod packed;

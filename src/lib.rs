@@ -35,6 +35,8 @@
 //! assert!(morrigan.storage_bits() / 8 < 4 * 1024);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use morrigan as prefetcher;
 pub use morrigan_baselines as baselines;
 pub use morrigan_experiments as experiments;
