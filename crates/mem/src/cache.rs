@@ -136,13 +136,6 @@ impl Cache {
         self.lines[self.set_range(line)].contains(&key)
     }
 
-    /// Software-prefetches the tag array of the set `line` maps to — a
-    /// host-side scheduling hint; never required for correctness.
-    #[inline]
-    pub fn prefetch_set(&self, line: CacheLine) {
-        scan::prefetch_tags(&self.lines[self.set_range(line)]);
-    }
-
     /// Installs `line` as MRU, returning the evicted victim line, if any.
     ///
     /// Filling a line that is already resident only refreshes its LRU

@@ -331,7 +331,7 @@ impl MemoryHierarchy {
     #[inline]
     fn llc_fill(&mut self, line: CacheLine) {
         match &mut self.llc_view {
-            Some(view) => view.fill(line, &self.llc),
+            Some(view) => view.fill(line),
             None => self.llc.fill(line),
         }
     }
@@ -341,7 +341,7 @@ impl MemoryHierarchy {
     #[inline]
     fn llc_insert_absent(&mut self, line: CacheLine) {
         match &mut self.llc_view {
-            Some(view) => view.fill(line, &self.llc),
+            Some(view) => view.fill(line),
             None => self.llc.insert_absent(line),
         }
     }
@@ -365,16 +365,6 @@ impl MemoryHierarchy {
         self.l1i.contains(line)
     }
 
-    /// Software-prefetches the L1I tag array of the set the *next*
-    /// sequential line maps to. The detailed front end nearly always
-    /// probes `line + 1` next (straight-line fetch), so pulling that
-    /// set's tags into the host cache hides the set scan's memory
-    /// latency; it is a host-side hint with no architectural effect.
-    #[inline]
-    pub fn prefetch_next_ifetch_set(&self, line: CacheLine) {
-        self.l1i.prefetch_set(CacheLine::new(line.raw() + 1));
-    }
-
     /// Exchanges this hierarchy's LLC with `other`.
     ///
     /// The multi-core machine owns the shared (possibly multi-bank) LLC
@@ -392,13 +382,13 @@ impl MemoryHierarchy {
     }
 
     /// Routes this hierarchy's LLC traffic through an epoch-frozen view
-    /// of a shared LLC of `shards` banks (parallel-machine mode). The
-    /// machine swaps its copy of that LLC in for each quantum
+    /// of a shared LLC (parallel-machine mode). The machine swaps its
+    /// copy of that LLC in for each quantum
     /// ([`MemoryHierarchy::swap_llc`]), and the view only reads it;
     /// [`MemoryHierarchy::llc_view_mut`] hands the machine the buffered
     /// operations to replay at each barrier.
-    pub fn install_llc_view(&mut self, shards: usize) {
-        self.llc_view = Some(LlcView::new(shards));
+    pub fn install_llc_view(&mut self) {
+        self.llc_view = Some(LlcView::default());
     }
 
     /// The installed epoch view, if any (the machine drains its logs at

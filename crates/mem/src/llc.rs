@@ -18,10 +18,10 @@
 //! multi-core machine gives each of its host threads its own copy.
 //! During an epoch a core reads the *frozen* epoch-start image, swapped
 //! into its hierarchy for the quantum, through an [`LlcView`] that
-//! overlays the core's own fills and logs every operation. At the epoch
-//! barrier each thread replays every core's logs into its own copy
-//! ([`Llc::replay_shard`]) in (core, sequence) order. Replay order is a
-//! pure function of the logs, so every copy stays equal and the
+//! overlays the core's own fills and logs every operation in program
+//! order. At the epoch barrier each thread replays every core's log into
+//! its own copy ([`Llc::replay`]) in (core, sequence) order. Replay order
+//! is a pure function of the logs, so every copy stays equal and the
 //! machine's results are independent of how many host threads executed
 //! the epoch.
 
@@ -29,9 +29,7 @@ use morrigan_types::CacheLine;
 
 use crate::cache::{Cache, CacheConfig};
 
-/// One buffered LLC operation, replayed at the epoch barrier. The line
-/// key is shard-local (shard-select bits already dropped), so replay
-/// applies it to the owning bank directly.
+/// One buffered LLC operation, replayed at the epoch barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LlcOp {
     /// A probe hit: promote the line to MRU (the frozen-read equivalent
@@ -94,7 +92,7 @@ impl Llc {
     }
 
     #[inline]
-    pub(crate) fn split(&self, line: CacheLine) -> (usize, CacheLine) {
+    fn split(&self, line: CacheLine) -> (usize, CacheLine) {
         let raw = line.raw();
         let shard = (raw & ((1u64 << self.shard_bits) - 1)) as usize;
         (shard, CacheLine::new(raw >> self.shard_bits))
@@ -128,24 +126,16 @@ impl Llc {
         self.shards[shard].insert_absent(key);
     }
 
-    /// Replays one core's buffered epoch operations for shard `shard`,
-    /// in the order given. The parallel machine replays the cores' logs
-    /// in core-id order, which is what makes the result
-    /// thread-count-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    pub fn replay_shard(&mut self, shard: usize, ops: &[LlcOp]) {
-        let bank = &mut self.shards[shard];
+    /// Replays one core's buffered epoch operations in the order given.
+    /// The machine replays the cores' logs in core-id order, which is
+    /// what makes the result thread-count-invariant.
+    pub fn replay(&mut self, ops: &[LlcOp]) {
         for op in ops {
             match *op {
-                LlcOp::Touch(key) => {
-                    bank.probe(key);
+                LlcOp::Touch(line) => {
+                    self.probe(line);
                 }
-                LlcOp::Fill(key) => {
-                    bank.fill(key);
-                }
+                LlcOp::Fill(line) => self.fill(line),
             }
         }
     }
@@ -187,38 +177,26 @@ impl Llc {
 /// During an epoch the shared banks are frozen: the view answers probes
 /// from the epoch-start image `frozen` (non-promoting shared reads) plus
 /// an overlay of the lines this core filled since the barrier, and logs
-/// every operation — in program order, bucketed by owning shard — for
-/// deterministic replay at the next barrier.
-#[derive(Debug, Clone)]
+/// every operation in program order for deterministic replay at the
+/// next barrier.
+#[derive(Debug, Clone, Default)]
 pub struct LlcView {
     /// Raw line numbers this core filled this epoch (visible to its own
     /// later probes before replay lands them in the shared banks).
     overlay: Vec<u64>,
-    /// Per-shard operation logs, program order within each shard.
-    ops: Vec<Vec<LlcOp>>,
+    /// This epoch's operation log, program order.
+    ops: Vec<LlcOp>,
 }
 
 impl LlcView {
-    /// A fresh view onto an LLC of `shards` banks, with empty overlay
-    /// and logs.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            overlay: Vec::new(),
-            ops: vec![Vec::new(); shards],
-        }
-    }
-
     /// Epoch-frozen probe: hit iff the line is in this core's overlay or
     /// the epoch-start image `frozen`. Hits log a [`LlcOp::Touch`] so
     /// the LRU promotion replays at the barrier.
     #[inline]
     pub fn probe(&mut self, line: CacheLine, frozen: &Llc) -> bool {
-        debug_assert_eq!(frozen.shard_count(), self.ops.len());
-        let raw = line.raw();
-        let (shard, key) = frozen.split(line);
-        let hit = self.overlay.contains(&raw) || frozen.contains(line);
+        let hit = self.overlay.contains(&line.raw()) || frozen.contains(line);
         if hit {
-            self.ops[shard].push(LlcOp::Touch(key));
+            self.ops.push(LlcOp::Touch(line));
         }
         hit
     }
@@ -226,22 +204,17 @@ impl LlcView {
     /// Epoch-frozen fill: the line joins this core's overlay immediately
     /// and the shared bank at the next barrier replay.
     #[inline]
-    pub fn fill(&mut self, line: CacheLine, frozen: &Llc) {
-        debug_assert_eq!(frozen.shard_count(), self.ops.len());
-        let raw = line.raw();
-        let (shard, key) = frozen.split(line);
-        self.ops[shard].push(LlcOp::Fill(key));
-        if !self.overlay.contains(&raw) {
-            self.overlay.push(raw);
+    pub fn fill(&mut self, line: CacheLine) {
+        self.ops.push(LlcOp::Fill(line));
+        if !self.overlay.contains(&line.raw()) {
+            self.overlay.push(line.raw());
         }
     }
 
-    /// Hands this epoch's per-shard logs to the caller (swapping in the
-    /// cleared buffers of `into`) and resets the overlay. `into` must
-    /// hold one empty `Vec` per shard.
-    pub fn take_epoch(&mut self, into: &mut Vec<Vec<LlcOp>>) {
-        debug_assert_eq!(into.len(), self.ops.len());
-        debug_assert!(into.iter().all(Vec::is_empty));
+    /// Hands this epoch's log to the caller (swapping in the cleared
+    /// buffer `into`, which must be empty) and resets the overlay.
+    pub fn take_epoch(&mut self, into: &mut Vec<LlcOp>) {
+        debug_assert!(into.is_empty());
         std::mem::swap(&mut self.ops, into);
         self.overlay.clear();
     }
@@ -336,48 +309,36 @@ mod tests {
         // directly would.
         let mut shared = Llc::new(cfg(), 4);
         let mut direct = Llc::new(cfg(), 4);
-        let mut view = LlcView::new(4);
-        let mut logs: Vec<Vec<LlcOp>> = vec![Vec::new(); 4];
+        let mut view = LlcView::default();
+        let mut log = Vec::new();
         for i in 0..2048u64 {
             let line = CacheLine::new(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 42);
             if i % 3 == 0 {
                 direct.fill(line);
-                view.fill(line, &shared);
+                view.fill(line);
             } else {
                 direct.probe(line);
                 view.probe(line, &shared);
             }
             if i % 64 == 63 {
                 // Epoch barrier: replay and clear.
-                view.take_epoch(&mut logs);
-                for (shard, ops) in logs.iter_mut().enumerate() {
-                    shared.replay_shard(shard, ops);
-                    ops.clear();
-                }
+                view.take_epoch(&mut log);
+                shared.replay(&log);
+                log.clear();
             }
         }
-        view.take_epoch(&mut logs);
-        for (shard, ops) in logs.iter_mut().enumerate() {
-            shared.replay_shard(shard, ops);
-            ops.clear();
-        }
-        assert_eq!(shared.occupancy(), direct.occupancy());
-        for s in 0..4 {
-            assert_eq!(
-                shared.shard_occupancy(s),
-                direct.shard_occupancy(s),
-                "shard {s}"
-            );
-        }
+        view.take_epoch(&mut log);
+        shared.replay(&log);
+        assert_eq!(shared, direct);
     }
 
     #[test]
     fn view_sees_own_epoch_fills_before_replay() {
         let shared = Llc::new(cfg(), 2);
-        let mut view = LlcView::new(shared.shard_count());
+        let mut view = LlcView::default();
         let line = CacheLine::new(0x123);
         assert!(!view.probe(line, &shared));
-        view.fill(line, &shared);
+        view.fill(line);
         assert!(
             view.probe(line, &shared),
             "own fills are visible within the epoch"

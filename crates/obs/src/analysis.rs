@@ -1,11 +1,10 @@
 //! Streaming trace analysis: turns the event stream into a per-run
 //! diagnosis with bounded memory.
 //!
-//! [`TraceAnalysis`] consumes [`TraceEvent`]s one at a time — either
-//! live, via [`AnalysisRecorder`] plugged into the simulator's recorder
-//! slot (never drops, so the diagnosis is always complete), or after
-//! the fact from a [`TraceRecorder`] ring (marked incomplete when the
-//! ring wrapped). It maintains:
+//! [`TraceAnalysis`] consumes [`TraceEvent`]s one at a time, live, via
+//! [`AnalysisRecorder`] plugged into the simulator's recorder slot
+//! (which never drops, so the diagnosis is always complete). It
+//! maintains:
 //!
 //! * **Miss-stream anatomy** — a log-bucketed histogram of distances
 //!   between consecutive iSTLB miss pages, the up/down/repeat direction
@@ -30,7 +29,7 @@ use std::collections::HashMap;
 use morrigan_types::{PrefetchComponent, WalkKind};
 
 use crate::event::{EventCounts, EventKind, TraceEvent};
-use crate::recorder::{Recorder, TraceRecorder};
+use crate::recorder::Recorder;
 
 /// Log₂-bucketed streaming histogram of `u64` samples.
 ///
@@ -201,7 +200,6 @@ pub struct TraceAnalysis {
     cfg: AnalysisConfig,
     counts: EventCounts,
     events_seen: u64,
-    dropped: u64,
     // Miss-stream anatomy.
     last_miss: Option<u64>,
     last_miss_cycle: u64,
@@ -234,7 +232,6 @@ impl TraceAnalysis {
         Self {
             counts: EventCounts::default(),
             events_seen: 0,
-            dropped: 0,
             last_miss: None,
             last_miss_cycle: 0,
             miss_distance: LogHistogram::new(),
@@ -254,32 +251,6 @@ impl TraceAnalysis {
             now: 0,
             cfg,
         }
-    }
-
-    /// Replays a finished [`TraceRecorder`]'s retained events. Anatomy
-    /// covers only what the ring kept; the [`EventCounts`] are taken
-    /// from the recorder's exact pre-ring tallies. When the ring
-    /// dropped events the result reports itself incomplete.
-    pub fn from_trace(trace: &TraceRecorder, cfg: AnalysisConfig) -> Self {
-        let mut analysis = Self::new(cfg);
-        for event in trace.events() {
-            analysis.observe(event);
-        }
-        // The ring only retains a suffix; the recorder's tallies cover
-        // everything ever recorded, so they are authoritative.
-        analysis.counts = *trace.counts();
-        analysis.dropped = trace.dropped();
-        analysis
-    }
-
-    /// Whether the diagnosis saw every event of the run.
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
-    }
-
-    /// Events lost upstream of the analysis.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Events the analysis itself consumed.
@@ -474,7 +445,6 @@ mod tests {
         assert_eq!(a.miss_distance().max(), 17);
         // Sets: 100 % 4 = 0, 117 % 4 = 1, 101 % 4 = 1 twice.
         assert_eq!(a.set_heat(), &[1, 3, 0, 0]);
-        assert!(a.is_complete());
     }
 
     #[test]
@@ -521,26 +491,12 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_marks_saturated_rings_incomplete() {
-        let mut trace = TraceRecorder::with_capacity(2);
-        for i in 0..5 {
-            trace.record(ev(i, 100 + i, EventKind::IstlbMiss));
-        }
-        let a = TraceAnalysis::from_trace(&trace, AnalysisConfig::default());
-        assert!(!a.is_complete());
-        assert_eq!(a.dropped(), 3);
-        // Totals stay exact even though the ring only kept 2 events.
-        assert_eq!(a.counts().istlb_miss, 5);
-    }
-
-    #[test]
     fn analysis_recorder_streams_without_dropping() {
         let mut r = AnalysisRecorder::new(AnalysisConfig::default());
         for i in 0..10_000u64 {
             r.record(ev(i, i % 97, EventKind::IstlbMiss));
         }
         let a = r.into_analysis();
-        assert!(a.is_complete());
         assert_eq!(a.counts().istlb_miss, 10_000);
         assert_eq!(a.events_seen(), 10_000);
     }

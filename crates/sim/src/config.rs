@@ -131,14 +131,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's full run lengths: 50 M warmup + 100 M measured.
-    pub fn paper_scale() -> Self {
-        Self {
-            warmup_instructions: 50_000_000,
-            measure_instructions: 100_000_000,
-        }
-    }
-
     /// A scaled-down run preserving the warmup:measure ratio.
     ///
     /// # Panics
@@ -190,7 +182,9 @@ mod tests {
 
     #[test]
     fn paper_scale_counts() {
-        let s = SimConfig::paper_scale();
+        // The paper's run lengths, 50 M warmup + 100 M measured, are a
+        // scaled config.
+        let s = SimConfig::scaled(100_000_000);
         assert_eq!(s.warmup_instructions, 50_000_000);
         assert_eq!(s.measure_instructions, 100_000_000);
     }

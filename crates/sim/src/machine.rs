@@ -189,9 +189,10 @@ impl CoreLane {
 /// two barriers. It lives behind an `RwLock`: the owner writes it before
 /// barrier A, every thread reads it between A and B, and the owner
 /// clears it after B (see the module docs).
+#[derive(Default)]
 struct EpochSlot {
-    /// Per-LLC-shard operation logs, program order within each shard.
-    llc: Vec<Vec<LlcOp>>,
+    /// Shared-LLC operation log, program order.
+    llc: Vec<LlcOp>,
     /// Shared-STLB operation log, program order.
     stlb: Vec<StlbOp>,
     /// Shootdown victims issued this epoch, issue order.
@@ -518,9 +519,7 @@ impl Machine {
             // Multi-core: every shared access goes through an
             // epoch-frozen view from the very first instruction.
             for lane in &mut self.cores {
-                lane.sim
-                    .mem_mut()
-                    .install_llc_view(self.shared_llc.shard_count());
+                lane.sim.mem_mut().install_llc_view();
                 if self.shared_stlb.is_some() {
                     lane.sim.mmu_mut().install_stlb_view();
                 }
@@ -642,16 +641,7 @@ impl Machine {
         let chunk = n.div_ceil(threads);
         let used = n.div_ceil(chunk);
 
-        let shard_count = self.shared_llc.shard_count();
-        let slots: Vec<RwLock<EpochSlot>> = (0..n)
-            .map(|_| {
-                RwLock::new(EpochSlot {
-                    llc: vec![Vec::new(); shard_count],
-                    stlb: Vec::new(),
-                    shootdowns: Vec::new(),
-                })
-            })
-            .collect();
+        let slots: Vec<RwLock<EpochSlot>> = (0..n).map(|_| RwLock::default()).collect();
         let barrier = SpinBarrier::new(used);
         // Thread 0 works on the machine's own copy of the shared
         // structures, every other thread on a clone of it.
@@ -703,9 +693,7 @@ impl Machine {
                             // thread's copy, in (core, sequence) order ---
                             published.extend(slots.iter().map(|slot| slot.read().expect(POISONED)));
                             for slot in &published {
-                                for (shard, ops) in slot.llc.iter().enumerate() {
-                                    llc.replay_shard(shard, ops);
-                                }
+                                llc.replay(&slot.llc);
                                 if let Some(stlb) = stlb.as_mut() {
                                     replay_stlb_ops(stlb, &slot.stlb);
                                 }
@@ -737,9 +725,7 @@ impl Machine {
                             // --- Reset own slots for the next epoch ---
                             for slot in own {
                                 let mut slot = slot.write().expect(POISONED);
-                                for ops in &mut slot.llc {
-                                    ops.clear();
-                                }
+                                slot.llc.clear();
                                 slot.stlb.clear();
                                 slot.shootdowns.clear();
                             }

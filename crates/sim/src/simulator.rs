@@ -8,7 +8,7 @@ use morrigan_obs::{
     EventKind, IcacheCrossOutcome, NullRecorder, Phase, PhaseProfile, Recorder, TraceEvent,
 };
 use morrigan_types::{
-    check_monotonic, scan, AuditReport, CacheLine, PhysPage, ThreadId, TlbPrefetcher, VirtPage,
+    check_monotonic, AuditReport, CacheLine, PhysPage, ThreadId, TlbPrefetcher, VirtPage,
     PAGE_SHIFT,
 };
 use morrigan_vm::{Mmu, PageTable};
@@ -943,13 +943,6 @@ impl<R: Recorder> Simulator<R> {
         while done < budget {
             if buf.cursor == buf.buf.len() {
                 self.refill(thread, buf);
-                if !detail {
-                    // Batched SoA pre-screen of the block's leading
-                    // pages: pulls the TLB sets the fast-forward will
-                    // probe into the host cache. Read-only, so LRU and
-                    // stats are untouched.
-                    Self::warm_block(&self.mmu, &buf.buf);
-                }
             }
             let take = ((budget - done) as usize).min(buf.buf.len() - buf.cursor);
             if detail {
@@ -1112,9 +1105,6 @@ impl<R: Recorder> Simulator<R> {
                         let ic = self.mem.access(pline, AccessClass::IFetch);
                         let ic_stall = ic.latency.saturating_sub(self.system.mem.l1i.latency);
                         self.icache_stall_cycles += ic_stall;
-                        // Host-side hint only: straight-line fetch almost
-                        // always probes `pline + 1` next.
-                        self.mem.prefetch_next_ifetch_set(pline);
 
                         let bubble = tr_stall + ic_stall;
                         if bubble > 0 {
@@ -1265,38 +1255,6 @@ impl<R: Recorder> Simulator<R> {
                 self.last_retire += adv;
             }
         }
-    }
-
-    /// Batched warm-up probe over a freshly refilled instruction block:
-    /// collects the first [`scan::BATCH`] distinct instruction pages and
-    /// the first data pages, then scans each TLB's SoA tag arrays with
-    /// the batched kernel (next-set software prefetch included). Purely a
-    /// host-cache warming pass — `probe_batch` is read-only.
-    fn warm_block(mmu: &Mmu<R>, block: &[TraceInstruction]) {
-        let mut ipages = [VirtPage::new(0); scan::BATCH];
-        let mut ni = 0;
-        let mut last_ipage = u64::MAX;
-        let mut dpages = [VirtPage::new(0); scan::BATCH];
-        let mut nd = 0;
-        for instr in block {
-            let vpn = instr.pc.raw() >> PAGE_SHIFT;
-            if ni < scan::BATCH && vpn != last_ipage {
-                ipages[ni] = VirtPage::new(vpn);
-                ni += 1;
-                last_ipage = vpn;
-            }
-            if nd < scan::BATCH {
-                if let Some(m) = instr.mem {
-                    dpages[nd] = VirtPage::new(m.addr.raw() >> PAGE_SHIFT);
-                    nd += 1;
-                }
-            }
-            if ni == scan::BATCH && nd == scan::BATCH {
-                break;
-            }
-        }
-        let _ = mmu.itlb().probe_batch(&ipages[..ni]);
-        let _ = mmu.dtlb().probe_batch(&dpages[..nd]);
     }
 
     /// Feeds the I-cache prefetcher and services its requests, modelling

@@ -142,15 +142,6 @@ impl VirtAddr {
         self.0 & (PAGE_SIZE - 1)
     }
 
-    /// Returns the virtual cache-line index (address >> [`LINE_SHIFT`]).
-    ///
-    /// Used by the front end to detect when fetch crosses into a new
-    /// instruction cache line.
-    #[inline]
-    pub const fn line_index(self) -> u64 {
-        self.0 >> LINE_SHIFT
-    }
-
     /// Fuses `asid` into this address's high bits (see [`ASID_SHIFT`]).
     ///
     /// ```

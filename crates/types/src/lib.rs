@@ -19,10 +19,7 @@
 //!   struct's monotone counters for generic window-monotonicity checks.
 //! * [`scan`] — branch-free, autovectorizable tag-scan kernels shared by
 //!   every SoA set-associative structure (TLBs, PSCs, caches), pinned
-//!   byte-for-byte to the scalar scans they replace. Its
-//!   [`prefetch_tags`](scan::prefetch_tags) host-cache hint is the
-//!   workspace's one `unsafe` block and the one exception to this
-//!   crate's `deny(unsafe_code)`; every other crate forbids `unsafe`.
+//!   byte-for-byte to the scalar scans they replace.
 //! * [`walk`] — [`WalkKind`], the demand class of a page walk, which the
 //!   walker accounts by and the trace events carry.
 //!
@@ -37,7 +34,7 @@
 //! assert_eq!(page.base_addr(), VirtAddr::new(0x7f00_1234_5000));
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod audit;

@@ -203,12 +203,6 @@ impl PrefetchDecision {
         }
     }
 
-    /// Attaches provenance to this decision.
-    pub fn with_origin(mut self, origin: PrefetchOrigin) -> Self {
-        self.origin = Some(origin);
-        self
-    }
-
     /// Tags the decision with the component that produced it.
     pub fn with_component(mut self, component: PrefetchComponent) -> Self {
         self.component = component;
@@ -354,13 +348,8 @@ mod tests {
 
     #[test]
     fn decision_builders() {
-        let origin = PrefetchOrigin {
-            source: VirtPage::new(5),
-            distance: PageDistance(2),
-        };
-        let d = PrefetchDecision::spatial(VirtPage::new(7)).with_origin(origin);
+        let d = PrefetchDecision::spatial(VirtPage::new(7));
         assert!(d.spatial);
-        assert_eq!(d.origin, Some(origin));
         assert_eq!(d.vpn, VirtPage::new(7));
         let p = PrefetchDecision::plain(VirtPage::new(7));
         assert!(!p.spatial);

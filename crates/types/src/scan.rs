@@ -13,16 +13,6 @@
 //! the equality tests at the bottom of this module — callers may treat
 //! the kernels as drop-in replacements, which is what keeps
 //! full-fidelity simulator output byte-identical.
-//!
-//! [`prefetch_tags`] issues a software prefetch of the line holding a
-//! set's first tag so batched probes (the sampled fast-forward path
-//! decodes up to [`BATCH`] upcoming accesses per block) can overlap the
-//! tag-array loads of the next set with the scan of the current one. It
-//! is a hint: a no-op on non-x86_64 targets and never required for
-//! correctness.
-
-/// Maximum number of keys a batched probe inspects per decoded block.
-pub const BATCH: usize = 8;
 
 /// Widest set the branch-free kernels cover with a single `u64` mask;
 /// wider slices (none are configured today) fall back to the scalar
@@ -69,29 +59,6 @@ pub fn find_hit_or_victim(tags: &[u64], stamps: &[u64], key: u64) -> (usize, boo
     let min = stamps.iter().copied().min().expect("non-empty set");
     let way = find_tag(stamps, min).expect("min came from this slice");
     (way, false)
-}
-
-/// Software-prefetches the cache line holding the first of `tags` into
-/// L1.
-///
-/// A pure scheduling hint for batched probes that know the next set
-/// they will scan; correctness never depends on it. Only that one line
-/// is prefetched. The sets prefetched today (the 8-way L1I and iTLB, the
-/// 4-way dTLB) span at most 64 bytes, so it holds all or most of the set.
-#[inline(always)]
-#[allow(unsafe_code)]
-pub fn prefetch_tags(tags: &[u64]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a hint that never faults, whatever the
-    // address; the one pointer passed to it is the start of `tags`.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(tags.as_ptr().cast(), _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tags;
-    }
 }
 
 #[cfg(test)]
@@ -149,12 +116,6 @@ mod tests {
             find_hit_or_victim(&tags, &stamps, 99),
             scalar_hit_or_victim(&tags, &stamps, 99)
         );
-    }
-
-    #[test]
-    fn prefetch_is_a_safe_hint() {
-        prefetch_tags(&[1, 2, 3, 4]);
-        prefetch_tags(&[0u64; 16]);
     }
 
     proptest! {

@@ -69,12 +69,6 @@ impl SatCounter {
     pub fn reset(&mut self) {
         self.value = 0;
     }
-
-    /// Whether the counter sits at its ceiling.
-    #[inline]
-    pub fn is_saturated(&self) -> bool {
-        self.value == self.max
-    }
 }
 
 impl Default for SatCounter {
@@ -185,7 +179,6 @@ mod tests {
             c.increment();
         }
         assert_eq!(c.value(), 3);
-        assert!(c.is_saturated());
         c.decrement();
         assert_eq!(c.value(), 2);
         c.reset();

@@ -218,35 +218,6 @@ impl Tlb {
         scan::find_tag(&self.vpns[range], key).map(|w| PhysPage::new(self.pfns[start + w]))
     }
 
-    /// Software-prefetches the tag array of the set `vpn` maps to.
-    ///
-    /// A scheduling hint for callers that know the next probe target
-    /// (the sampled fast-forward path decodes a block of upcoming
-    /// accesses); correctness never depends on it.
-    #[inline]
-    pub fn prefetch_set(&self, vpn: VirtPage) {
-        scan::prefetch_tags(&self.vpns[self.set_range(vpn)]);
-    }
-
-    /// Batched residency probe over up to [`scan::BATCH`] VPNs: bit `i`
-    /// of the result is set iff `vpns[i]` is resident. Each scan
-    /// prefetches the following key's set so the tag-array loads
-    /// overlap the current compare. LRU state is not disturbed — the
-    /// batch is a pure pre-screen, identical to calling
-    /// [`contains`](Self::contains) per key.
-    pub fn probe_batch(&self, vpns: &[VirtPage]) -> u32 {
-        debug_assert!(vpns.len() <= scan::BATCH);
-        let mut mask = 0u32;
-        for (i, &vpn) in vpns.iter().enumerate() {
-            if let Some(&next) = vpns.get(i + 1) {
-                self.prefetch_set(next);
-            }
-            let resident = scan::find_tag(&self.vpns[self.set_range(vpn)], vpn.raw()).is_some();
-            mask |= (resident as u32) << i;
-        }
-        mask
-    }
-
     /// Installs a translation as MRU; returns the evicted VPN, if any.
     ///
     /// `instruction` tags the entry for cross-class contention accounting.
@@ -417,37 +388,6 @@ mod tests {
         let _ = Tlb::new(TlbConfig::itlb());
         let _ = Tlb::new(TlbConfig::dtlb());
         let _ = Tlb::new(TlbConfig::stlb());
-    }
-
-    #[test]
-    fn probe_batch_matches_contains_and_keeps_lru() {
-        let mut tlb = Tlb::new(TlbConfig {
-            entries: 16,
-            ways: 4,
-            latency: 1,
-        });
-        for i in 0..6u64 {
-            tlb.insert(VirtPage::new(i * 3), pfn(i), true);
-        }
-        let keys: Vec<VirtPage> = (0..8u64).map(|i| VirtPage::new(i * 2)).collect();
-        let mask = tlb.probe_batch(&keys);
-        for (i, &vpn) in keys.iter().enumerate() {
-            assert_eq!(mask & (1 << i) != 0, tlb.contains(vpn), "key {i}");
-        }
-        // The batch is a pure pre-screen: LRU order is untouched, so the
-        // next insert evicts the same victim as if no batch had run.
-        let mut twin = Tlb::new(TlbConfig {
-            entries: 16,
-            ways: 4,
-            latency: 1,
-        });
-        for i in 0..6u64 {
-            twin.insert(VirtPage::new(i * 3), pfn(i), true);
-        }
-        assert_eq!(
-            tlb.insert(VirtPage::new(64), pfn(99), true),
-            twin.insert(VirtPage::new(64), pfn(99), true)
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 mod reference;
 
 use morrigan_mem::{HierarchyConfig, MemoryHierarchy};
-use morrigan_types::{scan, PageDistance, PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
+use morrigan_types::{PageDistance, PhysPage, PrefetchComponent, PrefetchOrigin, VirtPage};
 use morrigan_vm::{
     PageTable, PagingStructureCaches, PrefetchBuffer, PscConfig, Tlb, TlbConfig, WalkKind, Walker,
     WalkerConfig,
@@ -107,12 +107,8 @@ proptest! {
             }
             prop_assert_eq!(real.instr_evicted_by_data, model.instr_evicted_by_data, "after #{}", i);
             prop_assert_eq!(real.data_evicted_by_instr, model.data_evicted_by_instr, "after #{}", i);
-            for batch in pool.chunks(scan::BATCH) {
-                let expected = batch
-                    .iter()
-                    .enumerate()
-                    .fold(0u32, |mask, (bit, &v)| mask | (model.contains(v) as u32) << bit);
-                prop_assert_eq!(real.probe_batch(batch), expected, "residency after #{}", i);
+            for &v in &pool {
+                prop_assert_eq!(real.contains(v), model.contains(v), "residency of {:?} after #{}", v, i);
             }
         }
     }

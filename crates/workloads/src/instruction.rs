@@ -8,9 +8,6 @@ use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
 pub struct MemAccess {
     /// Virtual address of the access.
     pub addr: VirtAddr,
-    /// Whether it is a store (the latency model treats loads and stores
-    /// alike; the flag exists for trace realism and future extensions).
-    pub write: bool,
 }
 
 /// One traced instruction.
@@ -151,7 +148,6 @@ mod tests {
             pc: VirtAddr::new(0x400000),
             mem: Some(MemAccess {
                 addr: VirtAddr::new(0x7000_0000),
-                write: false,
             }),
         };
         let j = i;

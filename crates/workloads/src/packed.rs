@@ -24,8 +24,8 @@
 //!   offsets from the first byte of the stream's code region; every
 //!   other PC is its predecessor's + 4.
 //! * `mem` — the instruction has a data access. The accesses go, in
-//!   order, into `mems: Vec<u32>`: the store flag in bit 31, above a
-//!   31-bit byte offset from the first byte of the stream's data region.
+//!   order, into `mems: Vec<u32>` as byte offsets from the first byte of
+//!   the stream's data region.
 //!
 //! Each word also carries `u32` counts of the jumps and accesses before
 //! it, so [`PackedTrace::get`] is O(1): one word, two popcounts, one
@@ -35,10 +35,10 @@
 //! both, because the page table maps only regions, and
 //! [`PackedTrace::capture`] asserts both, naming the stream:
 //!
-//! * every PC lies in its stream's code region (a `u32` offset reaches
-//!   its first 4 GiB);
-//! * every data access lies in the first 2 GiB of its stream's data
-//!   region.
+//! * every PC lies in its stream's code region, and every data access
+//!   in its stream's data region;
+//! * both lie in the first 4 GiB of their region, the reach of a `u32`
+//!   offset.
 //!
 //! ## Page runs
 //!
@@ -68,17 +68,9 @@ use morrigan_types::{VirtAddr, VirtPage, PAGE_SHIFT};
 
 use crate::instruction::{InstructionStream, MemAccess, TraceInstruction};
 
-/// The store flag of a `mems` entry; the bits below it hold the access's
-/// data-region offset.
-const STORE: u32 = 1 << 31;
-
-/// How far into its code region a PC may lie: a `jumps` entry is a
-/// `u32`.
-const CODE_REACH: u64 = 1 << 32;
-
-/// How far into its data region an access may lie: the offset below
-/// [`STORE`].
-const DATA_REACH: u64 = STORE as u64;
+/// How far into its region a PC or a data access may lie: `jumps` and
+/// `mems` entries are `u32` offsets.
+const REACH: u64 = 1 << 32;
 
 /// Extra instructions captured beyond a run's `warmup + measure` length.
 ///
@@ -149,8 +141,8 @@ pub struct PackedTrace {
     /// The PC at every `jump` bit, in order, as a byte offset from the
     /// first byte of `code_region`.
     jumps: Vec<u32>,
-    /// Every data access, in order: [`STORE`] for a store, or'ed with
-    /// the byte offset from the first byte of `data_region`.
+    /// Every data access, in order, as a byte offset from the first byte
+    /// of `data_region`.
     mems: Vec<u32>,
 }
 
@@ -164,8 +156,9 @@ impl PackedTrace {
     /// # Panics
     ///
     /// Panics if `len` exceeds `u32::MAX`, or, naming the stream, if the
-    /// stream breaks a region contract: a PC outside its code region, or
-    /// a data access outside the first 2 GiB of its data region.
+    /// stream breaks a region contract: a PC outside its code region, a
+    /// data access outside its data region, or either 4 GiB or more into
+    /// its region.
     pub fn capture(stream: &mut dyn InstructionStream, len: u64) -> Self {
         assert!(
             len <= u32::MAX as u64,
@@ -183,7 +176,7 @@ impl PackedTrace {
             mems: Vec::with_capacity(mems),
         };
         let (code_start, data_start) = (trace.code_start(), trace.data_start());
-        let code_bytes = (trace.code_region.1 << PAGE_SHIFT).min(CODE_REACH);
+        let code_bytes = (trace.code_region.1 << PAGE_SHIFT).min(REACH);
         let data_bytes = trace.data_region.1 << PAGE_SHIFT;
         let region = |(page, pages): (VirtPage, u64)| {
             format!("{pages} pages at {:#x}", page.raw() << PAGE_SHIFT)
@@ -229,16 +222,14 @@ impl PackedTrace {
                         region(trace.data_region)
                     );
                     assert!(
-                        offset < DATA_REACH,
-                        "stream '{}' accessed {addr:#x}, 2 GiB or more into its data region of \
-                         {}; packed traces store accesses as 31-bit offsets into it",
+                        offset < REACH,
+                        "stream '{}' accessed {addr:#x}, 4 GiB or more into its data region of \
+                         {}; packed traces store accesses as 32-bit offsets into it",
                         trace.name,
                         region(trace.data_region)
                     );
                     word.mem |= 1 << bit;
-                    trace
-                        .mems
-                        .push(offset as u32 | if access.write { STORE } else { 0 });
+                    trace.mems.push(offset as u32);
                 }
                 if bit == 63 {
                     trace.words.push(word);
@@ -301,8 +292,7 @@ impl PackedTrace {
     #[inline]
     fn access(&self, entry: u32) -> MemAccess {
         MemAccess {
-            addr: VirtAddr::new(self.data_start().wrapping_add((entry & !STORE) as u64)),
-            write: entry & STORE != 0,
+            addr: VirtAddr::new(self.data_start().wrapping_add(entry as u64)),
         }
     }
 
@@ -467,7 +457,7 @@ impl PackedReplay {
                 let b = bits.trailing_zeros() as usize;
                 let entry = trace.mems[m];
                 if RUNS {
-                    let page = (entry & !STORE) >> PAGE_SHIFT;
+                    let page = entry >> PAGE_SHIFT;
                     if dpage.is_some_and(|p| p != page) {
                         drun_ends.push(at_block(b));
                     }
@@ -620,7 +610,7 @@ mod tests {
         }
     }
 
-    /// A stream that fetches `pc` and stores to `addr` on every
+    /// A stream that fetches `pc` and accesses `addr` on every
     /// instruction, with a one-page code region at 0x400000 and a data
     /// region of `data_pages` pages at 0x100000.
     struct Stray {
@@ -639,7 +629,6 @@ mod tests {
                 pc: VirtAddr::new(self.pc),
                 mem: Some(MemAccess {
                     addr: VirtAddr::new(self.addr),
-                    write: true,
                 }),
             }
         }
@@ -682,19 +671,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stream 'stray' accessed 0x80100000, 2 GiB or more into its data")]
-    fn capture_rejects_accesses_two_gib_into_the_data_region() {
-        // A 4 GiB data region: the store just below 2 GiB into it packs,
-        // its flag apart from its offset.
+    #[should_panic(expected = "stream 'stray' accessed 0x100100000, 4 GiB or more into its data")]
+    fn capture_rejects_accesses_four_gib_into_the_data_region() {
+        // An 8 GiB data region: the access just below 4 GiB into it
+        // packs.
         let mut stray = Stray {
             pc: 0x40_0000,
-            addr: 0x10_0000 + (1 << 31) - 8,
-            data_pages: 1 << 20,
+            addr: 0x10_0000 + (1 << 32) - 8,
+            data_pages: 1 << 21,
         };
         let trace = PackedTrace::capture(&mut stray, 10);
-        let access = trace.get(9).mem.unwrap();
-        assert_eq!((access.addr.raw(), access.write), (stray.addr, true));
-        stray.addr = 0x10_0000 + (1 << 31);
+        assert_eq!(trace.get(9).mem.unwrap().addr.raw(), stray.addr);
+        stray.addr = 0x10_0000 + (1 << 32);
         PackedTrace::capture(&mut stray, 10);
     }
 

@@ -418,9 +418,12 @@ impl ServerWorkload {
             fresh
         };
         let offset = (self.rng.next_u64() & 0xfff) & !7;
+        // The draw that once chose a store: the latency model treats
+        // loads and stores alike, but dropping it would re-seed every
+        // later draw of the stream and change every record.
+        let _ = self.rng.chance(0.3);
         MemAccess {
             addr: VirtAddr::new((self.cfg.data_base.raw() + page) << 12 | offset),
-            write: self.rng.chance(0.3),
         }
     }
 }

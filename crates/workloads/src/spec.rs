@@ -132,9 +132,12 @@ impl InstructionStream for SpecWorkload {
                 self.cfg.data_base.raw() * 4096
                     + (self.rng.next_below(self.cfg.data_pages * 4096) & !7)
             };
+            // The draw that once chose a store: the latency model treats
+            // loads and stores alike, but dropping it would re-seed every
+            // later draw of the stream and change every record.
+            let _ = self.rng.chance(0.3);
             Some(MemAccess {
                 addr: VirtAddr::new(addr),
-                write: self.rng.chance(0.3),
             })
         } else {
             None
